@@ -8,7 +8,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from . import analytics, synthgen
 from .displacement import (
@@ -54,8 +54,20 @@ def _merged(args: argparse.Namespace, filecfg: dict[str, str], key: str, default
         raw = filecfg[key]
         if cast is bool:
             return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{args.config}: {key} = {raw!r} is not a valid {cast.__name__}"
+            ) from None
     return default
+
+
+def _timezone(name: str) -> ZoneInfo:
+    try:
+        return ZoneInfo(name)
+    except (ZoneInfoNotFoundError, ValueError):
+        raise ConfigError(f"unknown timezone {name!r}") from None
 
 
 def _default_tz() -> str:
@@ -101,7 +113,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         time_window=_merged(args, filecfg, "time_window_h", 2.0, float) * 3600.0,
         min_displacement_distance=_merged(args, filecfg, "min_displacement_m", 100.0, float),
     )
-    tz = ZoneInfo(tz_name)
+    tz = _timezone(tz_name)
 
     os.makedirs(out_dir, exist_ok=True)
     timings: dict[str, float] = {}
@@ -188,7 +200,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         args, filecfg, "users", os.path.join(os.path.dirname(disp_path), "users.csv"), str
     )
     out_dir = _merged(args, filecfg, "out", "out", str)
-    tz = ZoneInfo(_merged(args, filecfg, "tz", _default_tz(), str))
+    tz = _timezone(_merged(args, filecfg, "tz", _default_tz(), str))
     focal = _merged(args, filecfg, "focal_zone", None, str)
     include_intra = _merged(args, filecfg, "include_intra", False, bool)
     include_external = _merged(args, filecfg, "include_external", False, bool)

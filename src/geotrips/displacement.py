@@ -328,29 +328,39 @@ def write_displacements_csv(displacements: Iterable[Displacement], fh: IO[str]) 
 def read_displacements_csv(source: str | IO[str]) -> list[Displacement]:
     import csv
 
+    name = source if isinstance(source, str) else getattr(source, "name", "displacement CSV")
+
     def _read(fh) -> list[Displacement]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != DISPLACEMENT_COLUMNS:
-            raise ValidationError("not a displacement CSV (bad header)")
+            raise ValidationError(f"{name}: not a displacement CSV (bad header)")
         out = []
         for row in reader:
             if not row:
                 continue
-            out.append(
-                Displacement(
-                    user_id=row[0],
-                    origin=GeoPoint(float(row[1]), float(row[2])),
-                    destination=GeoPoint(float(row[3]), float(row[4])),
-                    start_time=parse_timestamp(row[5]),
-                    end_time=parse_timestamp(row[6]),
-                    duration=float(row[7]),
-                    distance=float(row[8]),
-                    origin_zone=row[9] or None,
-                    destination_zone=row[10] or None,
-                    crossing_time_estimate=parse_timestamp(row[11]) if row[11] else None,
+            try:
+                out.append(
+                    Displacement(
+                        user_id=row[0],
+                        origin=GeoPoint(float(row[1]), float(row[2])),
+                        destination=GeoPoint(float(row[3]), float(row[4])),
+                        start_time=parse_timestamp(row[5]),
+                        end_time=parse_timestamp(row[6]),
+                        duration=float(row[7]),
+                        distance=float(row[8]),
+                        origin_zone=row[9] or None,
+                        destination_zone=row[10] or None,
+                        crossing_time_estimate=parse_timestamp(row[11]) if row[11] else None,
+                    )
                 )
-            )
+            except IndexError:
+                raise ValidationError(
+                    f"{name}:{reader.line_num}: expected "
+                    f"{len(DISPLACEMENT_COLUMNS)} fields, got {len(row)}"
+                ) from None
+            except ValueError as exc:
+                raise ValidationError(f"{name}:{reader.line_num}: {exc}") from None
         return out
 
     if isinstance(source, str):

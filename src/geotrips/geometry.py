@@ -8,7 +8,7 @@ enough at county scale and keeps the ray-casting test exact and cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidGeometryError
 
@@ -16,6 +16,12 @@ EARTH_RADIUS_M = 6_371_000.0
 
 # A point within this many degrees of a ring edge counts as inside.
 EDGE_TOLERANCE_DEG = 1e-12
+
+# Padding of each ring's and each edge's latitude range in the slab index,
+# and of each edge's coordinate ranges in the guard of the on-edge test.  It
+# is far above EDGE_TOLERANCE_DEG and above the rounding of any coordinate
+# the edge and crossing tests compute, so no edge a query needs is left out.
+SLAB_MARGIN_DEG = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,18 +32,69 @@ class GeoPoint:
 
 @dataclass(frozen=True)
 class PolygonRing:
-    """Implicitly closed ring: the first vertex is not repeated at the end."""
+    """Implicitly closed ring: the first vertex is not repeated at the end.
+
+    Construction also builds the ring's query index: flat ``lats``/``lons``
+    tuples with the first vertex repeated at the end (edge ``i`` runs from
+    vertex ``i`` to vertex ``i + 1``), and a latitude-slab table.  The padded
+    latitude range ``[lat_lo, lat_hi]`` is cut into ``isqrt(n)`` equal slabs;
+    ``slabs[k]`` holds the indices of the edges whose padded latitude range
+    overlaps slab ``k``.
+    """
 
     vertices: tuple[GeoPoint, ...]
+    lats: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    lons: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    lat_lo: float = field(init=False, repr=False, compare=False)
+    lat_hi: float = field(init=False, repr=False, compare=False)
+    slab_scale: float = field(init=False, repr=False, compare=False)
+    slabs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = tuple(self.vertices)
         object.__setattr__(self, "vertices", verts)
-        if len(verts) < 3:
-            raise InvalidGeometryError(f"ring needs >= 3 vertices, got {len(verts)}")
-        for a, b in zip(verts, verts[1:] + verts[:1]):
-            if a.lat == b.lat and a.lon == b.lon:
+        n = len(verts)
+        if n < 3:
+            raise InvalidGeometryError(f"ring needs >= 3 vertices, got {n}")
+        lats = tuple([v.lat for v in verts]) + (verts[0].lat,)
+        lons = tuple([v.lon for v in verts]) + (verts[0].lon,)
+        for lat, lon in zip(lats, lons):
+            # Comparisons with NaN are false, so this also rejects NaN.
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                raise InvalidGeometryError(
+                    f"vertex ({lat}, {lon}) is not a finite latitude within "
+                    "[-90, 90] and longitude within [-180, 180]"
+                )
+        margin = SLAB_MARGIN_DEG
+        lat_lo = min(lats) - margin
+        lat_hi = max(lats) + margin
+        n_slabs = math.isqrt(n)
+        scale = n_slabs / (lat_hi - lat_lo)
+        top = n_slabs - 1
+        # Edge i goes into every slab from that of its lower end minus the
+        # margin to that of its upper end plus the margin.  The slab of a
+        # latitude x is int((x - lat_lo) * scale), capped at the top slab,
+        # exactly as point_in_polygon computes it.
+        slabs: list[list[int]] = [[] for _ in range(n_slabs)]
+        for i in range(n):
+            a = lats[i]
+            b = lats[i + 1]
+            if a == b and lons[i] == lons[i + 1]:
                 raise InvalidGeometryError("ring has two identical consecutive vertices")
+            if a > b:
+                a, b = b, a
+            first = int((a - margin - lat_lo) * scale)
+            last = int((b + margin - lat_lo) * scale)
+            if last > top:
+                last = top
+            for k in range(first if first < last else last, last + 1):
+                slabs[k].append(i)
+        object.__setattr__(self, "lats", lats)
+        object.__setattr__(self, "lons", lons)
+        object.__setattr__(self, "lat_lo", lat_lo)
+        object.__setattr__(self, "lat_hi", lat_hi)
+        object.__setattr__(self, "slab_scale", scale)
+        object.__setattr__(self, "slabs", tuple(map(tuple, slabs)))
 
 
 @dataclass(frozen=True)
@@ -79,47 +136,23 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
 
 def bbox(poly: ZonePolygon) -> BoundingBox:
     """Tight axis-aligned bounds of the outer ring."""
-    lats = [v.lat for v in poly.outer.vertices]
-    lons = [v.lon for v in poly.outer.vertices]
+    lats, lons = poly.outer.lats, poly.outer.lons
     return BoundingBox(min(lats), max(lats), min(lons), max(lons))
 
 
-def _on_ring_edge(lat: float, lon: float, ring: PolygonRing) -> bool:
-    tol2 = EDGE_TOLERANCE_DEG * EDGE_TOLERANCE_DEG
-    verts = ring.vertices
-    n = len(verts)
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        dy = b.lat - a.lat
-        dx = b.lon - a.lon
-        seg2 = dx * dx + dy * dy
-        if seg2 == 0.0:
-            t = 0.0
-        else:
-            t = ((lat - a.lat) * dy + (lon - a.lon) * dx) / seg2
-            t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-        py = a.lat + t * dy
-        px = a.lon + t * dx
-        d2 = (lat - py) * (lat - py) + (lon - px) * (lon - px)
-        if d2 <= tol2:
-            return True
-    return False
-
-
-def _ring_crossings(lat: float, lon: float, ring: PolygonRing) -> int:
-    """Number of ring edges crossed by the eastward ray from (lat, lon)."""
-    verts = ring.vertices
-    n = len(verts)
-    crossings = 0
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        if (a.lat > lat) != (b.lat > lat):
-            lon_at = a.lon + (lat - a.lat) * (b.lon - a.lon) / (b.lat - a.lat)
-            if lon < lon_at:
-                crossings += 1
-    return crossings
+def _near_edge(lat: float, lon: float, alat: float, alon: float, dy: float, dx: float) -> bool:
+    """Whether (lat, lon) lies within EDGE_TOLERANCE_DEG of the edge from
+    (alat, alon) to (alat + dy, alon + dx)."""
+    seg2 = dx * dx + dy * dy
+    if seg2 == 0.0:
+        t = 0.0
+    else:
+        t = ((lat - alat) * dy + (lon - alon) * dx) / seg2
+        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    py = alat + t * dy
+    px = alon + t * dx
+    d2 = (lat - py) * (lat - py) + (lon - px) * (lon - px)
+    return d2 <= EDGE_TOLERANCE_DEG * EDGE_TOLERANCE_DEG
 
 
 def point_in_polygon(p: GeoPoint, poly: ZonePolygon) -> bool:
@@ -127,12 +160,50 @@ def point_in_polygon(p: GeoPoint, poly: ZonePolygon) -> bool:
 
     A point within EDGE_TOLERANCE_DEG of any edge (outer or hole boundary)
     is inside; a point strictly interior to a hole is outside.
+
+    Each ring is tested only against the edges of the point's latitude slab,
+    in one pass that runs the on-edge test and the eastward-ray crossing
+    test on each edge.  The on-edge test is skipped where the point is more
+    than SLAB_MARGIN_DEG outside the edge's latitude or longitude range, and
+    an edge outside the slab can be neither near the point nor crossed by
+    its ray, so the answer is the one a walk over every edge gives.
     """
-    rings = (poly.outer,) + poly.holes
-    for ring in rings:
-        if _on_ring_edge(p.lat, p.lon, ring):
-            return True
+    lat = p.lat
+    lon = p.lon
+    margin = SLAB_MARGIN_DEG
     crossings = 0
-    for ring in rings:
-        crossings += _ring_crossings(p.lat, p.lon, ring)
+    for ring in (poly.outer,) + poly.holes:
+        lat_lo = ring.lat_lo
+        if not (lat_lo <= lat <= ring.lat_hi):
+            continue
+        slabs = ring.slabs
+        k = min(int((lat - lat_lo) * ring.slab_scale), len(slabs) - 1)
+        lats = ring.lats
+        lons = ring.lons
+        for i in slabs[k]:
+            alat = lats[i]
+            blat = lats[i + 1]
+            if (alat > lat) != (blat > lat):
+                # The edge spans the point's latitude: its ray may cross it.
+                alon = lons[i]
+                blon = lons[i + 1]
+                dy = blat - alat
+                dx = blon - alon
+                if (
+                    alon - margin <= lon <= blon + margin
+                    if dx > 0.0
+                    else blon - margin <= lon <= alon + margin
+                ) and _near_edge(lat, lon, alat, alon, dy, dx):
+                    return True
+                if lon < alon + (lat - alat) * dx / dy:
+                    crossings += 1
+            elif (
+                alat - lat <= margin or blat - lat <= margin
+                if alat > lat
+                else lat - alat <= margin or lat - blat <= margin
+            ):
+                # The edge ends within the margin of the point's latitude.
+                alon = lons[i]
+                if _near_edge(lat, lon, alat, alon, blat - alat, lons[i + 1] - alon):
+                    return True
     return crossings % 2 == 1

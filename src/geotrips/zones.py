@@ -112,7 +112,12 @@ def _ring_from_coords(coords, feature_label: str) -> PolygonRing:
     for pos in coords:
         if not isinstance(pos, (list, tuple)) or len(pos) < 2:
             raise InvalidGeometryError(f"{feature_label}: malformed coordinate position")
-        lon, lat = float(pos[0]), float(pos[1])
+        try:
+            lon, lat = float(pos[0]), float(pos[1])
+        except (TypeError, ValueError):
+            raise InvalidGeometryError(
+                f"{feature_label}: non-numeric coordinate position {pos!r}"
+            ) from None
         pts.append(GeoPoint(lat, lon))
     # GeoJSON rings repeat the first position at the end; storage does not.
     if pts[0] == pts[-1]:

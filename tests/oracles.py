@@ -2,7 +2,9 @@
 
 These deliberately use different algorithms than the code under test:
 winding numbers instead of ray casting, the spherical law of cosines
-instead of the haversine formula.
+instead of the haversine formula.  The one exception is
+`full_walk_point_in_polygon`, the unindexed two-pass walk over every edge
+that the indexed `point_in_polygon` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from geotrips.geometry import EDGE_TOLERANCE_DEG, GeoPoint, PolygonRing, ZonePolygon
 
 
 def winding_number_inside(lat: float, lon: float, ring_latlon: np.ndarray) -> bool:
@@ -56,3 +60,53 @@ def random_simple_polygon(rng, n_vertices: int, center=(40.5, -74.0), scale=0.5)
     lat = center[0] + radii * np.sin(angles)
     lon = center[1] + radii * np.cos(angles)
     return np.column_stack([lat, lon])
+
+
+def _on_ring_edge(lat: float, lon: float, ring: PolygonRing) -> bool:
+    tol2 = EDGE_TOLERANCE_DEG * EDGE_TOLERANCE_DEG
+    verts = ring.vertices
+    n = len(verts)
+    for i in range(n):
+        a = verts[i]
+        b = verts[(i + 1) % n]
+        dy = b.lat - a.lat
+        dx = b.lon - a.lon
+        seg2 = dx * dx + dy * dy
+        if seg2 == 0.0:
+            t = 0.0
+        else:
+            t = ((lat - a.lat) * dy + (lon - a.lon) * dx) / seg2
+            t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+        py = a.lat + t * dy
+        px = a.lon + t * dx
+        d2 = (lat - py) * (lat - py) + (lon - px) * (lon - px)
+        if d2 <= tol2:
+            return True
+    return False
+
+
+def _ring_crossings(lat: float, lon: float, ring: PolygonRing) -> int:
+    """Number of ring edges crossed by the eastward ray from (lat, lon)."""
+    verts = ring.vertices
+    n = len(verts)
+    crossings = 0
+    for i in range(n):
+        a = verts[i]
+        b = verts[(i + 1) % n]
+        if (a.lat > lat) != (b.lat > lat):
+            lon_at = a.lon + (lat - a.lat) * (b.lon - a.lon) / (b.lat - a.lat)
+            if lon < lon_at:
+                crossings += 1
+    return crossings
+
+
+def full_walk_point_in_polygon(p: GeoPoint, poly: ZonePolygon) -> bool:
+    """`point_in_polygon` without the slab index: every edge, two passes."""
+    rings = (poly.outer,) + poly.holes
+    for ring in rings:
+        if _on_ring_edge(p.lat, p.lon, ring):
+            return True
+    crossings = 0
+    for ring in rings:
+        crossings += _ring_crossings(p.lat, p.lon, ring)
+    return crossings % 2 == 1

@@ -199,3 +199,39 @@ class TestEnvironment:
         assert _default_tz() == "UTC"
         monkeypatch.setenv(TZ_ENV_VAR, "America/New_York")
         assert _default_tz() == "America/New_York"
+
+
+class TestBadConfiguration:
+    @pytest.fixture
+    def inputs(self, tmp_path, four_zone_geojson):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("user_id,lat,lon,timestamp,text\n")
+        disp = tmp_path / "displacements.csv"
+        disp.write_text("")
+        return {
+            "extract": ["extract", "--input", str(corpus), "--zones", four_zone_geojson],
+            "analyze": ["analyze", "--displacements", str(disp)],
+        }
+
+    @pytest.mark.parametrize("command", ["extract", "analyze"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_unknown_timezone_is_config_error(
+        self, tmp_path, inputs, command, source, monkeypatch, capsys
+    ):
+        from geotrips.cli import TZ_ENV_VAR
+
+        argv = inputs[command] + ["--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--tz", "Not/AZone"]
+        else:
+            monkeypatch.setenv(TZ_ENV_VAR, "Not/AZone")
+        assert main(argv) == 1
+        assert "unknown timezone 'Not/AZone'" in capsys.readouterr().err
+
+    def test_non_numeric_config_value_is_config_error(self, tmp_path, inputs, capsys):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("min_tweets = abc\n")
+        argv = inputs["extract"] + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: min_tweets = 'abc' is not a valid int" in err

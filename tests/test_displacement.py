@@ -10,8 +10,10 @@ from geotrips.displacement import (
     extract_displacements,
     filter_active_users,
     label_displacement,
+    read_displacements_csv,
     remove_speed_violations,
     run_extraction,
+    write_displacements_csv,
 )
 from geotrips.errors import ValidationError
 from geotrips.geometry import GeoPoint, haversine_m
@@ -251,3 +253,35 @@ class TestRunReport:
         r = RunReport(lines_read=10, parsed_records=5, rejected_lines=4)
         with pytest.raises(ValidationError):
             r.validate()
+
+
+class TestReadDisplacementsCsv:
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            (1, "north", "could not convert string to float: 'north'"),
+            (5, "yesterday", "unparseable timestamp 'yesterday'"),
+            (None, None, "expected 12 fields, got 5"),
+        ],
+        ids=["non-numeric-coordinate", "bad-timestamp", "short-row"],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, field, value, reason):
+        d = Displacement(
+            "u1", GeoPoint(40.1, -73.9), GeoPoint(40.1, -73.6),
+            T0, T0 + timedelta(hours=1), 3600.0, 25_000.0, "alpha", "beta", T0,
+        )
+        path = tmp_path / "displacements.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_displacements_csv([d, d], fh)
+        assert len(read_displacements_csv(str(path))) == 2
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        if field is None:
+            cells = cells[:5]
+        else:
+            cells[field] = value
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as exc:
+            read_displacements_csv(str(path))
+        assert str(exc.value) == f"{path}:3: {reason}"

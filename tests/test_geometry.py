@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geotrips.errors import InvalidGeometryError
 from geotrips.geometry import (
     EARTH_RADIUS_M,
+    EDGE_TOLERANCE_DEG,
     GeoPoint,
     PolygonRing,
     ZonePolygon,
@@ -15,7 +16,13 @@ from geotrips.geometry import (
     haversine_m,
     point_in_polygon,
 )
-from oracles import law_of_cosines_distance, min_edge_distance, random_simple_polygon, winding_number_inside
+from oracles import (
+    full_walk_point_in_polygon,
+    law_of_cosines_distance,
+    min_edge_distance,
+    random_simple_polygon,
+    winding_number_inside,
+)
 
 lat_st = st.floats(min_value=-89.0, max_value=89.0, allow_nan=False)
 lon_st = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
@@ -112,6 +119,103 @@ class TestPointInPolygon:
         assert point_in_polygon(GeoPoint(lat, lon), UNIT_SQUARE) == point_in_polygon(
             GeoPoint(lat, lon + shift), shifted
         )
+
+
+def star_ring(rng, n_vertices: int, scale: float) -> PolygonRing:
+    """A random star ring with some vertices moved onto slab boundaries.
+
+    Only vertices strictly between the ring's lowest and highest latitude
+    move, so the slabs stay where they were."""
+    verts = random_simple_polygon(rng, n_vertices, scale=scale)
+    ring = PolygonRing(tuple(GeoPoint(a, b) for a, b in verts))
+    n_slabs = len(ring.slabs)
+    lat_min, lat_max = verts[:, 0].min(), verts[:, 0].max()
+    for i in rng.choice(n_vertices, size=min(n_vertices, 4), replace=False):
+        boundary = ring.lat_lo + int(rng.integers(1, n_slabs + 1)) / ring.slab_scale
+        if lat_min < verts[i, 0] < lat_max and lat_min < boundary < lat_max:
+            verts[i, 0] = boundary
+    return PolygonRing(tuple(GeoPoint(a, b) for a, b in verts))
+
+
+def query_points(rng, ring: PolygonRing) -> list[GeoPoint]:
+    """Vertices and points within tolerance of them, edge midpoints, slab
+    boundaries and their float neighbours, and points inside and outside
+    the ring's bounding box."""
+    n = len(ring.vertices)
+    lats, lons = ring.lats, ring.lons
+    near = 0.5 * EDGE_TOLERANCE_DEG
+    pts = []
+    for i in rng.choice(n, size=min(n, 8), replace=False):
+        lat, lon = lats[i], lons[i]
+        pts += [GeoPoint(lat + dlat, lon + dlon) for dlat, dlon in
+                ((0.0, 0.0), (-near, 0.0), (near, 0.0), (0.0, -near), (0.0, near))]
+        pts.append(GeoPoint((lat + lats[i + 1]) / 2, (lon + lons[i + 1]) / 2))
+    lon_min, lon_max = min(lons), max(lons)
+    n_slabs = len(ring.slabs)
+    for k in sorted({0, 1, n_slabs // 2, n_slabs - 1, n_slabs}):
+        edge = ring.lat_lo + k / ring.slab_scale
+        for lat in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+            pts.append(GeoPoint(lat, rng.uniform(lon_min, lon_max)))
+    lat_min, lat_max = min(lats), max(lats)
+    pad = 0.2 * (lat_max - lat_min)
+    for lat, lon in zip(
+        rng.uniform(lat_min - pad, lat_max + pad, 12), rng.uniform(lon_min - pad, lon_max + pad, 12)
+    ):
+        pts.append(GeoPoint(lat, lon))
+    return pts
+
+
+# Bounded and derandomized so the tier-1 run is reproducible and its time flat.
+EXACTNESS = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+class TestSlabIndexExactness:
+    @EXACTNESS
+    @given(
+        st.integers(min_value=3, max_value=3000),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n_vertices=3000, with_hole=True, seed=0)
+    @example(n_vertices=4, with_hole=False, seed=0)
+    def test_matches_full_walk_reference(self, n_vertices, with_hole, seed):
+        rng = np.random.default_rng(seed)
+        outer = star_ring(rng, n_vertices, 0.5)
+        # Outer radii are at least 0.1, hole radii at most 0.09: the hole is inside.
+        holes = (star_ring(rng, max(3, n_vertices // 4), 0.09),) if with_hole else ()
+        poly = ZonePolygon(outer, holes)
+        for ring in (outer,) + holes:
+            for p in query_points(rng, ring):
+                assert point_in_polygon(p, poly) is full_walk_point_in_polygon(p, poly), p
+
+    @EXACTNESS
+    @given(
+        st.floats(min_value=-0.5, max_value=1.5),
+        st.floats(min_value=-0.5, max_value=1.5),
+    )
+    def test_square_matches_full_walk_reference(self, lat, lon):
+        for p in (GeoPoint(lat, lon), GeoPoint(lat, 0.0), GeoPoint(1.0, lon)):
+            assert point_in_polygon(p, UNIT_SQUARE) is full_walk_point_in_polygon(p, UNIT_SQUARE)
+
+    @pytest.mark.parametrize("lat_sign", [1.0, -1.0])
+    @pytest.mark.parametrize("lon_sign", [1.0, -1.0])
+    def test_points_within_tolerance_of_a_vertex_are_inside(self, lat_sign, lon_sign):
+        # The apex (0, 0) is the lowest or highest vertex, and both its
+        # neighbours lie on one side of it in longitude.
+        tri = ZonePolygon(ring((0, 0), (lat_sign, lon_sign), (lat_sign, 2 * lon_sign)))
+        near = 0.5 * EDGE_TOLERANCE_DEG
+        for v in tri.outer.vertices:
+            for dlat, dlon in ((0.0, 0.0), (-near, 0.0), (near, 0.0), (0.0, -near), (0.0, near)):
+                p = GeoPoint(v.lat + dlat, v.lon + dlon)
+                assert point_in_polygon(p, tri) and full_walk_point_in_polygon(p, tri), p
+
+    def test_slab_count_and_coverage(self):
+        rng = np.random.default_rng(8)
+        for n in (3, 4, 15, 16, 2000):
+            ring = star_ring(rng, n, 0.5)
+            assert len(ring.slabs) == math.isqrt(n)
+            assert ring.lats[-1] == ring.lats[0] and ring.lons[-1] == ring.lons[0]
+            assert set().union(*ring.slabs) == set(range(n))
 
 
 class TestBBox:

@@ -1,3 +1,7 @@
+import io
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,45 @@ from conftest import feature_collection, square_feature, square_ring
 from geotrips.errors import ConfigError, InvalidGeometryError
 from geotrips.geometry import GeoPoint
 from geotrips.zones import EXTERNAL, load_zones
+from oracles import random_simple_polygon
+
+
+def star_ring(rng, n_vertices, center, scale):
+    """GeoJSON ring ([lon, lat], closed) of a random star polygon."""
+    ring = [[lon, lat] for lat, lon in random_simple_polygon(rng, n_vertices, center, scale)]
+    return ring + [ring[0]]
+
+
+def star_map():
+    """A 2,000-vertex star with a star-shaped hole, and a two-star MultiPolygon."""
+    rng = np.random.default_rng(17)
+    return load_zones(
+        feature_collection(
+            {
+                "type": "Feature",
+                "properties": {"zone_id": "holed", "name": "Holed"},
+                "geometry": {
+                    "type": "Polygon",
+                    "coordinates": [
+                        star_ring(rng, 2000, (40.0, -74.0), 0.1),
+                        # outer radii are at least 0.02, hole radii at most 0.015
+                        star_ring(rng, 300, (40.0, -74.0), 0.015),
+                    ],
+                },
+            },
+            {
+                "type": "Feature",
+                "properties": {"zone_id": "islands", "name": "Islands"},
+                "geometry": {
+                    "type": "MultiPolygon",
+                    "coordinates": [
+                        [star_ring(rng, 500, (40.0, -73.8), 0.05)],
+                        [star_ring(rng, 40, (40.15, -73.8), 0.05)],
+                    ],
+                },
+            },
+        )
+    )
 
 
 class TestLoadZones:
@@ -65,6 +108,31 @@ class TestLoadZones:
         with pytest.raises(InvalidGeometryError, match="broken"):
             load_zones(fc)
 
+    @pytest.mark.parametrize(
+        "position",
+        [
+            [-73.9, math.nan],
+            [math.inf, 40.1],
+            ["abc", 40.1],
+            [-73.9, None],
+            [-73.9, 95.0],
+        ],
+        ids=["nan", "infinity", "string", "null", "latitude-95"],
+    )
+    def test_bad_coordinate_names_the_feature(self, position):
+        ring = square_ring(40.0, -74.0, 0.2)
+        ring[2] = position
+        fc = feature_collection(
+            {
+                "type": "Feature",
+                "properties": {"zone_id": "bad", "name": "Bad"},
+                "geometry": {"type": "Polygon", "coordinates": [ring]},
+            }
+        )
+        # through JSON text, so NaN and Infinity arrive as the parser reads them
+        with pytest.raises(InvalidGeometryError, match="feature 'bad'"):
+            load_zones(io.StringIO(json.dumps(fc)))
+
     def test_coordinates_are_lon_lat(self, four_zone_map):
         # alpha spans lat 40.0-40.2, lon -74.0 to -73.8
         assert four_zone_map.label_point(GeoPoint(40.1, -73.9)) == "alpha"
@@ -89,17 +157,23 @@ class TestLabelPoint:
         assert zs.label_point(GeoPoint(40.25, -73.9)) == "second"
 
     def test_index_matches_brute_force_scan(self, four_zone_map):
+        stars = star_map()
+        # the star centred on (40.0, -74.0) has a hole there
+        assert stars.label_point(GeoPoint(40.0, -74.0)) == EXTERNAL
+        cases = [
+            (four_zone_map, (39.8, 40.7), (-74.2, -73.4)),
+            (stars, (39.85, 40.25), (-74.15, -73.7)),
+        ]
         rng = np.random.default_rng(11)
-        lats = rng.uniform(39.8, 40.7, 3000)
-        lons = rng.uniform(-74.2, -73.4, 3000)
-        labels = set()
-        for lat, lon in zip(lats, lons):
-            p = GeoPoint(lat, lon)
-            got = four_zone_map.label_point(p)
-            assert got == four_zone_map.label_point_scan(p)
-            labels.add(got)
-        # the sample actually exercises all zones and EXTERNAL
-        assert labels == {"alpha", "beta", "gamma", "delta", EXTERNAL}
+        for zs, lat_range, lon_range in cases:
+            labels = set()
+            for lat, lon in zip(rng.uniform(*lat_range, 3000), rng.uniform(*lon_range, 3000)):
+                p = GeoPoint(lat, lon)
+                got = zs.label_point(p)
+                assert got == zs.label_point_scan(p)
+                labels.add(got)
+            # the sample actually exercises all zones and EXTERNAL
+            assert labels == set(zs.zone_ids) | {EXTERNAL}
 
     def test_disjoint_zones_at_most_one_match(self, four_zone_map):
         rng = np.random.default_rng(5)
