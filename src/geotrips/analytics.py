@@ -146,36 +146,6 @@ def time_of_day_histogram(
     return hist
 
 
-def user_time_of_day(
-    displacements: Iterable[Displacement],
-    user_id: str,
-    tz: tzinfo,
-    origin: str | None = ANY,
-    destination: str | None = ANY,
-    include_intra: bool = False,
-) -> TimeOfDayHistogram:
-    """Per-user variant of `time_of_day_histogram`."""
-    return time_of_day_histogram(
-        (d for d in displacements if d.user_id == user_id),
-        tz,
-        origin=origin,
-        destination=destination,
-        include_intra=include_intra,
-    )
-
-
-def aggregate_time_of_day(
-    displacements: Iterable[Displacement],
-    tz: tzinfo,
-    origin: str | None = ANY,
-    destination: str | None = ANY,
-    include_intra: bool = False,
-) -> TimeOfDayHistogram:
-    return time_of_day_histogram(
-        displacements, tz, origin=origin, destination=destination, include_intra=include_intra
-    )
-
-
 def aggregate_od(
     displacements: Iterable[Displacement],
     include_intra: bool = False,

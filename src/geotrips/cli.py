@@ -18,7 +18,7 @@ from .displacement import (
     run_extraction,
     write_displacements_csv,
 )
-from .errors import GeotripsError, ConfigError
+from .errors import ConfigError, GeotripsError, ValidationError
 from .records import (
     build_timelines,
     dedupe_records,
@@ -96,7 +96,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     fmt = _infer_format(input_path or "", _merged(args, filecfg, "format", None, str))
     tz_name = _merged(args, filecfg, "tz", _default_tz(), str)
     legacy = _merged(args, filecfg, "legacy_timestamps", False, bool)
-    workers = _merged(args, filecfg, "workers", 1, int)
+    # Accepted for compatibility and ignored: extraction is one serial pass.
+    _merged(args, filecfg, "workers", 1, int)
 
     if input_path is None:
         raise ConfigError("no input file given (--input or config 'input')")
@@ -132,7 +133,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     timings["zones"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    displacements, report = run_extraction(timelines, zs, cfg, workers=workers)
+    displacements, report = run_extraction(timelines, zs, cfg)
     timings["extraction"] = time.perf_counter() - t0
 
     report.lines_read = parsed.lines_read
@@ -183,9 +184,16 @@ def _profiles_from(displacements, users_path: str) -> list[analytics.UserProfile
         for row in reader:
             if not row:
                 continue
-            profiles.append(
-                analytics.UserProfile(row[0], int(row[1]), disp_counts.get(row[0], 0))
-            )
+            try:
+                profiles.append(
+                    analytics.UserProfile(row[0], int(row[1]), disp_counts.get(row[0], 0))
+                )
+            except IndexError:
+                raise ValidationError(
+                    f"{users_path}:{reader.line_num}: expected 2 fields, got {len(row)}"
+                ) from None
+            except ValueError as exc:
+                raise ValidationError(f"{users_path}:{reader.line_num}: {exc}") from None
     return profiles
 
 
@@ -217,7 +225,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     with open(os.path.join(out_dir, "od_proportions.csv"), "w", encoding="utf-8", newline="") as fh:
         analytics.write_od_csv(matrix, fh, kind="proportions")
 
-    hist_all = analytics.aggregate_time_of_day(
+    hist_all = analytics.time_of_day_histogram(
         displacements, tz, include_intra=include_intra
     )
     with open(os.path.join(out_dir, "histogram_all.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -227,7 +235,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             (f"from_{focal}", {"origin": focal}),
             (f"to_{focal}", {"destination": focal}),
         ):
-            hist = analytics.aggregate_time_of_day(
+            hist = analytics.time_of_day_histogram(
                 displacements, tz, include_intra=include_intra, **kwargs
             )
             path = os.path.join(out_dir, f"histogram_{suffix}.csv")
@@ -365,7 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
         const=True,
         help="also accept 'M/D/YYYY HH:MM' timestamps in the analysis timezone",
     )
-    p.add_argument("--workers", dest="workers", type=int)
+    p.add_argument(
+        "--workers",
+        dest="workers",
+        type=int,
+        help="accepted and ignored: extraction is one serial pass per user",
+    )
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("analyze", help="aggregate a displacement CSV into OD/histogram/group products")

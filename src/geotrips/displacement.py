@@ -11,10 +11,9 @@ estimated as the interval midpoint.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 from .errors import ValidationError
 from .geometry import GeoPoint, haversine_m
@@ -33,7 +32,7 @@ class FilterConfig:
 
     def __post_init__(self):
         for name in ("min_tweets", "max_speed", "time_window", "min_displacement_distance"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValidationError(f"FilterConfig.{name} must be strictly positive")
 
 
@@ -208,28 +207,55 @@ def label_displacement(d: Displacement, zs: ZoneSet) -> Displacement:
     )
 
 
-def _process_user(tl: UserTimeline, zs: ZoneSet, cfg: FilterConfig):
-    filtered, removed = remove_speed_violations(tl, cfg)
-    disps = [label_displacement(d, zs) for d in extract_displacements(filtered, cfg)]
-    return disps, len(removed)
+def _scan_user(
+    tl: UserTimeline, zs: ZoneSet, cfg: FilterConfig
+) -> tuple[list[Displacement], int]:
+    """One pass over a non-empty timeline: speed filter, pairing and labeling.
 
-
-# Worker context for fork-based pools: set before the pool starts, inherited
-# by children, so large timeline maps are never pickled.
-_WORKER_CTX: dict = {}
-
-
-def _process_chunk(user_ids: Sequence[str]):
-    timelines = _WORKER_CTX["timelines"]
-    zs = _WORKER_CTX["zones"]
-    cfg = _WORKER_CTX["cfg"]
-    out = []
-    removed_total = 0
-    for uid in user_ids:
-        disps, removed = _process_user(timelines[uid], zs, cfg)
-        out.extend(disps)
-        removed_total += removed
-    return out, removed_total
+    The scan keeps the previous survivor.  Each record is tested against it
+    with the rule of `remove_speed_violations`; a kept record forms with it
+    exactly the consecutive pair `extract_displacements` sees next, so the
+    same gap and distance decide the window and distance tests, and the
+    displacement is built once, labeled as `label_displacement` labels it.
+    Returns the user's displacements and the number of records removed.
+    """
+    uid = tl.user_id
+    label = zs.label_point
+    max_speed = cfg.max_speed
+    window = cfg.time_window
+    min_dist = cfg.min_displacement_distance
+    out: list[Displacement] = []
+    removed = 0
+    recs = tl.records
+    prev = recs[0]
+    for r in recs[1:]:
+        dt = (r.timestamp - prev.timestamp).total_seconds()
+        dist = haversine_m(prev.lat, prev.lon, r.lat, r.lon)
+        if dt <= 0.0:
+            violates = dist > min_dist
+        else:
+            violates = dist / dt > max_speed
+        if violates:
+            removed += 1
+            continue
+        if 0.0 < dt <= window and dist >= min_dist:
+            origin = GeoPoint(prev.lat, prev.lon)
+            destination = GeoPoint(r.lat, r.lon)
+            origin_zone = label(origin)
+            dest_zone = label(destination)
+            start = prev.timestamp
+            if origin_zone != dest_zone:
+                crossing = start + timedelta(seconds=dt / 2.0)
+            else:
+                crossing = start
+            out.append(
+                Displacement(
+                    uid, origin, destination, start, r.timestamp, dt, dist,
+                    origin_zone, dest_zone, crossing,
+                )
+            )
+        prev = r
+    return out, removed
 
 
 def run_extraction(
@@ -240,9 +266,11 @@ def run_extraction(
 ) -> tuple[list[Displacement], RunReport]:
     """Run the per-user pipeline over all timelines.
 
-    Users are processed in sorted order and each user's displacements come
-    out time-ordered, so the result is canonical and independent of the
-    worker count.
+    Each retained user's timeline is scanned once (`_scan_user`); the result
+    equals `label_displacement` over `extract_displacements` over
+    `remove_speed_violations`, user by user.  Users are processed in sorted
+    order and each user's displacements come out time-ordered, so the result
+    is canonical.  `workers` is accepted and ignored: extraction is serial.
     """
     report = RunReport()
     report.users_total = len(timelines)
@@ -251,27 +279,11 @@ def run_extraction(
     report.users_dropped = report.users_total - report.users_retained
     report.records_in_retained_timelines = sum(len(tl.records) for tl in active.values())
 
-    user_ids = sorted(active)
     displacements: list[Displacement] = []
-    if workers <= 1 or len(user_ids) < 2:
-        for uid in user_ids:
-            disps, removed = _process_user(active[uid], zs, cfg)
-            displacements.extend(disps)
-            report.speed_removed_records += removed
-    else:
-        chunk_size = max(1, len(user_ids) // (workers * 4))
-        chunks = [
-            user_ids[i : i + chunk_size] for i in range(0, len(user_ids), chunk_size)
-        ]
-        _WORKER_CTX.update(timelines=active, zones=zs, cfg=cfg)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=workers) as pool:
-                for disps, removed in pool.map(_process_chunk, chunks):
-                    displacements.extend(disps)
-                    report.speed_removed_records += removed
-        finally:
-            _WORKER_CTX.clear()
+    for uid in sorted(active):
+        disps, removed = _scan_user(active[uid], zs, cfg)
+        displacements.extend(disps)
+        report.speed_removed_records += removed
 
     report.displacements_total = len(displacements)
     report.displacements_inter_zone = sum(1 for d in displacements if d.is_inter_zone)

@@ -130,10 +130,6 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(s)))
 
 
-def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
-    return haversine_m(a.lat, a.lon, b.lat, b.lon)
-
-
 def bbox(poly: ZonePolygon) -> BoundingBox:
     """Tight axis-aligned bounds of the outer ring."""
     lats, lons = poly.outer.lats, poly.outer.lons

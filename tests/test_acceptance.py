@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import feature_collection, square_feature
-from geotrips.analytics import UserProfile, aggregate_od, aggregate_time_of_day, classify_groups
+from geotrips.analytics import UserProfile, aggregate_od, classify_groups, time_of_day_histogram
 from geotrips.cli import main
 from geotrips.displacement import (
     FilterConfig,
@@ -194,7 +194,7 @@ def test_criterion_06_time_of_day_recovery():
     )
     timelines = build_timelines(dedupe_records(records)[0])
     displacements, _ = run_extraction(timelines, zs, FilterConfig())
-    hist = aggregate_time_of_day(displacements, UTC)
+    hist = time_of_day_histogram(displacements, UTC)
     total = hist.total
     assert total > 100
     in_planted = sum(

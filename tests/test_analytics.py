@@ -9,13 +9,11 @@ from hypothesis import given, strategies as st
 from geotrips.analytics import (
     UserProfile,
     aggregate_od,
-    aggregate_time_of_day,
     classify_groups,
     compare_distributions,
     normalize,
     read_series_csv,
     time_of_day_histogram,
-    user_time_of_day,
     write_histogram_csv,
     write_od_csv,
 )
@@ -169,8 +167,8 @@ class TestTimeOfDay:
 
     def test_user_filter(self):
         ds = [disp("alpha", "beta", at(4, 9), user="a"), disp("alpha", "beta", at(4, 9), user="b")]
-        assert user_time_of_day(ds, "a", UTC).total == 1
-        assert aggregate_time_of_day(ds, UTC).total == 2
+        assert time_of_day_histogram([d for d in ds if d.user_id == "a"], UTC).total == 1
+        assert time_of_day_histogram(ds, UTC).total == 2
 
 
 class TestAggregateOD:

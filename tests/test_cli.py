@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -156,6 +159,26 @@ class TestAnalyzeCommand:
         assert groups <= {"HIGH_FREQUENCY", "LOW_FREQUENCY"}
         assert "HIGH_FREQUENCY" in groups
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("u1", "expected 2 fields, got 1"),
+            ("u1,many", "invalid literal for int() with base 10: 'many'"),
+        ],
+        ids=["short-row", "non-integer-count"],
+    )
+    def test_malformed_users_row_names_its_line(self, tmp_path, extracted, row, reason, capsys):
+        users = tmp_path / "users.csv"
+        lines = (extracted / "users.csv").read_text().splitlines()
+        lines[2] = row
+        users.write_text("\n".join(lines) + "\n")
+        rc = main([
+            "analyze", "--displacements", str(extracted / "displacements.csv"),
+            "--users", str(users), "--out", str(tmp_path / "an4"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {users}:3: {reason}\n"
+
 
 class TestCompareCommand:
     def write_series(self, path, values):
@@ -200,6 +223,15 @@ class TestEnvironment:
         monkeypatch.setenv(TZ_ENV_VAR, "America/New_York")
         assert _default_tz() == "America/New_York"
 
+    def test_import_does_not_load_multiprocessing(self):
+        # Every extract, analyze and set-up process pays for what the
+        # package imports.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = "import geotrips, sys; assert 'multiprocessing' not in sys.modules"
+        subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True
+        )
+
 
 class TestBadConfiguration:
     @pytest.fixture
@@ -235,3 +267,8 @@ class TestBadConfiguration:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"{cfg}: min_tweets = 'abc' is not a valid int" in err
+
+    def test_nan_max_speed_is_rejected(self, tmp_path, inputs, capsys):
+        argv = inputs["extract"] + ["--max-speed-mph", "nan", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "error: FilterConfig.max_speed must be strictly positive" in capsys.readouterr().err

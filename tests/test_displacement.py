@@ -1,7 +1,9 @@
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from conftest import feature_collection, square_feature
 
 from geotrips.displacement import (
     Displacement,
@@ -18,6 +20,7 @@ from geotrips.displacement import (
 from geotrips.errors import ValidationError
 from geotrips.geometry import GeoPoint, haversine_m
 from geotrips.records import TweetRecord, UserTimeline, build_timelines
+from geotrips.zones import load_zones
 
 T0 = datetime(2014, 8, 2, 12, 0, tzinfo=timezone.utc)
 
@@ -39,7 +42,19 @@ class TestFilterConfig:
         assert cfg.time_window == 7200.0  # 2 h
         assert cfg.min_displacement_distance == 100.0
 
-    @pytest.mark.parametrize("kwargs", [{"min_tweets": 0}, {"max_speed": -1.0}, {"time_window": 0.0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"min_tweets": 0},
+            {"max_speed": -1.0},
+            {"time_window": 0.0},
+            {"min_displacement_distance": 0.0},
+            {"min_tweets": float("nan")},
+            {"max_speed": float("nan")},
+            {"time_window": float("nan")},
+            {"min_displacement_distance": float("nan")},
+        ],
+    )
     def test_non_positive_fields_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             FilterConfig(**kwargs)
@@ -235,6 +250,92 @@ class TestRunExtraction:
         assert d1 == d3
         keys = [(d.user_id, d.start_time) for d in d1]
         assert keys == sorted(keys)
+
+
+# Sites for the fused-scan equivalence test: inside alpha, ~100 m north of it,
+# ~0.1 m from it, inside beta, inside delta, between the squares (no zone),
+# and ~500 km away (a teleport the speed filter removes at every gap below).
+HOME = (40.1, -73.9)
+NORTH = (40.1009, -73.9)
+SITES = (HOME, NORTH, (40.100001, -73.9), (40.1, -73.6), (40.4, -73.6), (40.25, -73.75),
+         (43.5, -70.0))
+BETA = 3
+# Gaps in microseconds: zero, sub-second and odd-microsecond, the exact
+# speed-limit gap for HOME -> beta (900 s), exactly the window and one past it.
+GAPS_US = (0, 1, 333_333, 45_000_000, 601_000_001, 900_000_000, 1_800_000_003,
+           7_200_000_000, 7_200_000_001, 10_800_000_000)
+FUSED_ZONES = load_zones(
+    feature_collection(
+        square_feature("alpha", 40.0, -74.0),
+        square_feature("beta", 40.0, -73.7),
+        square_feature("gamma", 40.3, -74.0),
+        square_feature("delta", 40.3, -73.7),
+    )
+)
+# HOME -> NORTH lies exactly at the distance floor and HOME -> beta in 900 s
+# exactly at the speed limit.
+FUSED_CFG = FilterConfig(
+    min_tweets=3,
+    max_speed=haversine_m(*HOME, *SITES[BETA]) / 900.0,
+    time_window=7200.0,
+    min_displacement_distance=haversine_m(*HOME, *NORTH),
+)
+
+site_st = st.integers(0, len(SITES) - 1)
+user_st = st.tuples(site_st, st.lists(st.tuples(st.sampled_from(GAPS_US), site_st), max_size=14))
+
+
+def stage_composition(timelines, zs, cfg):
+    """The reference: the public stages composed user by user."""
+    out, removed = [], 0
+    active = filter_active_users(timelines, cfg)
+    for uid in sorted(active):
+        kept, dropped = remove_speed_violations(active[uid], cfg)
+        out.extend(label_displacement(d, zs) for d in extract_displacements(kept, cfg))
+        removed += len(dropped)
+    return out, removed
+
+
+class TestFusedScan:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(user_st, min_size=1, max_size=4))
+    @example(
+        [
+            (
+                0,  # HOME
+                [
+                    (0, 2),  # zero-gap near repeat: kept
+                    (0, BETA),  # zero-gap far repeat: removed
+                    (7_200_000_000, BETA),  # gap exactly the window
+                    (45_000_000, 6),  # teleport: removed
+                    (45_000_000, 6),  # and again
+                    (1_800_000_003, 5),  # odd microseconds, to no zone
+                    (900_000_000, 0),
+                    (7_200_000_001, 1),  # one microsecond past the window
+                    (1, 0),  # removed
+                    (0, 1),  # zero gap, zero distance: kept, no displacement
+                    (45_000_000, 0),  # exactly at the distance floor
+                    (900_000_000, BETA),  # exactly at the speed limit
+                ],
+            ),
+            (6, [(10_800_000_000, 6), (0, 0), (333_333, 6)]),  # teleport survivor first
+            (0, [(45_000_000, 1)]),  # below min_tweets
+        ]
+    )
+    def test_run_extraction_matches_stage_composition(self, users):
+        timelines = {}
+        for i, (first, steps) in enumerate(users):
+            uid = f"u{len(users) - i}"  # insertion order is not sorted order
+            t = T0
+            recs = [TweetRecord(uid, *SITES[first], t, "")]
+            for gap_us, site in steps:
+                t += timedelta(microseconds=gap_us)
+                recs.append(TweetRecord(uid, *SITES[site], t, ""))
+            timelines[uid] = UserTimeline(uid, tuple(recs))
+        got, report = run_extraction(timelines, FUSED_ZONES, FUSED_CFG)
+        expected, removed = stage_composition(timelines, FUSED_ZONES, FUSED_CFG)
+        assert got == expected
+        assert report.speed_removed_records == removed
 
 
 class TestRunReport:

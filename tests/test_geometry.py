@@ -12,7 +12,6 @@ from geotrips.geometry import (
     PolygonRing,
     ZonePolygon,
     bbox,
-    haversine_distance,
     haversine_m,
     point_in_polygon,
 )
@@ -60,9 +59,10 @@ class TestHaversine:
         d = haversine_m(lat1, lon1, lat2, lon2)
         assert 0.0 <= d <= math.pi * EARTH_RADIUS_M
 
-    def test_geopoint_wrapper(self):
+    def test_geopoint_pair_against_law_of_cosines(self):
         a, b = GeoPoint(40.7, -74.0), GeoPoint(41.0, -73.9)
-        assert haversine_distance(a, b) == haversine_m(40.7, -74.0, 41.0, -73.9)
+        expected = law_of_cosines_distance(a.lat, a.lon, b.lat, b.lon)
+        assert haversine_m(a.lat, a.lon, b.lat, b.lon) == pytest.approx(expected, rel=1e-9)
 
 
 class TestPointInPolygon:
