@@ -19,13 +19,7 @@ from .displacement import (
     write_displacements_csv,
 )
 from .errors import ConfigError, GeotripsError, ValidationError
-from .records import (
-    build_timelines,
-    dedupe_records,
-    parse_records,
-    write_records_csv,
-    write_rejects_csv,
-)
+from .records import load_timelines, write_records_csv, write_rejects_csv
 from .zones import load_zones
 
 TZ_ENV_VAR = "GEOTRIPS_TZ"
@@ -120,13 +114,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    parsed = parse_records(input_path, format=fmt, legacy_tz=tz if legacy else None)
-    timings["parse"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    records, duplicates = dedupe_records(parsed.records)
-    timelines = build_timelines(records)
-    timings["timelines"] = time.perf_counter() - t0
+    ingest = load_timelines(input_path, format=fmt, legacy_tz=tz if legacy else None)
+    timelines = ingest.timelines
+    timings["ingest"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     zs = load_zones(zones_path)
@@ -136,10 +126,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     displacements, report = run_extraction(timelines, zs, cfg)
     timings["extraction"] = time.perf_counter() - t0
 
-    report.lines_read = parsed.lines_read
-    report.rejected_lines = len(parsed.rejects)
-    report.parsed_records = len(parsed.records)
-    report.duplicates_removed = duplicates
+    report.lines_read = ingest.lines_read
+    report.rejected_lines = len(ingest.rejects)
+    report.parsed_records = ingest.parsed_records
+    report.duplicates_removed = ingest.duplicates
     report.stage_seconds = timings
     report.validate()
 
@@ -147,7 +137,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     with open(os.path.join(out_dir, "displacements.csv"), "w", encoding="utf-8", newline="") as fh:
         write_displacements_csv(displacements, fh)
     with open(os.path.join(out_dir, "rejects.csv"), "w", encoding="utf-8", newline="") as fh:
-        write_rejects_csv(parsed.rejects, fh)
+        write_rejects_csv(ingest.rejects, fh)
     with open(os.path.join(out_dir, "users.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("user_id,tweet_count\n")
         for uid in sorted(timelines):

@@ -17,7 +17,7 @@ from typing import IO, Iterable
 
 from .errors import ValidationError
 from .geometry import GeoPoint, haversine_m
-from .records import TweetRecord, UserTimeline, format_timestamp, parse_timestamp
+from .records import TweetRecord, UserTimeline, _parse_utc, format_timestamp
 from .zones import EXTERNAL, ZoneSet
 
 MPH_TO_MPS = 0.44704
@@ -357,13 +357,13 @@ def read_displacements_csv(source: str | IO[str]) -> list[Displacement]:
                         user_id=row[0],
                         origin=GeoPoint(float(row[1]), float(row[2])),
                         destination=GeoPoint(float(row[3]), float(row[4])),
-                        start_time=parse_timestamp(row[5]),
-                        end_time=parse_timestamp(row[6]),
+                        start_time=_parse_utc(row[5]),
+                        end_time=_parse_utc(row[6]),
                         duration=float(row[7]),
                         distance=float(row[8]),
                         origin_zone=row[9] or None,
                         destination_zone=row[10] or None,
-                        crossing_time_estimate=parse_timestamp(row[11]) if row[11] else None,
+                        crossing_time_estimate=_parse_utc(row[11]) if row[11] else None,
                     )
                 )
             except IndexError:

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone, tzinfo
 from typing import IO, Iterable, Iterator
@@ -77,31 +78,34 @@ def parse_timestamp(raw: str, legacy_tz: tzinfo | None = None) -> datetime:
 
 def format_timestamp(dt: datetime) -> str:
     """Canonical serialization: ISO 8601 in UTC with a Z suffix."""
-    return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+    if dt.tzinfo is not timezone.utc:
+        dt = dt.astimezone(timezone.utc)
+    return dt.isoformat().replace("+00:00", "Z")
 
 
-def _validate_fields(
-    user_id: str, lat_raw, lon_raw, ts_raw, text, legacy_tz: tzinfo | None
-) -> TweetRecord:
-    if not user_id:
-        raise ValueError("missing user_id")
-    try:
-        lat = float(lat_raw)
-        lon = float(lon_raw)
-    except (TypeError, ValueError):
-        raise ValueError("non-numeric coordinates")
-    if not (math.isfinite(lat) and math.isfinite(lon)):
-        raise ValueError("non-finite coordinates")
-    if not -90.0 <= lat <= 90.0:
-        raise ValueError("latitude out of range")
-    if not -180.0 <= lon <= 180.0:
-        raise ValueError("longitude out of range")
-    ts = parse_timestamp(str(ts_raw), legacy_tz)
-    return TweetRecord(user_id, lat, lon, ts, "" if text is None else str(text))
+_DIGIT_Z = tuple(f"{d}Z" for d in "0123456789")
+
+
+def _parse_utc(raw: str, legacy_tz: tzinfo | None = None) -> datetime:
+    """`parse_timestamp` with a fast path for the canonical `...<digit>Z` form.
+
+    Such a string goes straight to `datetime.fromisoformat`; anything else,
+    a failure, or a result not in `timezone.utc` takes `parse_timestamp`, so
+    values and error messages are the same.
+    """
+    if raw.endswith(_DIGIT_Z):
+        try:
+            dt = datetime.fromisoformat(raw)
+        except ValueError:
+            pass
+        else:
+            if dt.tzinfo is timezone.utc:
+                return dt
+    return parse_timestamp(raw, legacy_tz)
 
 
 def _open_lines(source) -> Iterator[str]:
-    if isinstance(source, (str, bytes)) and not isinstance(source, bytes):
+    if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             yield from fh
         return
@@ -111,6 +115,92 @@ def _open_lines(source) -> Iterator[str]:
         yield from io.TextIOWrapper(source, encoding="utf-8", newline="")
         return
     yield from source
+
+
+def _raw_rows(source, format: str, rejects: list[RejectedLine]) -> Iterator[tuple]:
+    """Yield `(line_number, user_id, lat, lon, timestamp, text)` for each data
+    line of the right shape: a 5-field CSV row or a JSON object.  A line of
+    the wrong shape goes to `rejects`; blank lines are skipped."""
+    if format == "csv":
+        reader = csv.reader(_open_lines(source))
+        header = next(reader, None)
+        if header is None:
+            return
+        if [h.strip() for h in header] != list(CSV_COLUMNS):
+            raise FormatMismatchError(
+                f"expected CSV header {','.join(CSV_COLUMNS)!r}, got {','.join(header)!r}"
+            )
+        for row in reader:
+            if len(row) == len(CSV_COLUMNS):
+                yield (reader.line_num, *row)
+            elif row:
+                rejects.append(
+                    RejectedLine(reader.line_num, f"expected 5 fields, got {len(row)}")
+                )
+    elif format == "jsonl":
+        for lineno, line in enumerate(_open_lines(source), start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                rejects.append(RejectedLine(lineno, str(exc)))
+                continue
+            if not isinstance(obj, dict):
+                rejects.append(RejectedLine(lineno, "line is not a JSON object"))
+                continue
+            yield (
+                lineno,
+                str(obj.get("user_id", "")),
+                obj.get("lat"),
+                obj.get("lon"),
+                obj.get("timestamp", ""),
+                obj.get("text", ""),
+            )
+    else:
+        raise ValueError(f"unknown format {format!r}")
+
+
+def _valid_records(
+    source, format: str, legacy_tz: tzinfo | None, rejects: list[RejectedLine]
+) -> Iterator[TweetRecord]:
+    """The row validator: yield each valid record in input order, append a
+    `RejectedLine` for each bad line, and raise `FormatMismatchError` at the
+    end if more than half of the data lines were rejected.
+
+    Every data line either yields a record or is rejected, so the caller
+    gets `lines_read` as records yielded plus rejects.  User ids are
+    interned: a user's records share one string.
+    """
+    parsed = 0
+    for lineno, user_id, lat_raw, lon_raw, ts_raw, text in _raw_rows(source, format, rejects):
+        try:
+            if not user_id:
+                raise ValueError("missing user_id")
+            try:
+                lat = float(lat_raw)
+                lon = float(lon_raw)
+            except (TypeError, ValueError):
+                raise ValueError("non-numeric coordinates")
+            if not (math.isfinite(lat) and math.isfinite(lon)):
+                raise ValueError("non-finite coordinates")
+            if not -90.0 <= lat <= 90.0:
+                raise ValueError("latitude out of range")
+            if not -180.0 <= lon <= 180.0:
+                raise ValueError("longitude out of range")
+            ts = _parse_utc(str(ts_raw), legacy_tz)
+        except ValueError as exc:
+            rejects.append(RejectedLine(lineno, str(exc)))
+            continue
+        parsed += 1
+        yield TweetRecord(
+            sys.intern(user_id), lat, lon, ts, "" if text is None else str(text)
+        )
+    lines_read = parsed + len(rejects)
+    if lines_read > 0 and len(rejects) * 2 > lines_read:
+        raise FormatMismatchError(
+            f"{len(rejects)} of {lines_read} lines rejected; input does not match the {format} schema"
+        )
 
 
 def parse_records(
@@ -124,60 +214,9 @@ def parse_records(
     physical line number and a reason.  If more than half of the data lines
     are rejected the whole input is treated as a format mismatch.
     """
-    if format not in ("csv", "jsonl"):
-        raise ValueError(f"unknown format {format!r}")
-    records: list[TweetRecord] = []
     rejects: list[RejectedLine] = []
-    lines_read = 0
-
-    if format == "csv":
-        reader = csv.reader(_open_lines(source))
-        header = next(reader, None)
-        if header is None:
-            return ParseResult(records, rejects, 0)
-        if [h.strip() for h in header] != list(CSV_COLUMNS):
-            raise FormatMismatchError(
-                f"expected CSV header {','.join(CSV_COLUMNS)!r}, got {','.join(header)!r}"
-            )
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            lines_read += 1
-            if len(row) != len(CSV_COLUMNS):
-                rejects.append(RejectedLine(lineno, f"expected 5 fields, got {len(row)}"))
-                continue
-            try:
-                records.append(_validate_fields(row[0], row[1], row[2], row[3], row[4], legacy_tz))
-            except ValueError as exc:
-                rejects.append(RejectedLine(lineno, str(exc)))
-    else:
-        for lineno, line in enumerate(_open_lines(source), start=1):
-            if not line.strip():
-                continue
-            lines_read += 1
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("line is not a JSON object")
-                records.append(
-                    _validate_fields(
-                        str(obj.get("user_id", "")),
-                        obj.get("lat"),
-                        obj.get("lon"),
-                        obj.get("timestamp", ""),
-                        obj.get("text", ""),
-                        legacy_tz,
-                    )
-                )
-            except (ValueError, json.JSONDecodeError) as exc:
-                rejects.append(RejectedLine(lineno, str(exc)))
-
-    if lines_read > 0 and len(rejects) * 2 > lines_read:
-        raise FormatMismatchError(
-            f"{len(rejects)} of {lines_read} lines rejected; input does not match the {format} schema"
-        )
-    return ParseResult(records, rejects, lines_read)
+    records = list(_valid_records(source, format, legacy_tz, rejects))
+    return ParseResult(records, rejects, len(records) + len(rejects))
 
 
 def write_records_csv(records: Iterable[TweetRecord], fh: IO[str]) -> None:
@@ -215,6 +254,10 @@ def dedupe_records(records: Iterable[TweetRecord]) -> tuple[list[TweetRecord], i
     return kept, dropped
 
 
+def _by_timestamp(r: TweetRecord) -> datetime:
+    return r.timestamp
+
+
 def build_timelines(records: Iterable[TweetRecord]) -> dict[str, UserTimeline]:
     """Partition records by user and sort each user's records by time.
 
@@ -224,6 +267,67 @@ def build_timelines(records: Iterable[TweetRecord]) -> dict[str, UserTimeline]:
     for r in records:
         by_user.setdefault(r.user_id, []).append(r)
     return {
-        uid: UserTimeline(uid, tuple(sorted(recs, key=lambda r: r.timestamp)))
+        uid: UserTimeline(uid, tuple(sorted(recs, key=_by_timestamp)))
         for uid, recs in by_user.items()
     }
+
+
+@dataclass
+class Ingest:
+    """Per-user timelines plus the counts and reject log of the input."""
+
+    timelines: dict[str, UserTimeline]
+    rejects: list[RejectedLine]
+    lines_read: int  # data lines, header excluded
+    parsed_records: int
+    duplicates: int
+
+
+def load_timelines(
+    source: str | IO | Iterable[str],
+    format: str = "csv",
+    legacy_tz: tzinfo | None = None,
+) -> Ingest:
+    """Parse, deduplicate and build timelines in one pass over the input.
+
+    Each valid record goes straight onto its user's list.  Each list is then
+    stable-sorted by timestamp, and inside each run of equal timestamps only
+    the first record per `(lat, lon)` in input order is kept.  Timelines,
+    rejects and counts are those of
+    `build_timelines(dedupe_records(parse_records(...).records)[0])`, since a
+    duplicate shares the user and instant of the record it repeats.
+    """
+    rejects: list[RejectedLine] = []
+    by_user: dict[str, list[TweetRecord]] = {}
+    for r in _valid_records(source, format, legacy_tz, rejects):
+        recs = by_user.get(r.user_id)
+        if recs is None:
+            by_user[r.user_id] = [r]
+        else:
+            recs.append(r)
+
+    timelines: dict[str, UserTimeline] = {}
+    parsed = duplicates = 0
+    for uid, recs in by_user.items():
+        parsed += len(recs)
+        recs.sort(key=_by_timestamp)
+        kept = []
+        run_ts = None
+        run_coords = None  # (lat, lon) pairs of the run, built once it has two records
+        for r in recs:
+            if r.timestamp != run_ts:
+                run_ts = r.timestamp
+                run_coords = None
+                kept.append(r)
+                continue
+            coord = (r.lat, r.lon)
+            if run_coords is None:
+                first = kept[-1]
+                run_coords = {(first.lat, first.lon)}
+            if coord in run_coords:
+                duplicates += 1
+            else:
+                run_coords.add(coord)
+                kept.append(r)
+        timelines[uid] = UserTimeline(uid, tuple(kept))
+    return Ingest(timelines, rejects, parsed + len(rejects), parsed, duplicates)

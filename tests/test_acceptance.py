@@ -276,7 +276,8 @@ def test_criterion_09_determinism_and_throughput(tmp_path):
     cfg_path.write_text(json.dumps(synth_cfg))
     data = tmp_path / "data"
     assert main(["synth", "--config", str(cfg_path), "--out", str(data)]) == 0
-    n_lines = sum(1 for _ in open(data / "corpus.csv")) - 1
+    with open(data / "corpus.csv") as fh:
+        n_lines = sum(1 for _ in fh) - 1
     assert n_lines >= 1_000_000, f"corpus has only {n_lines} records"
 
     extract_files = ("displacements.csv", "rejects.csv", "users.csv", "report.json")

@@ -1,16 +1,21 @@
 import io
-from datetime import datetime, timezone
+import json
+import re
+import time
+from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geotrips.errors import FormatMismatchError
 from geotrips.records import (
     TweetRecord,
+    _parse_utc,
     build_timelines,
     dedupe_records,
     format_timestamp,
+    load_timelines,
     parse_records,
     parse_timestamp,
     write_records_csv,
@@ -107,6 +112,65 @@ class TestTimestamps:
         dt = datetime(2014, 8, 2, 21, 58, 3, tzinfo=timezone.utc)
         assert parse_timestamp(format_timestamp(dt)) == dt
 
+    def test_format_converts_other_offsets_to_utc(self):
+        dt = datetime(2014, 8, 2, 22, 58, 3, tzinfo=timezone(timedelta(hours=1)))
+        assert format_timestamp(dt) == "2014-08-02T21:58:03Z"
+
+
+def _outcome(parse, raw):
+    try:
+        dt = parse(raw)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return dt, dt.tzinfo
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(chr(0x660 + d) for d in range(10)))
+
+
+@st.composite
+def timestamp_strings(draw):
+    """ISO-like strings: canonical, near-canonical and broken."""
+    dt = draw(st.datetimes())
+    body = draw(
+        st.sampled_from(
+            [
+                dt.isoformat(),
+                dt.isoformat(timespec="seconds"),
+                dt.isoformat(sep=" ", timespec="milliseconds"),
+                dt.date().isoformat(),
+            ]
+        )
+    )
+    suffix = draw(st.sampled_from(["Z", "z", "+00:00", "+01:00", "-04:30", "", "ZZ", "+00:00Z"]))
+    raw = body + suffix
+    if draw(st.booleans()):
+        raw = raw.translate(ARABIC_INDIC)
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    return draw(pad) + raw + draw(pad)
+
+
+class TestFastTimestamp:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            timestamp_strings(),
+            st.text(max_size=30),
+            st.text("0123456789-:TZz+. ", max_size=30),
+        )
+    )
+    @example("2014-08-02T21:58:00Z")
+    @example("2014-08-02Z")
+    @example("\u0662014-08-02T21:58:00Z")
+    @example("9999-12-31T23:59:59.999999Z")
+    @example("0001-01-01T00:00:00+01:00")
+    def test_matches_parse_timestamp(self, raw):
+        assert _outcome(_parse_utc, raw) == _outcome(parse_timestamp, raw)
+
+    def test_legacy_timezone_still_applies(self):
+        tz = ZoneInfo("America/New_York")
+        assert _parse_utc("8/2/2014 21:58", tz) == parse_timestamp("8/2/2014 21:58", tz)
+
 
 def make_record(user="u1", lat=40.9, lon=-73.9, ts="2014-08-02T21:58:00Z", text=""):
     return TweetRecord(user, lat, lon, parse_timestamp(ts), text)
@@ -202,3 +266,154 @@ class TestBuildTimelines:
         assert sorted(r.text for r in flattened) == sorted(r.text for r in recs)
         for uid, tl in tls.items():
             assert all(r.user_id == uid for r in tl.records)
+
+
+# One instant written three ways, a neighbouring instant, and one between.
+TIMESTAMP_FORMS = (
+    "2014-08-02T21:58:00Z",
+    "2014-08-02T21:58:00+00:00",
+    "2014-08-02T22:58:00+01:00",
+    "2014-08-02T21:58:01Z",
+    "2014-08-02T21:57:59.500000Z",
+)
+COORDINATES = (0.0, -0.0, 40.5, 40.25)
+
+# Bad lines by kind, in the same order for both formats: blank, whitespace,
+# wrong shape, non-numeric, out of range, no user, no UTC offset.
+BAD_LINES = {
+    "csv": (
+        "",
+        "   ",
+        "u1,oops",
+        "u1,40.5,xx,2014-08-02T21:58:00Z,t",
+        "u1,95.0,0.0,2014-08-02T21:58:00Z,t",
+        ",40.5,0.0,2014-08-02T21:58:00Z,t",
+        "u1,40.5,0.0,2014-08-02T21:58:00,t",
+    ),
+    "jsonl": (
+        "",
+        "   ",
+        "{broken",
+        '{"user_id": "u1", "lat": 40.5, "lon": "xx", "timestamp": "2014-08-02T21:58:00Z"}',
+        '{"user_id": "u1", "lat": 95.0, "lon": 0.0, "timestamp": "2014-08-02T21:58:00Z"}',
+        "[1, 2]",
+        '{"user_id": "u1", "lat": 40.5, "lon": 0.0, "timestamp": "2014-08-02T21:58:00"}',
+    ),
+}
+
+good_row = st.tuples(
+    st.sampled_from(["u1", "u2", "u3"]),
+    st.sampled_from(COORDINATES),
+    st.sampled_from(COORDINATES),
+    st.sampled_from(TIMESTAMP_FORMS),
+    st.sampled_from(["", "a", "b"]),  # duplicates may differ only in text
+)
+ingest_rows = st.lists(
+    st.one_of(good_row, st.integers(0, len(BAD_LINES["csv"]) - 1)), max_size=40
+)
+
+
+def render(rows, fmt: str) -> str:
+    lines = ["user_id,lat,lon,timestamp,text"] if fmt == "csv" else []
+    for row in rows:
+        if isinstance(row, int):
+            lines.append(BAD_LINES[fmt][row])
+        elif fmt == "csv":
+            user, lat, lon, ts, text = row
+            lines.append(f"{user},{lat!r},{lon!r},{ts},{text}")
+        else:
+            user, lat, lon, ts, text = row
+            obj = {"user_id": user, "lat": lat, "lon": lon, "timestamp": ts, "text": text}
+            lines.append(json.dumps(obj))
+    return "".join(line + "\n" for line in lines)
+
+
+def assert_ingest_matches_reference(text: str, fmt: str):
+    """load_timelines against parse_records -> dedupe_records -> build_timelines."""
+    try:
+        ref = parse_records(io.StringIO(text), format=fmt)
+    except FormatMismatchError as exc:
+        with pytest.raises(FormatMismatchError, match=re.escape(str(exc))):
+            load_timelines(io.StringIO(text), format=fmt)
+        return
+    kept, duplicates = dedupe_records(ref.records)
+    expected = build_timelines(kept)
+    got = load_timelines(io.StringIO(text), format=fmt)
+    assert got.timelines == expected
+    # repr tells 0.0 from -0.0 and shows each timestamp's tzinfo.
+    assert repr(got.timelines) == repr(expected)
+    assert got.rejects == ref.rejects
+    assert got.lines_read == ref.lines_read
+    assert got.parsed_records == len(ref.records)
+    assert got.duplicates == duplicates
+    assert got.lines_read == got.parsed_records + len(got.rejects)
+    kept_total = sum(len(tl.records) for tl in got.timelines.values())
+    assert got.parsed_records == kept_total + got.duplicates
+
+
+class TestLoadTimelines:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(ingest_rows, st.sampled_from(["csv", "jsonl"]))
+    @example(
+        [
+            ("u1", 40.5, 0.0, TIMESTAMP_FORMS[0], "a"),
+            ("u1", 40.5, 0.0, TIMESTAMP_FORMS[1], "b"),  # same instant, +00:00, new text
+            ("u1", 40.5, -0.0, TIMESTAMP_FORMS[2], ""),  # same instant, +01:00, -0.0
+            ("u1", 40.25, 0.0, TIMESTAMP_FORMS[0], ""),  # same instant, new place
+            ("u2", 40.5, 0.0, TIMESTAMP_FORMS[0], "a"),  # another user
+            ("u1", 40.5, 0.0, TIMESTAMP_FORMS[3], "a"),
+            ("u1", 40.5, 0.0, TIMESTAMP_FORMS[4], "a"),  # sorts first
+            0,
+            2,
+            6,
+        ],
+        "csv",
+    )
+    @example([("u1", 40.5, 0.0, TIMESTAMP_FORMS[0], ""), 2, 3, 4], "jsonl")  # 3 of 4 rejected
+    @example([], "csv")
+    @example([], "jsonl")
+    @example([0, 1], "jsonl")
+    def test_matches_stage_composition(self, rows, fmt):
+        assert_ingest_matches_reference(render(rows, fmt), fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_mostly_rejected_is_format_mismatch(self, fmt):
+        text = render([("u1", 40.5, 0.0, TIMESTAMP_FORMS[0], ""), 3, 4], fmt)
+        with pytest.raises(FormatMismatchError):
+            load_timelines(io.StringIO(text), format=fmt)
+
+    def test_empty_and_header_only_input(self):
+        for text in ("", HEADER):
+            got = load_timelines(io.StringIO(text), format="csv")
+            assert (got.timelines, got.rejects, got.lines_read, got.duplicates) == ({}, [], 0, 0)
+
+    def test_long_equal_timestamp_run_is_linear(self):
+        """5,000 records of one user at one instant, half repeating earlier
+        coordinates: same result as the reference, in time linear in the run."""
+
+        def corpus(ts_of):
+            lines = [
+                f"u1,{40 + (i % 2500) * 1e-4!r},-73.9,{ts_of(i)},"
+                for i in range(5000)
+            ]
+            return HEADER + "\n".join(lines) + "\n"
+
+        one_instant = corpus(lambda i: "2014-08-02T21:58:00Z")
+        assert_ingest_matches_reference(one_instant, "csv")
+        got = load_timelines(io.StringIO(one_instant), format="csv")
+        assert got.duplicates == 2500
+
+        t0 = datetime(2014, 8, 2, tzinfo=timezone.utc)
+        distinct = corpus(lambda i: format_timestamp(t0 + timedelta(seconds=i)))
+
+        def best_of_3(text):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                load_timelines(io.StringIO(text), format="csv")
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        # A pairwise scan of the run makes ~6M coordinate comparisons and takes
+        # tens of times longer than the same records at distinct instants.
+        assert best_of_3(one_instant) < 5 * best_of_3(distinct)
