@@ -13,6 +13,7 @@ from typing import IO, Iterable, Sequence
 
 from .displacement import Displacement
 from .errors import EmptyODError, ValidationError
+from .records import read_table
 from .zones import EXTERNAL
 
 #: Wildcard for direction filters: matches any zone.
@@ -252,26 +253,5 @@ def write_groups_csv(
 
 def read_series_csv(source: str | IO[str]) -> tuple[list[str], list[float]]:
     """Read a reference series CSV with header ``bin_label,value``."""
-
-    def _read(fh):
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["bin_label", "value"]:
-            raise ValidationError("series CSV must have header 'bin_label,value'")
-        labels, values = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"bad series row: {row!r}")
-            labels.append(row[0])
-            try:
-                values.append(float(row[1]))
-            except ValueError:
-                raise ValidationError(f"non-numeric series value {row[1]!r}") from None
-        return labels, values
-
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _read(fh)
-    return _read(source)
+    points = read_table(source, ("bin_label", "value"), lambda r: (r[0], float(r[1])), "series CSV")
+    return [label for label, _ in points], [value for _, value in points]

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 import time
+from collections import Counter
 from datetime import datetime, timezone
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
@@ -18,11 +20,12 @@ from .displacement import (
     run_extraction,
     write_displacements_csv,
 )
-from .errors import ConfigError, GeotripsError, ValidationError
-from .records import load_timelines, write_records_csv, write_rejects_csv
+from .errors import ConfigError, GeotripsError
+from .records import load_timelines, read_table, write_records_csv, write_rejects_csv
 from .zones import load_zones
 
 TZ_ENV_VAR = "GEOTRIPS_TZ"
+USERS_COLUMNS = ("user_id", "tweet_count")
 
 
 def _load_flat_config(path: str) -> dict[str, str]:
@@ -139,9 +142,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     with open(os.path.join(out_dir, "rejects.csv"), "w", encoding="utf-8", newline="") as fh:
         write_rejects_csv(ingest.rejects, fh)
     with open(os.path.join(out_dir, "users.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("user_id,tweet_count\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(USERS_COLUMNS)
         for uid in sorted(timelines):
-            fh.write(f"{uid},{len(timelines[uid].records)}\n")
+            writer.writerow([uid, len(timelines[uid].records)])
     timings["write"] = time.perf_counter() - t0
 
     report_dict = report.to_dict()
@@ -160,31 +164,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _profiles_from(displacements, users_path: str) -> list[analytics.UserProfile]:
-    import csv
+    disp_counts = Counter(d.user_id for d in displacements)
 
-    disp_counts: dict[str, int] = {}
-    for d in displacements:
-        disp_counts[d.user_id] = disp_counts.get(d.user_id, 0) + 1
-    profiles = []
-    with open(users_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user_id", "tweet_count"]:
-            raise ConfigError(f"{users_path}: expected header 'user_id,tweet_count'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                profiles.append(
-                    analytics.UserProfile(row[0], int(row[1]), disp_counts.get(row[0], 0))
-                )
-            except IndexError:
-                raise ValidationError(
-                    f"{users_path}:{reader.line_num}: expected 2 fields, got {len(row)}"
-                ) from None
-            except ValueError as exc:
-                raise ValidationError(f"{users_path}:{reader.line_num}: {exc}") from None
-    return profiles
+    def profile(row: list[str]) -> analytics.UserProfile:
+        return analytics.UserProfile(row[0], int(row[1]), disp_counts[row[0]])
+
+    return read_table(users_path, USERS_COLUMNS, profile, "users CSV")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -205,11 +190,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cutoff = _merged(args, filecfg, "group_cutoff", 0.01, float)
 
     displacements = read_displacements_csv(disp_path)
-    os.makedirs(out_dir, exist_ok=True)
-
     matrix = analytics.aggregate_od(
         displacements, include_intra=include_intra, include_external=include_external
     )
+    if not os.path.exists(users_path):
+        raise ConfigError(
+            f"users file not found: {users_path} (written by 'extract'; pass --users)"
+        )
+    profiles = _profiles_from(displacements, users_path)
+    partition = analytics.classify_groups(profiles, cutoff=cutoff)
+
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "od_counts.csv"), "w", encoding="utf-8", newline="") as fh:
         analytics.write_od_csv(matrix, fh, kind="counts")
     with open(os.path.join(out_dir, "od_proportions.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -231,13 +222,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             path = os.path.join(out_dir, f"histogram_{suffix}.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 analytics.write_histogram_csv(hist, fh)
-
-    if not os.path.exists(users_path):
-        raise ConfigError(
-            f"users file not found: {users_path} (written by 'extract'; pass --users)"
-        )
-    profiles = _profiles_from(displacements, users_path)
-    partition = analytics.classify_groups(profiles, cutoff=cutoff)
     with open(os.path.join(out_dir, "groups.csv"), "w", encoding="utf-8", newline="") as fh:
         analytics.write_groups_csv(partition, profiles, fh)
 
@@ -274,7 +258,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _parse_synth_config(path: str) -> synthgen.SynthConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: synth config is not a JSON object")
     zones_path = doc.get("zones")
     if not zones_path:
         raise ConfigError("synth config needs a 'zones' GeoJSON path")

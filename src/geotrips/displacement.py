@@ -10,6 +10,7 @@ estimated as the interval midpoint.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -17,7 +18,7 @@ from typing import IO, Iterable
 
 from .errors import ValidationError
 from .geometry import GeoPoint, haversine_m
-from .records import TweetRecord, UserTimeline, _parse_utc, format_timestamp
+from .records import TweetRecord, UserTimeline, _parse_utc, format_timestamp, read_table
 from .zones import EXTERNAL, ZoneSet
 
 MPH_TO_MPS = 0.44704
@@ -314,8 +315,6 @@ DISPLACEMENT_COLUMNS = (
 
 
 def write_displacements_csv(displacements: Iterable[Displacement], fh: IO[str]) -> None:
-    import csv
-
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(DISPLACEMENT_COLUMNS)
     for d in displacements:
@@ -337,45 +336,20 @@ def write_displacements_csv(displacements: Iterable[Displacement], fh: IO[str]) 
         )
 
 
+def _displacement_from_row(row: list[str]) -> Displacement:
+    return Displacement(
+        user_id=row[0],
+        origin=GeoPoint(float(row[1]), float(row[2])),
+        destination=GeoPoint(float(row[3]), float(row[4])),
+        start_time=_parse_utc(row[5]),
+        end_time=_parse_utc(row[6]),
+        duration=float(row[7]),
+        distance=float(row[8]),
+        origin_zone=row[9] or None,
+        destination_zone=row[10] or None,
+        crossing_time_estimate=_parse_utc(row[11]) if row[11] else None,
+    )
+
+
 def read_displacements_csv(source: str | IO[str]) -> list[Displacement]:
-    import csv
-
-    name = source if isinstance(source, str) else getattr(source, "name", "displacement CSV")
-
-    def _read(fh) -> list[Displacement]:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != DISPLACEMENT_COLUMNS:
-            raise ValidationError(f"{name}: not a displacement CSV (bad header)")
-        out = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                out.append(
-                    Displacement(
-                        user_id=row[0],
-                        origin=GeoPoint(float(row[1]), float(row[2])),
-                        destination=GeoPoint(float(row[3]), float(row[4])),
-                        start_time=_parse_utc(row[5]),
-                        end_time=_parse_utc(row[6]),
-                        duration=float(row[7]),
-                        distance=float(row[8]),
-                        origin_zone=row[9] or None,
-                        destination_zone=row[10] or None,
-                        crossing_time_estimate=_parse_utc(row[11]) if row[11] else None,
-                    )
-                )
-            except IndexError:
-                raise ValidationError(
-                    f"{name}:{reader.line_num}: expected "
-                    f"{len(DISPLACEMENT_COLUMNS)} fields, got {len(row)}"
-                ) from None
-            except ValueError as exc:
-                raise ValidationError(f"{name}:{reader.line_num}: {exc}") from None
-        return out
-
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _read(fh)
-    return _read(source)
+    return read_table(source, DISPLACEMENT_COLUMNS, _displacement_from_row, "displacement CSV")

@@ -13,14 +13,17 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone, tzinfo
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
-from .errors import FormatMismatchError
+from .errors import FormatMismatchError, ValidationError
 
 CSV_COLUMNS = ("user_id", "lat", "lon", "timestamp", "text")
 LEGACY_TIMESTAMP_FORMAT = "%m/%d/%Y %H:%M"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +76,10 @@ def parse_timestamp(raw: str, legacy_tz: tzinfo | None = None) -> datetime:
         if legacy_tz is None:
             raise ValueError(f"timestamp {text!r} lacks a UTC offset")
         dt = dt.replace(tzinfo=legacy_tz)
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp {text!r} is out of range in UTC") from None
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -104,46 +110,87 @@ def _parse_utc(raw: str, legacy_tz: tzinfo | None = None) -> datetime:
     return parse_timestamp(raw, legacy_tz)
 
 
-def _open_lines(source) -> Iterator[str]:
+@contextmanager
+def _open_lines(source) -> Iterator[Iterable[str]]:
+    """Give the text lines of a path, a text or binary handle, or an iterable
+    of lines.  A file opened here is closed on every exit; a handle the
+    caller passed in is never closed."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            yield from fh
-        return
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
-        hasattr(source, "read") and isinstance(source.read(0), bytes)
-    ):
-        yield from io.TextIOWrapper(source, encoding="utf-8", newline="")
-        return
-    yield from source
+            yield fh
+    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
+        text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            yield text
+        finally:
+            text.detach()  # a wrapper closes its buffer when collected
+    else:
+        yield source
 
 
-def _raw_rows(source, format: str, rejects: list[RejectedLine]) -> Iterator[tuple]:
+def read_table(
+    source, columns: tuple[str, ...], convert: Callable[[list[str]], T], what: str
+) -> list[T]:
+    """Read a CSV table whose header is `columns`: `convert` each non-blank
+    row of exactly `len(columns)` fields, in order.
+
+    A wrong header, a row with another field count, a CSV syntax error or a
+    `ValueError` from `convert` raises `ValidationError("<file>:<line>:
+    <reason>")`; `what` stands for the file name of a handle that has none.
+    """
+    name = source if isinstance(source, str) else getattr(source, "name", what)
+    with _open_lines(source) as lines:
+        reader = csv.reader(lines)
+        try:
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != columns:
+                raise ValueError(f"expected header {','.join(columns)!r}")
+            out = []
+            for row in reader:
+                if len(row) == len(columns):
+                    out.append(convert(row))
+                elif row:
+                    raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
+        except (ValueError, csv.Error) as exc:
+            raise ValidationError(f"{name}:{reader.line_num or 1}: {exc}") from None
+    return out
+
+
+def _raw_rows(lines: Iterable[str], format: str, rejects: list[RejectedLine]) -> Iterator[tuple]:
     """Yield `(line_number, user_id, lat, lon, timestamp, text)` for each data
     line of the right shape: a 5-field CSV row or a JSON object.  A line of
-    the wrong shape goes to `rejects`; blank lines are skipped."""
+    the wrong shape or CSV syntax goes to `rejects`; blank lines are skipped."""
     if format == "csv":
-        reader = csv.reader(_open_lines(source))
-        header = next(reader, None)
+        reader = csv.reader(lines)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise FormatMismatchError(f"unreadable CSV header: {exc}") from None
         if header is None:
             return
         if [h.strip() for h in header] != list(CSV_COLUMNS):
             raise FormatMismatchError(
                 f"expected CSV header {','.join(CSV_COLUMNS)!r}, got {','.join(header)!r}"
             )
-        for row in reader:
-            if len(row) == len(CSV_COLUMNS):
-                yield (reader.line_num, *row)
-            elif row:
-                rejects.append(
-                    RejectedLine(reader.line_num, f"expected 5 fields, got {len(row)}")
-                )
+        while True:
+            try:
+                for row in reader:
+                    if len(row) == len(CSV_COLUMNS):
+                        yield (reader.line_num, *row)
+                    elif row:
+                        rejects.append(
+                            RejectedLine(reader.line_num, f"expected 5 fields, got {len(row)}")
+                        )
+                return
+            except csv.Error as exc:  # e.g. an oversized field; the reader resumes
+                rejects.append(RejectedLine(reader.line_num, str(exc)))
     elif format == "jsonl":
-        for lineno, line in enumerate(_open_lines(source), start=1):
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
                 rejects.append(RejectedLine(lineno, str(exc)))
                 continue
             if not isinstance(obj, dict):
@@ -162,7 +209,7 @@ def _raw_rows(source, format: str, rejects: list[RejectedLine]) -> Iterator[tupl
 
 
 def _valid_records(
-    source, format: str, legacy_tz: tzinfo | None, rejects: list[RejectedLine]
+    lines: Iterable[str], format: str, legacy_tz: tzinfo | None, rejects: list[RejectedLine]
 ) -> Iterator[TweetRecord]:
     """The row validator: yield each valid record in input order, append a
     `RejectedLine` for each bad line, and raise `FormatMismatchError` at the
@@ -173,7 +220,7 @@ def _valid_records(
     interned: a user's records share one string.
     """
     parsed = 0
-    for lineno, user_id, lat_raw, lon_raw, ts_raw, text in _raw_rows(source, format, rejects):
+    for lineno, user_id, lat_raw, lon_raw, ts_raw, text in _raw_rows(lines, format, rejects):
         try:
             if not user_id:
                 raise ValueError("missing user_id")
@@ -215,7 +262,8 @@ def parse_records(
     are rejected the whole input is treated as a format mismatch.
     """
     rejects: list[RejectedLine] = []
-    records = list(_valid_records(source, format, legacy_tz, rejects))
+    with _open_lines(source) as lines:
+        records = list(_valid_records(lines, format, legacy_tz, rejects))
     return ParseResult(records, rejects, len(records) + len(rejects))
 
 
@@ -299,12 +347,13 @@ def load_timelines(
     """
     rejects: list[RejectedLine] = []
     by_user: dict[str, list[TweetRecord]] = {}
-    for r in _valid_records(source, format, legacy_tz, rejects):
-        recs = by_user.get(r.user_id)
-        if recs is None:
-            by_user[r.user_id] = [r]
-        else:
-            recs.append(r)
+    with _open_lines(source) as lines:
+        for r in _valid_records(lines, format, legacy_tz, rejects):
+            recs = by_user.get(r.user_id)
+            if recs is None:
+                by_user[r.user_id] = [r]
+            else:
+                recs.append(r)
 
     timelines: dict[str, UserTimeline] = {}
     parsed = duplicates = 0

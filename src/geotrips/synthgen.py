@@ -10,6 +10,7 @@ separated by far more than the time window.
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 from bisect import bisect_right
@@ -18,9 +19,9 @@ from datetime import datetime, timedelta, timezone
 from typing import IO
 from zoneinfo import ZoneInfo
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 from .geometry import GeoPoint, haversine_m
-from .records import TweetRecord, format_timestamp, parse_timestamp
+from .records import TweetRecord, format_timestamp, parse_timestamp, read_table
 from .zones import ZoneSet
 
 _UTC = timezone.utc
@@ -299,32 +300,21 @@ def generate(cfg: SynthConfig) -> tuple[list[TweetRecord], list[GroundTruthTrip]
     return records, trips_out
 
 
-def write_ground_truth_csv(trips: list[GroundTruthTrip], fh: IO[str]) -> None:
-    import csv
+GROUND_TRUTH_COLUMNS = ("user_id", "origin_zone", "dest_zone", "true_crossing_time")
 
+
+def write_ground_truth_csv(trips: list[GroundTruthTrip], fh: IO[str]) -> None:
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["user_id", "origin_zone", "dest_zone", "true_crossing_time"])
+    writer.writerow(GROUND_TRUTH_COLUMNS)
     for t in trips:
         writer.writerow(
             [t.user_id, t.origin_zone, t.destination_zone, format_timestamp(t.true_crossing_time)]
         )
 
 
+def _trip_from_row(row: list[str]) -> GroundTruthTrip:
+    return GroundTruthTrip(row[0], row[1], row[2], parse_timestamp(row[3]))
+
+
 def read_ground_truth_csv(source: str | IO[str]) -> list[GroundTruthTrip]:
-    import csv
-
-    def _read(fh):
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user_id", "origin_zone", "dest_zone", "true_crossing_time"]:
-            raise ValidationError("not a ground-truth CSV (bad header)")
-        return [
-            GroundTruthTrip(row[0], row[1], row[2], parse_timestamp(row[3]))
-            for row in reader
-            if row
-        ]
-
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _read(fh)
-    return _read(source)
+    return read_table(source, GROUND_TRUTH_COLUMNS, _trip_from_row, "ground-truth CSV")

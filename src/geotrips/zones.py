@@ -129,6 +129,8 @@ def _ring_from_coords(coords, feature_label: str) -> PolygonRing:
 
 
 def _polygon_from_rings(rings, feature_label: str) -> ZonePolygon:
+    if not isinstance(rings, list):
+        raise InvalidGeometryError(f"{feature_label}: polygon coordinates are not a list")
     if not rings:
         raise InvalidGeometryError(f"{feature_label}: polygon with no rings")
     outer = _ring_from_coords(rings[0], feature_label)
@@ -142,35 +144,46 @@ def load_zones(source: str | IO[str] | dict) -> ZoneSet:
     Each feature must be a Polygon or MultiPolygon with ``zone_id`` and
     ``name`` properties.  Coordinates are [lon, lat] per RFC 7946.
     """
-    if isinstance(source, dict):
-        doc = source
-    elif isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.load(source)
+    name = source if isinstance(source, str) else getattr(source, "name", "zones document")
+    try:
+        if isinstance(source, dict):
+            doc = source
+        elif isinstance(source, str):
+            with open(source, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        else:
+            doc = json.load(source)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
-    if doc.get("type") != "FeatureCollection":
-        raise ConfigError("zones document is not a GeoJSON FeatureCollection")
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+        raise ConfigError(f"{name}: not a GeoJSON FeatureCollection")
     features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise ConfigError(f"{name}: 'features' is not a list")
     zones: list[Zone] = []
     for fi, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise ConfigError(f"{name}: feature #{fi} is not a JSON object")
         props = feature.get("properties") or {}
-        zone_id = props.get("zone_id")
+        zone_id = props.get("zone_id") if isinstance(props, dict) else None
         if not zone_id:
-            raise ConfigError(f"feature #{fi} has no zone_id property")
+            raise ConfigError(f"{name}: feature #{fi} has no zone_id property")
         label = f"feature {zone_id!r}"
-        name = str(props.get("name", zone_id))
+        zone_name = str(props.get("name", zone_id))
         geom = feature.get("geometry") or {}
+        if not isinstance(geom, dict):
+            raise InvalidGeometryError(f"{label}: geometry is not a JSON object")
         gtype = geom.get("type")
         coords = geom.get("coordinates")
         if gtype == "Polygon":
-            polys = (_polygon_from_rings(coords, label),)
-        elif gtype == "MultiPolygon":
-            polys = tuple(_polygon_from_rings(rings, label) for rings in coords)
-        else:
+            coords = [coords]  # a polygon is a one-member multipolygon
+        elif gtype != "MultiPolygon":
             raise InvalidGeometryError(f"{label}: unsupported geometry type {gtype!r}")
-        zones.append(Zone(str(zone_id), name, polys))
+        if not isinstance(coords, list):
+            raise InvalidGeometryError(f"{label}: multipolygon coordinates are not a list")
+        polys = tuple(_polygon_from_rings(rings, label) for rings in coords)
+        zones.append(Zone(str(zone_id), zone_name, polys))
     if not zones:
         raise ConfigError("no zones")
     return ZoneSet(zones)

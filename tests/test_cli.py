@@ -1,7 +1,9 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -179,6 +181,45 @@ class TestAnalyzeCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {users}:3: {reason}\n"
 
+    def test_missing_users_file_writes_nothing(self, tmp_path, extracted, capsys):
+        an = tmp_path / "an5"
+        an.mkdir()
+        missing = tmp_path / "nowhere.csv"
+        rc = main([
+            "analyze", "--displacements", str(extracted / "displacements.csv"),
+            "--users", str(missing), "--out", str(an),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: users file not found: {missing}")
+        assert list(an.iterdir()) == []
+
+    def test_user_id_with_comma_and_quote_survives(self, tmp_path, four_zone_geojson):
+        # One user hopping between alpha and beta every hour, one who stays.
+        odd = 'smith, "j"'
+        t0 = datetime(2014, 8, 4, 12, tzinfo=timezone.utc)
+        rows = [
+            {"user_id": uid, "lat": 40.1, "lon": lon, "text": "",
+             "timestamp": (t0 + timedelta(hours=h)).isoformat()}
+            for uid, lons in ((odd, (-73.9, -73.6)), ("plain", (-73.9, -73.9)))
+            for h in range(6)
+            for lon in (lons[h % 2],)
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out, an = tmp_path / "out", tmp_path / "an"
+        assert main([
+            "extract", "--input", str(corpus), "--zones", four_zone_geojson,
+            "--out", str(out), "--min-tweets", "2",
+        ]) == 0
+        with open(out / "users.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["user_id", "tweet_count"], ["plain", "6"], [odd, "6"]]
+        argv = ["analyze", "--displacements", str(out / "displacements.csv"), "--out", str(an)]
+        assert main(argv) == 0
+        with open(an / "groups.csv", newline="") as fh:
+            groups = {row[0]: row[1:] for row in csv.reader(fh)}
+        assert groups[odd][:2] == ["6", "5"]  # tweet and displacement counts
+        assert groups["plain"][:2] == ["6", "0"]
+
 
 class TestCompareCommand:
     def write_series(self, path, values):
@@ -206,6 +247,12 @@ class TestCompareCommand:
         out = tmp_path / "cmp.json"
         assert main(["compare", str(a), str(b), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["l1_distance"] == pytest.approx(0.4)
+
+    def test_oversized_label_names_file_and_line(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("bin_label,value\nb0,0.5\n" + "b" * 200_000 + ",0.5\n")
+        assert main(["compare", str(a), str(a)]) == 1
+        assert capsys.readouterr().err == f"error: {a}:3: field larger than field limit (131072)\n"
 
     def test_unnormalized_inputs_fail_without_flag(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -272,3 +319,65 @@ class TestBadConfiguration:
         argv = inputs["extract"] + ["--max-speed-mph", "nan", "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert "error: FilterConfig.max_speed must be strictly positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"type": "FeatureCollection",\n "features": [}', "{path}:2:15: Expecting value"),
+            ("[]", "{path}: not a GeoJSON FeatureCollection"),
+            ('{"type": "FeatureCollection", "features": 3}', "{path}: 'features' is not a list"),
+            ('{"type": "FeatureCollection", "features": [7]}', "{path}: feature #0 is not a JSON object"),
+            (
+                '{"type": "FeatureCollection", "features": [{"properties": [1]}]}',
+                "{path}: feature #0 has no zone_id property",
+            ),
+            (
+                '{"type": "FeatureCollection", "features": [{"properties": {"zone_id": "a"}, '
+                '"geometry": "Polygon"}]}',
+                "feature 'a': geometry is not a JSON object",
+            ),
+            (
+                '{"type": "FeatureCollection", "features": [{"properties": {"zone_id": "a"}, '
+                '"geometry": {"type": "Polygon", "coordinates": 5}}]}',
+                "feature 'a': polygon coordinates are not a list",
+            ),
+            (
+                '{"type": "FeatureCollection", "features": [{"properties": {"zone_id": "a"}, '
+                '"geometry": {"type": "Polygon", "coordinates": {"x": 1}}}]}',
+                "feature 'a': polygon coordinates are not a list",
+            ),
+            (
+                '{"type": "FeatureCollection", "features": [{"properties": {"zone_id": "a"}, '
+                '"geometry": {"type": "MultiPolygon", "coordinates": 5}}]}',
+                "feature 'a': multipolygon coordinates are not a list",
+            ),
+            (
+                '{"type": "FeatureCollection", "features": [{"properties": {"zone_id": "a"}, '
+                '"geometry": {"type": "MultiPolygon", "coordinates": [5]}}]}',
+                "feature 'a': polygon coordinates are not a list",
+            ),
+        ],
+        ids=[
+            "syntax", "not-an-object", "features-not-a-list", "feature-not-an-object",
+            "properties-not-an-object", "geometry-not-an-object", "polygon-number",
+            "polygon-object", "multipolygon-number", "multipolygon-member",
+        ],
+    )
+    def test_malformed_zones_json_is_named_error(self, tmp_path, inputs, doc, message, capsys):
+        zones = tmp_path / "bad.geojson"
+        zones.write_text(doc)
+        argv = inputs["extract"] + ["--zones", str(zones), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=zones)}\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [('{"seed": 1,\n  "zones": }', "{path}:2:12: Expecting value"),
+         ("[1, 2]", "{path}: synth config is not a JSON object")],
+        ids=["syntax", "not-an-object"],
+    )
+    def test_malformed_synth_config_is_config_error(self, tmp_path, doc, message, capsys):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(doc)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=cfg)}\n"

@@ -1,3 +1,4 @@
+import io
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -20,7 +21,7 @@ from geotrips.displacement import (
 from geotrips.errors import ValidationError
 from geotrips.geometry import GeoPoint, haversine_m
 from geotrips.records import TweetRecord, UserTimeline, build_timelines
-from geotrips.zones import load_zones
+from geotrips.zones import EXTERNAL, load_zones
 
 T0 = datetime(2014, 8, 2, 12, 0, tzinfo=timezone.utc)
 
@@ -356,6 +357,11 @@ class TestRunReport:
             r.validate()
 
 
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+utc_datetimes = st.datetimes(timezones=st.just(timezone.utc))
+zone_labels = st.none() | st.sampled_from(["alpha", "beta, west", EXTERNAL])
+
+
 class TestReadDisplacementsCsv:
     @pytest.mark.parametrize(
         "field, value, reason",
@@ -386,3 +392,29 @@ class TestReadDisplacementsCsv:
         with pytest.raises(ValidationError) as exc:
             read_displacements_csv(str(path))
         assert str(exc.value) == f"{path}:3: {reason}"
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                Displacement,
+                user_id=st.text(st.characters(blacklist_categories=("Cs",))) | st.sampled_from(
+                    ["smith, j", 'say "hi"', "two\nlines", "cr\rlf\r\n"]
+                ),
+                origin=st.builds(GeoPoint, finite_floats, finite_floats),
+                destination=st.builds(GeoPoint, finite_floats, finite_floats),
+                start_time=utc_datetimes,
+                end_time=utc_datetimes,
+                duration=finite_floats,
+                distance=finite_floats,
+                origin_zone=zone_labels,
+                destination_zone=zone_labels,
+                crossing_time_estimate=st.none() | utc_datetimes,
+            ),
+            max_size=5,
+        )
+    )
+    def test_write_then_read_returns_the_input(self, displacements):
+        buf = io.StringIO(newline="")
+        write_displacements_csv(displacements, buf)
+        assert read_displacements_csv(io.StringIO(buf.getvalue(), newline="")) == displacements

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import re
@@ -8,7 +9,11 @@ from zoneinfo import ZoneInfo
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geotrips.errors import FormatMismatchError
+from geotrips.analytics import read_series_csv
+from geotrips.cli import _profiles_from
+from geotrips.displacement import Displacement, read_displacements_csv, write_displacements_csv
+from geotrips.errors import FormatMismatchError, ValidationError
+from geotrips.geometry import GeoPoint
 from geotrips.records import (
     TweetRecord,
     _parse_utc,
@@ -18,8 +23,10 @@ from geotrips.records import (
     load_timelines,
     parse_records,
     parse_timestamp,
+    read_table,
     write_records_csv,
 )
+from geotrips.synthgen import read_ground_truth_csv
 
 HEADER = "user_id,lat,lon,timestamp,text\n"
 
@@ -164,8 +171,15 @@ class TestFastTimestamp:
     @example("\u0662014-08-02T21:58:00Z")
     @example("9999-12-31T23:59:59.999999Z")
     @example("0001-01-01T00:00:00+01:00")
+    @example("9999-12-31T23:59:59-01:00")
+    @example("2014-08-02T21:58:00Z" + "x" * 200_000)
     def test_matches_parse_timestamp(self, raw):
         assert _outcome(_parse_utc, raw) == _outcome(parse_timestamp, raw)
+
+    @pytest.mark.parametrize("raw", ["9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00"])
+    def test_out_of_range_in_utc_is_value_error(self, raw):
+        with pytest.raises(ValueError, match="out of range in UTC"):
+            parse_timestamp(raw)
 
     def test_legacy_timezone_still_applies(self):
         tz = ZoneInfo("America/New_York")
@@ -279,7 +293,9 @@ TIMESTAMP_FORMS = (
 COORDINATES = (0.0, -0.0, 40.5, 40.25)
 
 # Bad lines by kind, in the same order for both formats: blank, whitespace,
-# wrong shape, non-numeric, out of range, no user, no UTC offset.
+# wrong shape, non-numeric, out of range, no user, no UTC offset, and a line
+# the parser itself fails on (a field over csv.field_size_limit(), JSON
+# nested past the recursion limit).
 BAD_LINES = {
     "csv": (
         "",
@@ -289,6 +305,7 @@ BAD_LINES = {
         "u1,95.0,0.0,2014-08-02T21:58:00Z,t",
         ",40.5,0.0,2014-08-02T21:58:00Z,t",
         "u1,40.5,0.0,2014-08-02T21:58:00,t",
+        "u1,40.5,0.0,2014-08-02T21:58:00Z," + "x" * 200_000,
     ),
     "jsonl": (
         "",
@@ -298,6 +315,7 @@ BAD_LINES = {
         '{"user_id": "u1", "lat": 95.0, "lon": 0.0, "timestamp": "2014-08-02T21:58:00Z"}',
         "[1, 2]",
         '{"user_id": "u1", "lat": 40.5, "lon": 0.0, "timestamp": "2014-08-02T21:58:00"}',
+        "[" * 100_000,
     ),
 }
 
@@ -311,6 +329,18 @@ good_row = st.tuples(
 ingest_rows = st.lists(
     st.one_of(good_row, st.integers(0, len(BAD_LINES["csv"]) - 1)), max_size=40
 )
+
+
+# Among good rows: a text over csv.field_size_limit() (a CSV reject, a good
+# JSONL record) and two instants outside datetime's range once in UTC.
+HARD_ROWS = [
+    ("u1", 40.5, 0.0, TIMESTAMP_FORMS[0], ""),
+    ("u1", 40.5, 0.0, TIMESTAMP_FORMS[3], "x" * 200_000),
+    ("u1", 40.25, 0.0, TIMESTAMP_FORMS[3], ""),
+    ("u2", 40.5, 0.0, "9999-12-31T23:59:59-01:00", ""),
+    ("u2", 40.5, 0.0, "0001-01-01T00:00:00+01:00", ""),
+    ("u2", 40.5, 0.0, TIMESTAMP_FORMS[4], ""),
+]
 
 
 def render(rows, fmt: str) -> str:
@@ -370,6 +400,10 @@ class TestLoadTimelines:
         "csv",
     )
     @example([("u1", 40.5, 0.0, TIMESTAMP_FORMS[0], ""), 2, 3, 4], "jsonl")  # 3 of 4 rejected
+    @example(HARD_ROWS, "csv")
+    @example(HARD_ROWS, "jsonl")
+    @example([HARD_ROWS[0], 7, HARD_ROWS[2]], "csv")
+    @example([HARD_ROWS[0], 7, HARD_ROWS[2]], "jsonl")
     @example([], "csv")
     @example([], "jsonl")
     @example([0, 1], "jsonl")
@@ -381,6 +415,26 @@ class TestLoadTimelines:
         text = render([("u1", 40.5, 0.0, TIMESTAMP_FORMS[0], ""), 3, 4], fmt)
         with pytest.raises(FormatMismatchError):
             load_timelines(io.StringIO(text), format=fmt)
+
+    def test_hard_lines_are_rejected_with_their_line_numbers(self):
+        got = parse_records(io.StringIO(render(HARD_ROWS, "csv")), format="csv")
+        assert [(r.line_number, r.reason) for r in got.rejects] == [
+            (3, "field larger than field limit (131072)"),
+            (5, "timestamp '9999-12-31T23:59:59-01:00' is out of range in UTC"),
+            (6, "timestamp '0001-01-01T00:00:00+01:00' is out of range in UTC"),
+        ]
+        assert [r.lat for r in got.records] == [40.5, 40.25, 40.5]
+        assert got.lines_read == len(got.records) + len(got.rejects) == 6
+
+    def test_oversized_header_is_format_mismatch(self):
+        with pytest.raises(FormatMismatchError, match="unreadable CSV header: field larger"):
+            load_timelines(io.StringIO("x" * 200_000 + "\n" + HEADER), format="csv")
+
+    def test_deeply_nested_json_line_is_rejected(self):
+        got = parse_records(io.StringIO(render([HARD_ROWS[0], 7, HARD_ROWS[2]], "jsonl")), "jsonl")
+        assert [r.line_number for r in got.rejects] == [2]
+        assert got.rejects[0].reason.startswith("maximum recursion depth exceeded")
+        assert len(got.records) == 2
 
     def test_empty_and_header_only_input(self):
         for text in ("", HEADER):
@@ -417,3 +471,142 @@ class TestLoadTimelines:
         # A pairwise scan of the run makes ~6M coordinate comparisons and takes
         # tens of times longer than the same records at distinct instants.
         assert best_of_3(one_instant) < 5 * best_of_3(distinct)
+
+
+class TestReadTable:
+    COLUMNS = ("name", "count")
+
+    def read(self, text, convert=lambda row: (row[0], int(row[1]))):
+        return read_table(io.StringIO(text), self.COLUMNS, convert, "counts CSV")
+
+    def test_converts_rows_and_skips_blank_ones(self):
+        assert self.read("name,count\na,1\n\n b ,2\n") == [("a", 1), (" b ", 2)]
+
+    def test_header_only_is_empty(self):
+        assert self.read(" name , count\n") == []
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "counts CSV:1: expected header 'name,count'"),
+            ("name,total\na,1\n", "counts CSV:1: expected header 'name,count'"),
+            ("name,count\na,1\nb\n", "counts CSV:3: expected 2 fields, got 1"),
+            ("name,count\na,1,2\n", "counts CSV:2: expected 2 fields, got 3"),
+            ("name,count\na,x\n", "counts CSV:2: invalid literal for int() with base 10: 'x'"),
+            ("name,count\na,1\n" + "b" * 200_000 + ",2\n",
+             "counts CSV:3: field larger than field limit (131072)"),
+        ],
+        ids=["empty", "wrong-header", "short-row", "long-row", "bad-value", "oversized-field"],
+    )
+    def test_errors_name_the_line(self, text, message):
+        with pytest.raises(ValidationError) as exc:
+            self.read(text)
+        assert str(exc.value) == message
+
+    def test_path_and_named_handle_name_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("name,count\na,x\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: "):
+            read_table(str(path), self.COLUMNS, lambda row: int(row[1]), "counts CSV")
+        with open(path, "rb") as fh, pytest.raises(ValidationError) as exc:
+            read_table(fh, self.COLUMNS, lambda row: int(row[1]), "counts CSV")
+        assert str(exc.value).startswith(f"{path}:2: ")
+
+    def test_undecodable_bytes_are_validation_error(self):
+        # Decoding runs a chunk ahead of the reader, so the line is not checked.
+        with pytest.raises(ValidationError, match="^counts CSV:[0-9]+: 'utf-8' codec"):
+            read_table(io.BytesIO(b"name,count\n\xff,1\n"), self.COLUMNS, tuple, "counts CSV")
+
+
+def _users_reader(source):
+    return _profiles_from([], source)
+
+
+def _one_displacement_csv() -> str:
+    t = datetime(2014, 8, 2, 21, 58, tzinfo=timezone.utc)
+    d = Displacement("u1", GeoPoint(40.1, -73.9), GeoPoint(40.1, -73.6), t, t, 0.0, 1.0)
+    buf = io.StringIO()
+    write_displacements_csv([d], buf)
+    return buf.getvalue()
+
+
+# Each table reader, with a valid file and a file whose second row is bad.
+TABLE_READERS = {
+    "displacements": (read_displacements_csv, _one_displacement_csv()),
+    "users": (_users_reader, "user_id,tweet_count\nu1,5\n"),
+    "series": (read_series_csv, "bin_label,value\na,0.5\n"),
+    "ground-truth": (
+        read_ground_truth_csv,
+        "user_id,origin_zone,dest_zone,true_crossing_time\nu1,a,b,2014-08-02T21:58:00Z\n",
+    ),
+}
+
+# load_timelines and parse_records, with a valid corpus and two that raise.
+CORPUS_READERS = {"load_timelines": load_timelines, "parse_records": parse_records}
+CORPORA = {
+    "valid": HEADER + "u1,40.5,0.0,2014-08-02T21:58:00Z,\n",
+    "wrong-header": "user,lat,lon,timestamp,text\nu1,40.5,0.0,2014-08-02T21:58:00Z,\n",
+    "mostly-rejected": HEADER + "u1,x,0.0,2014-08-02T21:58:00Z,\n",
+}
+
+
+def _handle(text: str, kind: str):
+    return io.StringIO(text) if kind == "text" else io.BytesIO(text.encode("utf-8"))
+
+
+class TestCallerHandlesStayOpen:
+    """A reader closes only what it opened itself."""
+
+    @pytest.mark.parametrize("kind", ["text", "binary"])
+    @pytest.mark.parametrize("reader", sorted(TABLE_READERS))
+    def test_table_readers(self, reader, kind):
+        read, text = TABLE_READERS[reader]
+        fh = _handle(text, kind)
+        assert read(fh)
+        bad = _handle(text + "x,y,z\nmore\n", kind)
+        with pytest.raises(ValidationError):
+            read(bad)
+        gc.collect()
+        assert not fh.closed and not bad.closed
+
+    @pytest.mark.parametrize("kind", ["text", "binary"])
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    @pytest.mark.parametrize("reader", sorted(CORPUS_READERS))
+    def test_corpus_readers(self, reader, corpus, kind):
+        fh = _handle(CORPORA[corpus], kind)
+        if corpus == "valid":
+            CORPUS_READERS[reader](fh, format="csv")
+        else:
+            with pytest.raises(FormatMismatchError):
+                CORPUS_READERS[reader](fh, format="csv")
+        gc.collect()
+        assert not fh.closed
+
+
+table_text = st.one_of(
+    st.text(),
+    st.text(alphabet='0123456789.,-+:TZeinfa" \r\n\x00', max_size=200),
+)
+
+
+class TestTableReaderFuzz:
+    """Arbitrary input to a table reader returns or raises ValidationError."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(TABLE_READERS)), st.booleans(), table_text)
+    def test_text(self, reader, with_header, body):
+        read, valid = TABLE_READERS[reader]
+        text = valid.splitlines(keepends=True)[0] + body if with_header else body
+        try:
+            read(io.StringIO(text))
+        except ValidationError:
+            pass
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(TABLE_READERS)), st.binary())
+    def test_bytes(self, reader, body):
+        read, valid = TABLE_READERS[reader]
+        try:
+            read(io.BytesIO(valid.splitlines(keepends=True)[0].encode() + body))
+        except ValidationError:
+            pass
