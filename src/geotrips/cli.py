@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -16,6 +17,7 @@ from . import analytics, synthgen
 from .displacement import (
     FilterConfig,
     MPH_TO_MPS,
+    RunReport,
     read_displacements_csv,
     run_extraction,
     write_displacements_csv,
@@ -77,11 +79,11 @@ def _infer_format(path: str, declared: str | None) -> str:
     return "jsonl" if path.endswith((".jsonl", ".ndjson", ".json")) else "csv"
 
 
-def _print_report_table(report_dict: dict) -> None:
-    width = max(len(k) for k in report_dict)
-    for key, value in report_dict.items():
-        if key == "average_displacements_per_traveler":
-            value = f"{value:.1f}"
+def _print_report_table(report: RunReport) -> None:
+    rows = report.to_dict()
+    rows["average_displacements_per_traveler"] = report.formatted_average()
+    width = max(len(k) for k in rows)
+    for key, value in rows.items():
         print(f"{key:<{width}}  {value}")
 
 
@@ -133,7 +135,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
     report.rejected_lines = len(ingest.rejects)
     report.parsed_records = ingest.parsed_records
     report.duplicates_removed = ingest.duplicates
-    report.stage_seconds = timings
     report.validate()
 
     t0 = time.perf_counter()
@@ -148,18 +149,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
             writer.writerow([uid, len(timelines[uid].records)])
     timings["write"] = time.perf_counter() - t0
 
-    report_dict = report.to_dict()
     # Timings go to a separate file so report.json stays byte-identical
     # across runs and worker counts.
-    stage_seconds = report_dict.pop("stage_seconds")
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report_dict, fh, indent=2, sort_keys=True)
+        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(out_dir, "timings.json"), "w", encoding="utf-8") as fh:
-        json.dump(stage_seconds, fh, indent=2, sort_keys=True)
+        json.dump(timings, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    _print_report_table(report_dict)
+    _print_report_table(report)
     return 0
 
 
@@ -256,6 +255,29 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _synth_value(path: str, key: str, value, default):
+    """`value` of the synth config `key` as `SynthConfig` takes it, if it has
+    the type of `default` (an int passes for a float).  Values pass unchanged
+    except schedules (lists become tuples of floats) and ISO 8601 timestamps
+    (UTC where they name no offset)."""
+    kind = type(default)
+    try:
+        if kind is datetime and isinstance(value, str):
+            dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
+            return dt if dt.tzinfo is not None else dt.replace(tzinfo=timezone.utc)
+        if kind is tuple and isinstance(value, list):
+            if all(type(x) in (int, float) for x in value):
+                return tuple(float(x) for x in value)
+        elif type(value) is kind or (kind is float and type(value) is int):
+            if key == "tz":
+                _timezone(value)
+            return value
+    except (ValueError, ConfigError):
+        pass
+    name = "timezone" if key == "tz" else kind.__name__
+    raise ConfigError(f"{path}: {key} = {value!r} is not a valid {name}")
+
+
 def _parse_synth_config(path: str) -> synthgen.SynthConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -267,54 +289,29 @@ def _parse_synth_config(path: str) -> synthgen.SynthConfig:
     zones_path = doc.get("zones")
     if not zones_path:
         raise ConfigError("synth config needs a 'zones' GeoJSON path")
+    zones_path = _synth_value(path, "zones", zones_path, "")
     if not os.path.isabs(zones_path):
         zones_path = os.path.join(os.path.dirname(os.path.abspath(path)), zones_path)
     if not os.path.exists(zones_path):
         raise ConfigError(f"zones file not found: {zones_path}")
     zs = load_zones(zones_path)
-    od_raw = doc.get("od_weights") or {}
+    od_raw = _synth_value(path, "od_weights", doc.get("od_weights") or {}, {})
     od_weights = {
-        (origin, dest): float(w)
+        (origin, dest): float(_synth_value(path, f"od_weights.{origin}.{dest}", w, 0.0))
         for origin, dests in od_raw.items()
-        for dest, w in dests.items()
+        for dest, w in _synth_value(path, f"od_weights.{origin}", dests, {}).items()
     }
-    kwargs = {}
-    for key in (
-        "seed",
-        "n_agents",
-        "tweet_floor",
-        "tweet_scale",
-        "tweet_alpha",
-        "tweet_cap",
-        "trip_fraction",
-        "gps_noise_sigma",
-        "anomaly_rate",
-        "tz",
-        "time_window",
-        "max_speed",
-        "min_tweets",
-        "min_displacement_distance",
-    ):
-        if key in doc:
-            kwargs[key] = doc[key]
-    for key in ("weekday_schedule", "weekend_schedule"):
-        if key in doc:
-            kwargs[key] = tuple(float(x) for x in doc[key])
-    for key in ("period_start", "period_end"):
-        if key in doc:
-            raw = doc[key]
-            dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-            if dt.tzinfo is None:
-                dt = dt.replace(tzinfo=timezone.utc)
-            kwargs[key] = dt
+    kwargs = {
+        f.name: _synth_value(path, f.name, doc[f.name], f.default)
+        for f in dataclasses.fields(synthgen.SynthConfig)
+        if f.name in doc and f.name not in ("zone_map", "od_weights")
+    }
     return synthgen.SynthConfig(zone_map=zs, od_weights=od_weights, **kwargs)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _parse_synth_config(args.config)
     if args.seed is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, seed=args.seed)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import IO, Iterable
 
@@ -84,7 +84,6 @@ class RunReport:
     displacements_intra_zone: int = 0
     displacements_external_touching: int = 0
     travelers: int = 0
-    stage_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def average_displacements_per_traveler(self) -> float:

@@ -213,36 +213,42 @@ def _valid_records(
 ) -> Iterator[TweetRecord]:
     """The row validator: yield each valid record in input order, append a
     `RejectedLine` for each bad line, and raise `FormatMismatchError` at the
-    end if more than half of the data lines were rejected.
+    end if more than half of the data lines were rejected, or at a byte
+    that is not UTF-8.
 
     Every data line either yields a record or is rejected, so the caller
     gets `lines_read` as records yielded plus rejects.  User ids are
     interned: a user's records share one string.
     """
     parsed = 0
-    for lineno, user_id, lat_raw, lon_raw, ts_raw, text in _raw_rows(lines, format, rejects):
-        try:
-            if not user_id:
-                raise ValueError("missing user_id")
+    try:
+        for lineno, user_id, lat_raw, lon_raw, ts_raw, text in _raw_rows(lines, format, rejects):
             try:
-                lat = float(lat_raw)
-                lon = float(lon_raw)
-            except (TypeError, ValueError):
-                raise ValueError("non-numeric coordinates")
-            if not (math.isfinite(lat) and math.isfinite(lon)):
-                raise ValueError("non-finite coordinates")
-            if not -90.0 <= lat <= 90.0:
-                raise ValueError("latitude out of range")
-            if not -180.0 <= lon <= 180.0:
-                raise ValueError("longitude out of range")
-            ts = _parse_utc(str(ts_raw), legacy_tz)
-        except ValueError as exc:
-            rejects.append(RejectedLine(lineno, str(exc)))
-            continue
-        parsed += 1
-        yield TweetRecord(
-            sys.intern(user_id), lat, lon, ts, "" if text is None else str(text)
-        )
+                if not user_id:
+                    raise ValueError("missing user_id")
+                try:
+                    lat = float(lat_raw)
+                    lon = float(lon_raw)
+                except (TypeError, ValueError):
+                    raise ValueError("non-numeric coordinates")
+                if not (math.isfinite(lat) and math.isfinite(lon)):
+                    raise ValueError("non-finite coordinates")
+                if not -90.0 <= lat <= 90.0:
+                    raise ValueError("latitude out of range")
+                if not -180.0 <= lon <= 180.0:
+                    raise ValueError("longitude out of range")
+                ts = _parse_utc(str(ts_raw), legacy_tz)
+            except ValueError as exc:
+                rejects.append(RejectedLine(lineno, str(exc)))
+                continue
+            parsed += 1
+            yield TweetRecord(
+                sys.intern(user_id), lat, lon, ts, "" if text is None else str(text)
+            )
+    except UnicodeDecodeError as exc:
+        raise FormatMismatchError(
+            f"input is not UTF-8: byte {exc.object[exc.start]:#04x}: {exc.reason}"
+        ) from None
     lines_read = parsed + len(rejects)
     if lines_read > 0 and len(rejects) * 2 > lines_read:
         raise FormatMismatchError(

@@ -1,14 +1,14 @@
-"""Named zone loading (GeoJSON) and indexed point-to-zone labeling."""
+"""Named zone loading (GeoJSON) and point-to-zone labeling."""
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import IO
 
 from .errors import ConfigError, InvalidGeometryError
 from .geometry import (
+    SLAB_MARGIN_DEG,
     BoundingBox,
     GeoPoint,
     PolygonRing,
@@ -29,10 +29,13 @@ class Zone:
 
 
 class ZoneSet:
-    """Immutable zone collection with a uniform-grid bounding-box prefilter.
+    """Immutable zone collection.
 
-    Overlapping zones are resolved by declaration order; the indexed query
-    is contractually identical to a brute-force scan over all polygons.
+    `label_point` scans the polygons in declaration order, skipping each one
+    whose padded bounding box misses the point, so overlapping zones go to
+    the zone declared first.  The scan costs time in proportion to the
+    polygon count; each ring's latitude-slab index keeps the point-in-polygon
+    test short.
     """
 
     def __init__(self, zones: list[Zone]):
@@ -42,62 +45,27 @@ class ZoneSet:
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate zone_id in zone set")
         self.zones = tuple(zones)
-        self._entries: list[tuple[int, ZonePolygon, BoundingBox]] = []
-        for zi, zone in enumerate(self.zones):
-            for poly in zone.polygons:
-                self._entries.append((zi, poly, bbox(poly)))
-        self._build_grid()
-
-    def _build_grid(self) -> None:
-        boxes = [b for _, _, b in self._entries]
-        self._bounds = BoundingBox(
-            min(b.min_lat for b in boxes),
-            max(b.max_lat for b in boxes),
-            min(b.min_lon for b in boxes),
-            max(b.max_lon for b in boxes),
-        )
-        # Cell size = largest polygon bbox dimension, so each polygon spans
-        # only a handful of cells.
-        cell = max(
-            max(b.max_lat - b.min_lat, b.max_lon - b.min_lon) for b in boxes
-        )
-        self._cell = cell if cell > 0 else 1e-9
-        self._grid: dict[tuple[int, int], list[int]] = {}
-        for ei, (_, _, b) in enumerate(self._entries):
-            i0, j0 = self._cell_of(b.min_lat, b.min_lon)
-            i1, j1 = self._cell_of(b.max_lat, b.max_lon)
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    self._grid.setdefault((i, j), []).append(ei)
-
-    def _cell_of(self, lat: float, lon: float) -> tuple[int, int]:
-        return (
-            int(math.floor((lat - self._bounds.min_lat) / self._cell)),
-            int(math.floor((lon - self._bounds.min_lon) / self._cell)),
-        )
-
-    def label_point(self, p: GeoPoint) -> str:
-        """Zone id of the first matching zone in declaration order, else EXTERNAL."""
-        if not self._bounds.contains(p):
-            return EXTERNAL
-        candidates = self._grid.get(self._cell_of(p.lat, p.lon))
-        if not candidates:
-            return EXTERNAL
-        best: int | None = None
-        for ei in candidates:
-            zi, poly, box = self._entries[ei]
-            if best is not None and zi >= best:
-                continue
-            if box.contains(p) and point_in_polygon(p, poly):
-                best = zi
-        return self.zones[best].zone_id if best is not None else EXTERNAL
-
-    def label_point_scan(self, p: GeoPoint) -> str:
-        """Brute-force reference query; used to assert index transparency."""
+        # Each box is padded by the slab margin, so a point just outside it
+        # but within EDGE_TOLERANCE_DEG of an edge still reaches the test.
+        m = SLAB_MARGIN_DEG
+        self._entries: list[tuple[str, ZonePolygon, BoundingBox]] = []
         for zone in self.zones:
             for poly in zone.polygons:
-                if point_in_polygon(p, poly):
-                    return zone.zone_id
+                b = bbox(poly)
+                box = BoundingBox(b.min_lat - m, b.max_lat + m, b.min_lon - m, b.max_lon + m)
+                self._entries.append((zone.zone_id, poly, box))
+
+    def label_point(self, p: GeoPoint) -> str:
+        """Zone id of the first zone in declaration order that holds `p`, else EXTERNAL."""
+        lat = p.lat
+        lon = p.lon
+        for zone_id, poly, box in self._entries:
+            if (
+                box.min_lat <= lat <= box.max_lat
+                and box.min_lon <= lon <= box.max_lon
+                and point_in_polygon(p, poly)
+            ):
+                return zone_id
         return EXTERNAL
 
     @property

@@ -2,9 +2,10 @@
 
 These deliberately use different algorithms than the code under test:
 winding numbers instead of ray casting, the spherical law of cosines
-instead of the haversine formula.  The one exception is
+instead of the haversine formula.  The exceptions are
 `full_walk_point_in_polygon`, the unindexed two-pass walk over every edge
-that the indexed `point_in_polygon` must match bit for bit.
+that the indexed `point_in_polygon` must match bit for bit, and
+`label_point_scan`, which labels a point by that walk over every polygon.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from geotrips.geometry import EDGE_TOLERANCE_DEG, GeoPoint, PolygonRing, ZonePolygon
+from geotrips.zones import EXTERNAL, ZoneSet
 
 
 def winding_number_inside(lat: float, lon: float, ring_latlon: np.ndarray) -> bool:
@@ -110,3 +112,13 @@ def full_walk_point_in_polygon(p: GeoPoint, poly: ZonePolygon) -> bool:
     for ring in rings:
         crossings += _ring_crossings(p.lat, p.lon, ring)
     return crossings % 2 == 1
+
+
+def label_point_scan(zs: ZoneSet, p: GeoPoint) -> str:
+    """`ZoneSet.label_point` with no bounding boxes and no slab index: the
+    first zone in declaration order with a polygon that holds `p`."""
+    for zone in zs.zones:
+        for poly in zone.polygons:
+            if full_walk_point_in_polygon(p, poly):
+                return zone.zone_id
+    return EXTERNAL

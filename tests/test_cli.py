@@ -61,9 +61,12 @@ class TestExtractCommand:
             assert report["average_displacements_per_traveler"] == pytest.approx(
                 report["displacements_total"] / report["travelers"]
             )
-        for name in ("displacements.csv", "rejects.csv", "users.csv", "timings.json"):
+        for name in ("displacements.csv", "rejects.csv", "users.csv"):
             assert (out / name).exists()
-        assert "average_displacements_per_traveler" in capsys.readouterr().out
+        timings = json.loads((out / "timings.json").read_text())
+        assert sorted(timings) == ["extraction", "ingest", "write", "zones"]
+        average = f"{report['average_displacements_per_traveler']:.1f}"
+        assert f"average_displacements_per_traveler  {average}\n" in capsys.readouterr().out
 
     def test_missing_zones_file_fails(self, tmp_path, synth_config, capsys):
         data = run_synth(tmp_path, synth_config)
@@ -75,6 +78,32 @@ class TestExtractCommand:
         ])
         assert rc != 0
         assert "zones file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, body",
+        [
+            ("corpus.csv", b"user_id,lat,lon,timestamp,text\nu1,40.1,-73.9,2014-03-01T00:00:00Z,caf\xe9\n"),
+            (
+                "corpus.jsonl",
+                b'{"user_id": "u1", "lat": 40.1, "lon": -73.9, '
+                b'"timestamp": "2014-03-01T00:00:00Z", "text": "caf\xe9"}\n',
+            ),
+        ],
+        ids=["csv", "jsonl"],
+    )
+    def test_non_utf8_corpus_is_one_error_line(self, tmp_path, four_zone_geojson, name, body, capsys):
+        corpus = tmp_path / name
+        corpus.write_bytes(body)
+        rc = main([
+            "extract",
+            "--input", str(corpus),
+            "--zones", four_zone_geojson,
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: input is not UTF-8: byte 0xe9: invalid continuation byte\n"
+        )
 
     def test_config_file_with_flag_override(self, tmp_path, synth_config, four_zone_geojson):
         data = run_synth(tmp_path, synth_config)
@@ -372,11 +401,48 @@ class TestBadConfiguration:
 
     @pytest.mark.parametrize(
         "doc, message",
-        [('{"seed": 1,\n  "zones": }', "{path}:2:12: Expecting value"),
-         ("[1, 2]", "{path}: synth config is not a JSON object")],
-        ids=["syntax", "not-an-object"],
+        [
+            ('{"seed": 1,\n  "zones": }', "{path}:2:12: Expecting value"),
+            ("[1, 2]", "{path}: synth config is not a JSON object"),
+            # the rest name the zone map that four_zone_geojson writes beside the config
+            ('{"zones": 5}', "{path}: zones = 5 is not a valid str"),
+            ('{"zones": "zones.geojson", "n_agents": "x"}', "{path}: n_agents = 'x' is not a valid int"),
+            ('{"zones": "zones.geojson", "seed": "s"}', "{path}: seed = 's' is not a valid int"),
+            ('{"zones": "zones.geojson", "seed": true}', "{path}: seed = True is not a valid int"),
+            (
+                '{"zones": "zones.geojson", "gps_noise_sigma": "n"}',
+                "{path}: gps_noise_sigma = 'n' is not a valid float",
+            ),
+            (
+                '{"zones": "zones.geojson", "period_start": "garbage"}',
+                "{path}: period_start = 'garbage' is not a valid datetime",
+            ),
+            (
+                '{"zones": "zones.geojson", "od_weights": {"alpha": {"beta": "w"}}}',
+                "{path}: od_weights.alpha.beta = 'w' is not a valid float",
+            ),
+            (
+                '{"zones": "zones.geojson", "od_weights": [1]}',
+                "{path}: od_weights = [1] is not a valid dict",
+            ),
+            (
+                '{"zones": "zones.geojson", "weekday_schedule": 3}',
+                "{path}: weekday_schedule = 3 is not a valid tuple",
+            ),
+            (
+                '{"zones": "zones.geojson", "tz": "Mars/Base"}',
+                "{path}: tz = 'Mars/Base' is not a valid timezone",
+            ),
+        ],
+        ids=[
+            "syntax", "not-an-object", "zones-number", "n-agents-string", "seed-string",
+            "seed-bool", "noise-string", "period-garbage", "od-weight-string", "od-weights-list",
+            "schedule-number", "unknown-tz",
+        ],
     )
-    def test_malformed_synth_config_is_config_error(self, tmp_path, doc, message, capsys):
+    def test_malformed_synth_config_is_config_error(
+        self, tmp_path, four_zone_geojson, doc, message, capsys
+    ):
         cfg = tmp_path / "synth.json"
         cfg.write_text(doc)
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1

@@ -7,9 +7,9 @@ import pytest
 
 from conftest import feature_collection, square_feature, square_ring
 from geotrips.errors import ConfigError, InvalidGeometryError
-from geotrips.geometry import GeoPoint
+from geotrips.geometry import EDGE_TOLERANCE_DEG, GeoPoint, bbox
 from geotrips.zones import EXTERNAL, load_zones
-from oracles import random_simple_polygon
+from oracles import label_point_scan, random_simple_polygon
 
 
 def star_ring(rng, n_vertices, center, scale):
@@ -46,6 +46,46 @@ def star_map():
                     ],
                 },
             },
+        )
+    )
+
+
+def overlap_map():
+    """Two squares that overlap in lat 40.1-40.2, and a star across both."""
+    rng = np.random.default_rng(23)
+    return load_zones(
+        feature_collection(
+            square_feature("first", 40.0, -74.0, 0.2),
+            square_feature("second", 40.1, -74.0, 0.2),
+            {
+                "type": "Feature",
+                "properties": {"zone_id": "star", "name": "Star"},
+                "geometry": {
+                    "type": "Polygon",
+                    "coordinates": [star_ring(rng, 60, (40.15, -73.85), 0.15)],
+                },
+            },
+        )
+    )
+
+
+def holed_multipolygon_map():
+    """A MultiPolygon zone whose first part has a square hole, with a
+    second zone inside the hole that leaves a gap around it."""
+    return load_zones(
+        feature_collection(
+            {
+                "type": "Feature",
+                "properties": {"zone_id": "holed", "name": "Holed"},
+                "geometry": {
+                    "type": "MultiPolygon",
+                    "coordinates": [
+                        [square_ring(40.0, -74.0, 0.4), square_ring(40.1, -73.9, 0.2)],
+                        [square_ring(40.5, -73.8, 0.2)],
+                    ],
+                },
+            },
+            square_feature("core", 40.15, -73.85, 0.1),
         )
     )
 
@@ -161,19 +201,54 @@ class TestLabelPoint:
         # the star centred on (40.0, -74.0) has a hole there
         assert stars.label_point(GeoPoint(40.0, -74.0)) == EXTERNAL
         cases = [
-            (four_zone_map, (39.8, 40.7), (-74.2, -73.4)),
-            (stars, (39.85, 40.25), (-74.15, -73.7)),
+            (four_zone_map, (39.8, 40.7), (-74.2, -73.4), 3000),
+            # fewer points: the reference walks all 2,840 edges for each one
+            (stars, (39.85, 40.25), (-74.15, -73.7), 500),
+            (overlap_map(), (39.9, 40.45), (-74.1, -73.65), 3000),
+            # 0.08-degree squares 0.1 degrees apart: 64 zones with gaps between them
+            (
+                load_zones(
+                    feature_collection(
+                        *(
+                            square_feature(f"z{i}{j}", 40.0 + 0.1 * i, -74.0 + 0.1 * j, 0.08)
+                            for i in range(8)
+                            for j in range(8)
+                        )
+                    )
+                ),
+                (39.95, 40.85),
+                (-74.05, -73.15),
+                3000,
+            ),
+            (holed_multipolygon_map(), (39.9, 40.75), (-74.1, -73.55), 3000),
         ]
         rng = np.random.default_rng(11)
-        for zs, lat_range, lon_range in cases:
+        for zs, lat_range, lon_range, n in cases:
+            boxes = [bbox(poly) for z in zs.zones for poly in z.polygons]
             labels = set()
-            for lat, lon in zip(rng.uniform(*lat_range, 3000), rng.uniform(*lon_range, 3000)):
+            outside_every_box = 0
+            for lat, lon in zip(rng.uniform(*lat_range, n), rng.uniform(*lon_range, n)):
                 p = GeoPoint(lat, lon)
                 got = zs.label_point(p)
-                assert got == zs.label_point_scan(p)
+                assert got == label_point_scan(zs, p)
                 labels.add(got)
-            # the sample actually exercises all zones and EXTERNAL
+                outside_every_box += not any(box.contains(p) for box in boxes)
+            # the sample actually exercises all zones and EXTERNAL, also
+            # through points that no bounding box holds
             assert labels == set(zs.zone_ids) | {EXTERNAL}
+            assert outside_every_box > 0
+
+    def test_edge_tolerance_reaches_past_the_bounding_box(self, four_zone_map):
+        # alpha spans lat 40.0-40.2 and lon -74.0 to -73.8: each point lies
+        # just outside its tight bounding box, within tolerance of an edge
+        near = 0.5 * EDGE_TOLERANCE_DEG
+        for p in (
+            GeoPoint(40.0 - near, -73.9),
+            GeoPoint(40.2 + near, -73.9),
+            GeoPoint(40.1, -74.0 - near),
+            GeoPoint(40.1, -73.8 + near),
+        ):
+            assert four_zone_map.label_point(p) == label_point_scan(four_zone_map, p) == "alpha"
 
     def test_disjoint_zones_at_most_one_match(self, four_zone_map):
         rng = np.random.default_rng(5)
