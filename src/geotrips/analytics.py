@@ -9,15 +9,18 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from datetime import tzinfo
-from typing import IO, Iterable, Sequence
+from operator import attrgetter
+from typing import IO, Iterable, Iterator, Sequence
 
-from .displacement import Displacement
+from .displacement import Displacement, ODRow
 from .errors import EmptyODError, ValidationError
 from .records import read_table
 from .zones import EXTERNAL
 
 #: Wildcard for direction filters: matches any zone.
 ANY = None
+
+_OD_FIELDS = attrgetter("user_id", "origin_zone", "destination_zone", "crossing_time_estimate")
 
 
 @dataclass(frozen=True)
@@ -112,12 +115,71 @@ def classify_groups(
     )
 
 
-def _matches(d: Displacement, origin: str | None, destination: str | None) -> bool:
-    if origin is not None and d.origin_zone != origin:
-        return False
-    if destination is not None and d.destination_zone != destination:
-        return False
-    return True
+def aggregate(
+    rows: Iterable[ODRow],
+    tz: tzinfo | None,
+    directions: Sequence[tuple[str | None, str | None]],
+    include_intra: bool = False,
+    include_external: bool = False,
+) -> tuple[dict[tuple[str, str], int], list[TimeOfDayHistogram], dict[str, int]]:
+    """One walk over displacement rows: the OD pair counts, one hour-of-day
+    histogram per `(origin, destination)` direction, and the number of rows
+    per user.
+
+    A pair is counted when both zones are labeled, unless it is intra-zone
+    (kept with `include_intra`) or touches EXTERNAL (kept with
+    `include_external`).  A histogram bins the local hour of the crossing
+    estimate in `tz`, Saturday and Sunday counting as weekend; it skips a row
+    without one and, unless `include_intra` is set, a row that is not
+    inter-zone (an intra-zone crossing estimate is just the start time).  A
+    direction's `ANY` end matches every zone.  Each binned crossing is
+    converted to `tz` once, whatever the number of directions.
+    """
+    pair_counts: dict[tuple[str, str], int] = {}
+    per_user: dict[str, int] = {}
+    hists = [TimeOfDayHistogram(direction=(o, t)) for o, t in directions]
+    bins = [(*h.direction, h.weekday_counts, h.weekend_counts) for h in hists]
+    for uid, o, t, crossing in rows:
+        per_user[uid] = per_user.get(uid, 0) + 1
+        labeled = o is not None and t is not None
+        inter = labeled and o != t
+        if (
+            labeled
+            and (inter or include_intra)
+            and (include_external or (o != EXTERNAL and t != EXTERNAL))
+        ):
+            pair_counts[(o, t)] = pair_counts.get((o, t), 0) + 1
+        if crossing is None or not (inter or include_intra):
+            continue
+        local = None
+        for origin, destination, weekday, weekend in bins:
+            if (origin is None or o == origin) and (destination is None or t == destination):
+                if local is None:
+                    local = crossing.astimezone(tz)
+                    hour = local.hour
+                    is_weekend = local.weekday() >= 5
+                (weekend if is_weekend else weekday)[hour] += 1
+    return pair_counts, hists, per_user
+
+
+def od_matrix(pair_counts: dict[tuple[str, str], int]) -> ODMatrix:
+    """The matrix of `aggregate`'s pair counts: zones sorted by id, with
+    EXTERNAL last when a counted pair touches it."""
+    if not pair_counts:
+        raise EmptyODError("empty OD: no displacements survive the filters")
+    zones = {z for pair in pair_counts for z in pair}
+    ids = sorted(zones - {EXTERNAL})
+    if EXTERNAL in zones:
+        ids.append(EXTERNAL)
+    index = {z: i for i, z in enumerate(ids)}
+    counts = [[0] * len(ids) for _ in ids]
+    for (o, t), c in pair_counts.items():
+        counts[index[o]][index[t]] = c
+    return ODMatrix(zone_ids=ids, counts=counts)
+
+
+def _od_rows(displacements: Iterable[Displacement]) -> Iterator[ODRow]:
+    return map(_OD_FIELDS, displacements)
 
 
 def time_of_day_histogram(
@@ -130,20 +192,11 @@ def time_of_day_histogram(
     """Bin displacements by local hour of the crossing-time estimate.
 
     Saturday and Sunday in `tz` count as weekend.  Intra-zone displacements
-    are excluded unless `include_intra` is set (their crossing estimate is
-    just the start time).
+    are excluded unless `include_intra` is set (see `aggregate`).
     """
-    hist = TimeOfDayHistogram(direction=(origin, destination))
-    for d in displacements:
-        if d.crossing_time_estimate is None:
-            continue
-        if not include_intra and not d.is_inter_zone:
-            continue
-        if not _matches(d, origin, destination):
-            continue
-        local = d.crossing_time_estimate.astimezone(tz)
-        bins = hist.weekend_counts if local.weekday() >= 5 else hist.weekday_counts
-        bins[local.hour] += 1
+    _, (hist,), _ = aggregate(
+        _od_rows(displacements), tz, [(origin, destination)], include_intra=include_intra
+    )
     return hist
 
 
@@ -155,29 +208,13 @@ def aggregate_od(
     """Zone-by-zone displacement counts and proportions.
 
     `include_intra` keeps the diagonal; `include_external` keeps rows and
-    columns touching the EXTERNAL label.  Proportions are normalized over
-    the included cells only.
+    columns touching the EXTERNAL label (see `aggregate`).  Proportions are
+    normalized over the included cells only.
     """
-    pair_counts: dict[tuple[str, str], int] = {}
-    for d in displacements:
-        o, t = d.origin_zone, d.destination_zone
-        if o is None or t is None:
-            continue
-        if not include_intra and o == t:
-            continue
-        if not include_external and (o == EXTERNAL or t == EXTERNAL):
-            continue
-        pair_counts[(o, t)] = pair_counts.get((o, t), 0) + 1
-    if not pair_counts:
-        raise EmptyODError("empty OD: no displacements survive the filters")
-    ids = sorted({z for pair in pair_counts for z in pair} - {EXTERNAL})
-    if include_external and any(EXTERNAL in pair for pair in pair_counts):
-        ids.append(EXTERNAL)
-    index = {z: i for i, z in enumerate(ids)}
-    counts = [[0] * len(ids) for _ in ids]
-    for (o, t), c in pair_counts.items():
-        counts[index[o]][index[t]] = c
-    return ODMatrix(zone_ids=ids, counts=counts)
+    pair_counts, _, _ = aggregate(
+        _od_rows(displacements), None, (), include_intra, include_external
+    )
+    return od_matrix(pair_counts)
 
 
 def compare_distributions(

@@ -9,7 +9,6 @@ import json
 import os
 import sys
 import time
-from collections import Counter
 from datetime import datetime, timezone
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
@@ -18,7 +17,7 @@ from .displacement import (
     FilterConfig,
     MPH_TO_MPS,
     RunReport,
-    read_displacements_csv,
+    read_od_rows,
     run_extraction,
     write_displacements_csv,
 )
@@ -162,11 +161,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profiles_from(displacements, users_path: str) -> list[analytics.UserProfile]:
-    disp_counts = Counter(d.user_id for d in displacements)
-
+def _profiles_from(disp_counts: dict[str, int], users_path: str) -> list[analytics.UserProfile]:
     def profile(row: list[str]) -> analytics.UserProfile:
-        return analytics.UserProfile(row[0], int(row[1]), disp_counts[row[0]])
+        return analytics.UserProfile(row[0], int(row[1]), disp_counts.get(row[0], 0))
 
     return read_table(users_path, USERS_COLUMNS, profile, "users CSV")
 
@@ -188,44 +185,49 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     include_external = _merged(args, filecfg, "include_external", False, bool)
     cutoff = _merged(args, filecfg, "group_cutoff", 0.01, float)
 
-    displacements = read_displacements_csv(disp_path)
-    matrix = analytics.aggregate_od(
-        displacements, include_intra=include_intra, include_external=include_external
+    directions = {"all": (analytics.ANY, analytics.ANY)}
+    if focal:
+        directions[f"from_{focal}"] = (focal, analytics.ANY)
+        directions[f"to_{focal}"] = (analytics.ANY, focal)
+    timings: dict[str, float] = {}
+
+    t0 = time.perf_counter()
+    rows = read_od_rows(disp_path)
+    timings["read"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    pair_counts, hists, disp_counts = analytics.aggregate(
+        rows, tz, list(directions.values()), include_intra, include_external
     )
+    matrix = analytics.od_matrix(pair_counts)
     if not os.path.exists(users_path):
         raise ConfigError(
             f"users file not found: {users_path} (written by 'extract'; pass --users)"
         )
-    profiles = _profiles_from(displacements, users_path)
+    profiles = _profiles_from(disp_counts, users_path)
     partition = analytics.classify_groups(profiles, cutoff=cutoff)
+    timings["aggregate"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "od_counts.csv"), "w", encoding="utf-8", newline="") as fh:
         analytics.write_od_csv(matrix, fh, kind="counts")
     with open(os.path.join(out_dir, "od_proportions.csv"), "w", encoding="utf-8", newline="") as fh:
         analytics.write_od_csv(matrix, fh, kind="proportions")
-
-    hist_all = analytics.time_of_day_histogram(
-        displacements, tz, include_intra=include_intra
-    )
-    with open(os.path.join(out_dir, "histogram_all.csv"), "w", encoding="utf-8", newline="") as fh:
-        analytics.write_histogram_csv(hist_all, fh)
-    if focal:
-        for suffix, kwargs in (
-            (f"from_{focal}", {"origin": focal}),
-            (f"to_{focal}", {"destination": focal}),
-        ):
-            hist = analytics.time_of_day_histogram(
-                displacements, tz, include_intra=include_intra, **kwargs
-            )
-            path = os.path.join(out_dir, f"histogram_{suffix}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                analytics.write_histogram_csv(hist, fh)
+    for suffix, hist in zip(directions, hists):
+        path = os.path.join(out_dir, f"histogram_{suffix}.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            analytics.write_histogram_csv(hist, fh)
     with open(os.path.join(out_dir, "groups.csv"), "w", encoding="utf-8", newline="") as fh:
         analytics.write_groups_csv(partition, profiles, fh)
+    timings["write"] = time.perf_counter() - t0
+
+    with open(os.path.join(out_dir, "timings.json"), "w", encoding="utf-8") as fh:
+        json.dump(timings, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
     print(f"od zones: {len(matrix.zone_ids)}; displacements in OD: {matrix.total}")
-    print(f"histogram displacements: {hist_all.total}")
+    print(f"histogram displacements: {hists[0].total}")
     print(
         f"high-frequency users: {len(partition.high_group)} "
         f"(share of displacements: {partition.share_of_displacements_high:.3f})"

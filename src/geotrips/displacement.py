@@ -352,3 +352,23 @@ def _displacement_from_row(row: list[str]) -> Displacement:
 
 def read_displacements_csv(source: str | IO[str]) -> list[Displacement]:
     return read_table(source, DISPLACEMENT_COLUMNS, _displacement_from_row, "displacement CSV")
+
+
+#: The columns of a displacement that aggregation uses:
+#: ``(user_id, origin_zone, dest_zone, crossing)``.
+ODRow = tuple[str, str | None, str | None, datetime | None]
+
+
+def _od_row(row: list[str]) -> ODRow:
+    # Every dropped column is still parsed, in `_displacement_from_row`'s
+    # order, so a bad value anywhere raises the error the full read raises.
+    float(row[1]), float(row[2]), float(row[3]), float(row[4])
+    _parse_utc(row[5]), _parse_utc(row[6])
+    float(row[7]), float(row[8])
+    return row[0], row[9] or None, row[10] or None, _parse_utc(row[11]) if row[11] else None
+
+
+def read_od_rows(source: str | IO[str]) -> list[ODRow]:
+    """`read_displacements_csv` projected onto `ODRow`s: the same checks and
+    errors, without building a `Displacement` per row."""
+    return read_table(source, DISPLACEMENT_COLUMNS, _od_row, "displacement CSV")

@@ -29,6 +29,19 @@ _DEG_PER_M_LAT = 1.0 / 111_320.0
 
 UNIFORM_SCHEDULE = tuple([1.0] * 24)
 
+#: `(fields, test, rule)`: the numeric `SynthConfig` fields each test accepts.
+_RANGES = (
+    (("n_agents", "tweet_cap", "min_tweets"), lambda v: v >= 1, ">= 1"),
+    (("tweet_floor",), lambda v: v >= 0, ">= 0"),
+    (
+        ("tweet_alpha", "tweet_scale", "time_window", "max_speed", "min_displacement_distance"),
+        lambda v: 0 < v < math.inf,
+        "finite and > 0",
+    ),
+    (("gps_noise_sigma",), lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    (("trip_fraction", "anomaly_rate"), lambda v: 0 <= v <= 1, "in [0, 1]"),
+)
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -74,8 +87,11 @@ class SynthConfig:
         total = sum(self.od_weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"od_weights must sum to 1, got {total}")
-        if not 0.0 <= self.anomaly_rate <= 1.0:
-            raise ConfigError("anomaly_rate must lie in [0, 1]")
+        for names, in_range, rule in _RANGES:
+            for name in names:
+                value = getattr(self, name)
+                if not in_range(value):  # comparisons with NaN are false
+                    raise ConfigError(f"{name} = {value!r} is out of range: must be {rule}")
         if len(self.weekday_schedule) != 24 or len(self.weekend_schedule) != 24:
             raise ConfigError("trip schedules must have 24 hourly weights")
         if self.period_end <= self.period_start:

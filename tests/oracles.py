@@ -4,16 +4,25 @@ These deliberately use different algorithms than the code under test:
 winding numbers instead of ray casting, the spherical law of cosines
 instead of the haversine formula.  The exceptions are
 `full_walk_point_in_polygon`, the unindexed two-pass walk over every edge
-that the indexed `point_in_polygon` must match bit for bit, and
-`label_point_scan`, which labels a point by that walk over every polygon.
+that the indexed `point_in_polygon` must match bit for bit,
+`label_point_scan`, which labels a point by that walk over every polygon,
+and the per-product aggregations (`od_matrix_per_call`,
+`histogram_per_call`, `displacements_per_user`), one walk over the
+displacements for each product, that the single walk of
+`analytics.aggregate` must match.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from datetime import tzinfo
 
 import numpy as np
 
+from geotrips.analytics import ODMatrix, TimeOfDayHistogram
+from geotrips.displacement import Displacement
+from geotrips.errors import EmptyODError
 from geotrips.geometry import EDGE_TOLERANCE_DEG, GeoPoint, PolygonRing, ZonePolygon
 from geotrips.zones import EXTERNAL, ZoneSet
 
@@ -122,3 +131,57 @@ def label_point_scan(zs: ZoneSet, p: GeoPoint) -> str:
             if full_walk_point_in_polygon(p, poly):
                 return zone.zone_id
     return EXTERNAL
+
+
+def od_matrix_per_call(
+    displacements: list[Displacement], include_intra: bool, include_external: bool
+) -> ODMatrix:
+    """The OD matrix by its own walk over Displacement objects."""
+    pair_counts: dict[tuple[str, str], int] = {}
+    for d in displacements:
+        o, t = d.origin_zone, d.destination_zone
+        if o is None or t is None:
+            continue
+        if not include_intra and o == t:
+            continue
+        if not include_external and (o == EXTERNAL or t == EXTERNAL):
+            continue
+        pair_counts[(o, t)] = pair_counts.get((o, t), 0) + 1
+    if not pair_counts:
+        raise EmptyODError("empty OD: no displacements survive the filters")
+    ids = sorted({z for pair in pair_counts for z in pair} - {EXTERNAL})
+    if include_external and any(EXTERNAL in pair for pair in pair_counts):
+        ids.append(EXTERNAL)
+    index = {z: i for i, z in enumerate(ids)}
+    counts = [[0] * len(ids) for _ in ids]
+    for (o, t), c in pair_counts.items():
+        counts[index[o]][index[t]] = c
+    return ODMatrix(zone_ids=ids, counts=counts)
+
+
+def histogram_per_call(
+    displacements: list[Displacement],
+    tz: tzinfo,
+    origin: str | None,
+    destination: str | None,
+    include_intra: bool,
+) -> TimeOfDayHistogram:
+    """One direction's hour-of-day histogram by its own walk."""
+    hist = TimeOfDayHistogram(direction=(origin, destination))
+    for d in displacements:
+        if d.crossing_time_estimate is None:
+            continue
+        if not include_intra and not d.is_inter_zone:
+            continue
+        if origin is not None and d.origin_zone != origin:
+            continue
+        if destination is not None and d.destination_zone != destination:
+            continue
+        local = d.crossing_time_estimate.astimezone(tz)
+        bins = hist.weekend_counts if local.weekday() >= 5 else hist.weekday_counts
+        bins[local.hour] += 1
+    return hist
+
+
+def displacements_per_user(displacements: list[Displacement]) -> dict[str, int]:
+    return dict(Counter(d.user_id for d in displacements))

@@ -1,17 +1,21 @@
 import io
 import math
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone, tzinfo
 from zoneinfo import ZoneInfo
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from geotrips.analytics import (
+    ANY,
     UserProfile,
+    aggregate,
     aggregate_od,
     classify_groups,
     compare_distributions,
     normalize,
+    od_matrix,
     read_series_csv,
     time_of_day_histogram,
     write_histogram_csv,
@@ -206,6 +210,113 @@ class TestAggregateOD:
             aggregate_od([])
         with pytest.raises(EmptyODError):
             aggregate_od([disp("alpha", "alpha", at(4, 9))])  # intra only
+
+
+def _window(start, days):
+    return st.datetimes(
+        min_value=start, max_value=start + timedelta(days=days), timezones=st.just(UTC)
+    )
+
+
+# Crossings anywhere in 2014, and in the days around the New York and Lord Howe
+# clock changes (Lord Howe shifts by 30 minutes).
+CROSSINGS = st.none() | st.one_of(
+    _window(datetime(2014, 1, 1), 365),
+    _window(datetime(2014, 3, 8), 2),
+    _window(datetime(2014, 11, 1), 2),
+    _window(datetime(2014, 4, 5), 2),
+    _window(datetime(2014, 10, 4), 2),
+)
+OD_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["u1", "u2", "u3"]),
+        st.sampled_from([None, "alpha", "beta", "EXTERNAL"]),
+        st.sampled_from([None, "alpha", "beta", "EXTERNAL"]),
+        CROSSINGS,
+    ),
+    max_size=40,
+)
+TIMEZONES = st.sampled_from([UTC, ZoneInfo("America/New_York"), ZoneInfo("Australia/Lord_Howe")])
+
+
+def _displacement(user_id, origin_zone, dest_zone, crossing):
+    start = crossing or datetime(2014, 8, 4, tzinfo=UTC)
+    return Displacement(
+        user_id, GeoPoint(40.1, -73.9), GeoPoint(40.1, -73.6), start, start, 0.0, 0.0,
+        origin_zone, dest_zone, crossing,
+    )
+
+
+class _CountingTZ(tzinfo):
+    """UTC-5 that counts the conversions into it."""
+
+    def __init__(self):
+        self.conversions = 0
+
+    def utcoffset(self, dt):
+        return timedelta(hours=-5)
+
+    def dst(self, dt):
+        return timedelta(0)
+
+    def fromutc(self, dt):
+        self.conversions += 1
+        return dt + timedelta(hours=-5)
+
+
+class TestSingleWalk:
+    @pytest.mark.parametrize("include_intra", [False, True], ids=["inter", "intra"])
+    @pytest.mark.parametrize("include_external", [False, True], ids=["internal", "external"])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=OD_ROWS,
+        tz=TIMEZONES,
+        focal=st.sampled_from(["alpha", "EXTERNAL", "omega"]),  # omega labels no row
+    )
+    def test_walk_and_public_functions_match_per_call_reference(
+        self, rows, tz, focal, include_intra, include_external
+    ):
+        ds = [_displacement(*row) for row in rows]
+        directions = [(ANY, ANY), (focal, ANY), (ANY, focal), ("alpha", "beta")]
+        pair_counts, hists, per_user = aggregate(
+            rows, tz, directions, include_intra, include_external
+        )
+        want_hists = [
+            oracles.histogram_per_call(ds, tz, origin, destination, include_intra)
+            for origin, destination in directions
+        ]
+        assert hists == want_hists
+        assert [
+            time_of_day_histogram(ds, tz, origin, destination, include_intra)
+            for origin, destination in directions
+        ] == want_hists
+        assert per_user == oracles.displacements_per_user(ds)
+        try:
+            want_od = oracles.od_matrix_per_call(ds, include_intra, include_external)
+        except EmptyODError:
+            assert pair_counts == {}
+            with pytest.raises(EmptyODError):
+                aggregate_od(ds, include_intra, include_external)
+            return
+        assert od_matrix(pair_counts) == want_od
+        assert aggregate_od(ds, include_intra, include_external) == want_od
+
+    def test_each_binned_crossing_is_converted_once(self):
+        tz = _CountingTZ()
+        rows = [
+            ("u1", "alpha", "beta", at(4, 9)),     # in all three histograms
+            ("u1", "beta", "alpha", at(4, 10)),    # in all only
+            ("u2", "alpha", "gamma", at(9, 11)),   # in all and from alpha
+            ("u2", "alpha", "alpha", at(4, 12)),   # intra: not binned
+            ("u3", "alpha", "beta", None),         # no crossing: not binned
+        ]
+        directions = [(ANY, ANY), ("alpha", ANY), (ANY, "beta")]
+        _, hists, per_user = aggregate(rows, tz, directions)
+        assert tz.conversions == 3
+        assert [h.total for h in hists] == [3, 2, 1]
+        assert hists[0].weekday_counts[4] == 1  # 09:00 UTC is 04:00 at UTC-5
+        assert hists[1].weekend_counts[6] == 1  # Saturday 06:00
+        assert per_user == {"u1": 2, "u2": 2, "u3": 1}
 
 
 class TestCompareDistributions:

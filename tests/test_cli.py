@@ -8,6 +8,10 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from geotrips.cli import main
+from geotrips.displacement import DISPLACEMENT_COLUMNS, read_displacements_csv
+from geotrips.errors import ValidationError
+
+DISPLACEMENT_HEADER = ",".join(DISPLACEMENT_COLUMNS) + "\n"
 
 
 @pytest.fixture
@@ -170,6 +174,9 @@ class TestAnalyzeCommand:
         first = {n: (an / n).read_bytes() for n in names}
         assert main(argv) == 0  # rerun over the same input
         assert {n: (an / n).read_bytes() for n in names} == first
+        assert sorted(os.listdir(an)) == sorted(names + ["timings.json"])
+        timings = json.loads((an / "timings.json").read_text())
+        assert sorted(timings) == ["aggregate", "read", "write"]
 
     def test_empty_displacements_fails_with_empty_od(self, tmp_path, extracted, capsys):
         empty = tmp_path / "empty.csv"
@@ -178,6 +185,64 @@ class TestAnalyzeCommand:
         rc = main(["analyze", "--displacements", str(empty), "--out", str(tmp_path / "an2")])
         assert rc != 0
         assert "empty OD" in capsys.readouterr().err
+
+    def test_external_only_od_is_empty_and_writes_nothing(self, tmp_path, capsys):
+        # Every inter-zone displacement touches EXTERNAL: the histograms would
+        # not be empty, but without --include-external the OD matrix is.
+        disp = tmp_path / "displacements.csv"
+        disp.write_text(DISPLACEMENT_HEADER + "".join(
+            f"u1,40.1,-73.9,40.1,-75.0,2014-08-04T1{h}:00:00Z,2014-08-04T1{h}:30:00Z,1800.0,"
+            f"94000.0,{o},{t},2014-08-04T1{h}:15:00Z\n"
+            for h, (o, t) in enumerate([("alpha", "EXTERNAL"), ("EXTERNAL", "beta")])
+        ))
+        (tmp_path / "users.csv").write_text("user_id,tweet_count\nu1,200\n")
+        an = tmp_path / "an"
+        an.mkdir()
+        rc = main(["analyze", "--displacements", str(disp), "--out", str(an)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: empty OD: no displacements survive the filters\n"
+        )
+        assert list(an.iterdir()) == []
+        assert main([
+            "analyze", "--displacements", str(disp), "--out", str(an), "--include-external",
+        ]) == 0
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("origin_lat", "north"),
+            ("dest_lon", ""),
+            ("start_time", "2014-08-04 12:00:00"),
+            ("end_time", "2014-13-04T12:30:00Z"),
+            ("duration_s", "1800s"),
+            ("distance_m", "far"),
+            ("crossing_time", "noon"),
+            # two bad values: the first column in file order names the error
+            ("start_time,distance_m", "yesterday,far"),
+            ("dest_lat,crossing_time", "x,noon"),
+            ("origin_lon,end_time", "x,noon"),
+        ],
+    )
+    def test_bad_value_in_any_column_fails_as_the_full_read_does(
+        self, tmp_path, column, value, capsys
+    ):
+        good = [
+            "u1", "40.1", "-73.9", "40.1", "-73.6", "2014-08-04T12:00:00Z",
+            "2014-08-04T12:30:00Z", "1800.0", "25000.0", "alpha", "beta", "2014-08-04T12:15:00Z",
+        ]
+        bad = list(good)
+        for name, v in zip(column.split(","), value.split(",")):
+            bad[DISPLACEMENT_COLUMNS.index(name)] = v
+        disp = tmp_path / "displacements.csv"
+        disp.write_text(DISPLACEMENT_HEADER + ",".join(good) + "\n" + ",".join(bad) + "\n")
+        with pytest.raises(ValidationError) as full:
+            read_displacements_csv(str(disp))
+        assert str(full.value).startswith(f"{disp}:3: ")
+        an = tmp_path / "an"
+        assert main(["analyze", "--displacements", str(disp), "--out", str(an)]) == 1
+        assert capsys.readouterr().err == f"error: {full.value}\n"
+        assert not an.exists()
 
     def test_groups_csv_schema(self, tmp_path, extracted):
         an = tmp_path / "an3"
@@ -309,6 +374,10 @@ class TestEnvironment:
         )
 
 
+# A synth config whose only fault is the key spliced in after its OD weights.
+VALID_SYNTH = '{"zones": "zones.geojson", "od_weights": {"alpha": {"beta": 1}}, %s}'
+
+
 class TestBadConfiguration:
     @pytest.fixture
     def inputs(self, tmp_path, four_zone_geojson):
@@ -433,11 +502,41 @@ class TestBadConfiguration:
                 '{"zones": "zones.geojson", "tz": "Mars/Base"}',
                 "{path}: tz = 'Mars/Base' is not a valid timezone",
             ),
+            # right type, out of range
+            (
+                VALID_SYNTH % '"tweet_alpha": 0',
+                "tweet_alpha = 0 is out of range: must be finite and > 0",
+            ),
+            (
+                VALID_SYNTH % '"gps_noise_sigma": NaN',
+                "gps_noise_sigma = nan is out of range: must be finite and >= 0",
+            ),
+            (VALID_SYNTH % '"n_agents": -1', "n_agents = -1 is out of range: must be >= 1"),
+            (VALID_SYNTH % '"tweet_cap": 0', "tweet_cap = 0 is out of range: must be >= 1"),
+            (
+                VALID_SYNTH % '"trip_fraction": 2.0',
+                "trip_fraction = 2.0 is out of range: must be in [0, 1]",
+            ),
+            (
+                VALID_SYNTH % '"time_window": -5.0',
+                "time_window = -5.0 is out of range: must be finite and > 0",
+            ),
+            (
+                VALID_SYNTH % '"max_speed": Infinity',
+                "max_speed = inf is out of range: must be finite and > 0",
+            ),
+            (VALID_SYNTH % '"tweet_floor": -1', "tweet_floor = -1 is out of range: must be >= 0"),
+            (
+                VALID_SYNTH % '"gps_noise_sigma": Infinity',
+                "gps_noise_sigma = inf is out of range: must be finite and >= 0",
+            ),
         ],
         ids=[
             "syntax", "not-an-object", "zones-number", "n-agents-string", "seed-string",
             "seed-bool", "noise-string", "period-garbage", "od-weight-string", "od-weights-list",
-            "schedule-number", "unknown-tz",
+            "schedule-number", "unknown-tz", "alpha-zero", "noise-nan", "agents-negative",
+            "cap-zero", "trip-fraction-two", "window-negative", "speed-infinite", "floor-negative",
+            "noise-infinite",
         ],
     )
     def test_malformed_synth_config_is_config_error(

@@ -11,7 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from geotrips.analytics import read_series_csv
 from geotrips.cli import _profiles_from
-from geotrips.displacement import Displacement, read_displacements_csv, write_displacements_csv
+from geotrips.displacement import (
+    Displacement,
+    read_displacements_csv,
+    read_od_rows,
+    write_displacements_csv,
+)
 from geotrips.errors import FormatMismatchError, ValidationError
 from geotrips.geometry import GeoPoint
 from geotrips.records import (
@@ -519,7 +524,7 @@ class TestReadTable:
 
 
 def _users_reader(source):
-    return _profiles_from([], source)
+    return _profiles_from({}, source)
 
 
 def _one_displacement_csv() -> str:
@@ -533,6 +538,7 @@ def _one_displacement_csv() -> str:
 # Each table reader, with a valid file and a file whose second row is bad.
 TABLE_READERS = {
     "displacements": (read_displacements_csv, _one_displacement_csv()),
+    "od-rows": (read_od_rows, _one_displacement_csv()),
     "users": (_users_reader, "user_id,tweet_count\nu1,5\n"),
     "series": (read_series_csv, "bin_label,value\na,0.5\n"),
     "ground-truth": (
@@ -601,6 +607,36 @@ class TestTableReaderFuzz:
             read(io.StringIO(text))
         except ValidationError:
             pass
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(
+                    ["u1", "40.1", "-1e309", "x", "", "alpha", "2014-08-02T21:58:00Z",
+                     "2014-08-02T21:58:00", "2014-13-02T21:58:00Z", "2014-08-02 21:58:00+01:00"]
+                ),
+                min_size=12,
+                max_size=12,
+            ),
+            max_size=3,
+        )
+    )
+    def test_projected_displacement_read_matches_full_read(self, rows):
+        # Rows of the right width, each field valid for some columns only, so
+        # the first bad field decides the error.
+        text = _one_displacement_csv() + "".join(",".join(row) + "\n" for row in rows)
+        try:
+            full = read_displacements_csv(io.StringIO(text))
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as projected:
+                read_od_rows(io.StringIO(text))
+            assert str(projected.value) == str(exc)
+        else:
+            assert read_od_rows(io.StringIO(text)) == [
+                (d.user_id, d.origin_zone, d.destination_zone, d.crossing_time_estimate)
+                for d in full
+            ]
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.sampled_from(sorted(TABLE_READERS)), st.binary())

@@ -37,6 +37,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_cfg(four_zone_map, od_weights={("alpha", "alpha"): 1.0})
 
+    def test_range_boundaries_are_accepted(self, four_zone_map):
+        cfg = small_cfg(
+            four_zone_map, n_agents=1, tweet_cap=1, min_tweets=1, tweet_floor=0,
+            gps_noise_sigma=0.0, trip_fraction=1.0, anomaly_rate=1.0, tweet_scale=1e-9,
+        )
+        generate(cfg)  # and the generator runs at them
+
     def test_unknown_zone_rejected(self, four_zone_map):
         with pytest.raises(ConfigError, match="unknown zone"):
             small_cfg(four_zone_map, od_weights={("alpha", "nowhere"): 1.0})
