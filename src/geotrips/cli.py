@@ -21,12 +21,18 @@ from .displacement import (
     run_extraction,
     write_displacements_csv,
 )
-from .errors import ConfigError, GeotripsError
+from .errors import ConfigError, GeotripsError, ValidationError
 from .records import load_timelines, read_table, write_records_csv, write_rejects_csv
 from .zones import load_zones
 
 TZ_ENV_VAR = "GEOTRIPS_TZ"
 USERS_COLUMNS = ("user_id", "tweet_count")
+FORMATS = ("csv", "jsonl")
+# Config-file spellings of a boolean, compared in lower case.
+BOOLS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
 
 
 def _load_flat_config(path: str) -> dict[str, str]:
@@ -44,21 +50,28 @@ def _load_flat_config(path: str) -> dict[str, str]:
     return out
 
 
-def _merged(args: argparse.Namespace, filecfg: dict[str, str], key: str, default, cast):
+def _merged(
+    args: argparse.Namespace, filecfg: dict[str, str], key: str, default, cast, choices=None
+):
+    """Value of `key`: its flag if given, else its config-file value read by
+    `cast` (and one of `choices` where given), else `default`."""
     flag_value = getattr(args, key, None)
     if flag_value is not None:
         return flag_value
-    if key in filecfg:
-        raw = filecfg[key]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{args.config}: {key} = {raw!r} is not a valid {cast.__name__}"
-            ) from None
-    return default
+    if key not in filecfg:
+        return default
+    raw = filecfg[key]
+    try:
+        value = BOOLS[raw.lower()] if cast is bool else cast(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(
+            f"{args.config}: {key} = {raw!r} is not a valid {cast.__name__}"
+        ) from None
+    if choices is not None and value not in choices:
+        raise ConfigError(
+            f"{args.config}: {key} = {raw!r} is not one of {', '.join(choices)}"
+        )
+    return value
 
 
 def _timezone(name: str) -> ZoneInfo:
@@ -91,7 +104,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     input_path = _merged(args, filecfg, "input", None, str)
     zones_path = _merged(args, filecfg, "zones", None, str)
     out_dir = _merged(args, filecfg, "out", "out", str)
-    fmt = _infer_format(input_path or "", _merged(args, filecfg, "format", None, str))
+    fmt = _infer_format(input_path or "", _merged(args, filecfg, "format", None, str, FORMATS))
     tz_name = _merged(args, filecfg, "tz", _default_tz(), str)
     legacy = _merged(args, filecfg, "legacy_timestamps", False, bool)
     # Accepted for compatibility and ignored: extraction is one serial pass.
@@ -238,6 +251,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     labels_a, values_a = analytics.read_series_csv(args.series_a)
     labels_b, values_b = analytics.read_series_csv(args.series_b)
+    for i, (a, b) in enumerate(zip(labels_a, labels_b)):
+        if a != b:
+            raise ValidationError(
+                f"{args.series_a} and {args.series_b} have different bin labels: "
+                f"bin {i + 1} is {a!r} in the first and {b!r} in the second"
+            )
     if args.normalize:
         values_a = analytics.normalize(values_a)
         values_b = analytics.normalize(values_b)
@@ -336,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="run the full displacement extraction pipeline")
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--input", dest="input", help="CSV or JSONL input file")
-    p.add_argument("--format", choices=["csv", "jsonl"], dest="format")
+    p.add_argument("--format", choices=FORMATS, dest="format")
     p.add_argument("--zones", dest="zones", help="GeoJSON zone map")
     p.add_argument("--out", dest="out", help="output directory (default ./out)")
     p.add_argument("--min-tweets", dest="min_tweets", type=int)
@@ -392,10 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GeotripsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GeotripsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

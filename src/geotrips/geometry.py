@@ -8,7 +8,8 @@ enough at county scale and keeps the ray-casting test exact and cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InvalidGeometryError
 
@@ -17,10 +18,12 @@ EARTH_RADIUS_M = 6_371_000.0
 # A point within this many degrees of a ring edge counts as inside.
 EDGE_TOLERANCE_DEG = 1e-12
 
-# Padding of each ring's and each edge's latitude range in the slab index,
-# and of each edge's coordinate ranges in the guard of the on-edge test.  It
-# is far above EDGE_TOLERANCE_DEG and above the rounding of any coordinate
-# the edge and crossing tests compute, so no edge a query needs is left out.
+# Padding of each ring's bounds, of each edge's latitude range in the slab
+# index, and of each edge's coordinate ranges in the guard of the on-edge
+# test.  It is far above EDGE_TOLERANCE_DEG and above the rounding of any
+# coordinate the edge and crossing tests compute, so no edge a query needs is
+# left out, and a point just outside a ring but within EDGE_TOLERANCE_DEG of
+# an edge still lies within the ring's bounds.
 SLAB_MARGIN_DEG = 1e-9
 
 
@@ -30,34 +33,26 @@ class GeoPoint:
     lon: float
 
 
-@dataclass(frozen=True)
 class PolygonRing:
-    """Implicitly closed ring: the first vertex is not repeated at the end.
+    """Implicitly closed ring, built from its vertices' latitudes and
+    longitudes with the first vertex not repeated at the end.
 
-    Construction also builds the ring's query index: flat ``lats``/``lons``
-    tuples with the first vertex repeated at the end (edge ``i`` runs from
-    vertex ``i`` to vertex ``i + 1``), and a latitude-slab table.  The padded
-    latitude range ``[lat_lo, lat_hi]`` is cut into ``isqrt(n)`` equal slabs;
-    ``slabs[k]`` holds the indices of the edges whose padded latitude range
-    overlaps slab ``k``.
+    The ring is its query index: flat ``lats``/``lons`` tuples with the first
+    vertex repeated at the end (edge ``i`` runs from vertex ``i`` to vertex
+    ``i + 1``), the bounds ``[lat_lo, lat_hi]`` x ``[lon_lo, lon_hi]`` padded
+    by SLAB_MARGIN_DEG, and a latitude-slab table.  The padded latitude range
+    is cut into ``isqrt(n)`` equal slabs; ``slabs[k]`` holds the indices of
+    the edges whose padded latitude range overlaps slab ``k``.
     """
 
-    vertices: tuple[GeoPoint, ...]
-    lats: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    lons: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    lat_lo: float = field(init=False, repr=False, compare=False)
-    lat_hi: float = field(init=False, repr=False, compare=False)
-    slab_scale: float = field(init=False, repr=False, compare=False)
-    slabs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("lats", "lons", "lat_lo", "lat_hi", "lon_lo", "lon_hi", "slab_scale", "slabs")
 
-    def __post_init__(self):
-        verts = tuple(self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        n = len(verts)
+    def __init__(self, lats: Sequence[float], lons: Sequence[float]):
+        n = len(lats)
         if n < 3:
             raise InvalidGeometryError(f"ring needs >= 3 vertices, got {n}")
-        lats = tuple([v.lat for v in verts]) + (verts[0].lat,)
-        lons = tuple([v.lon for v in verts]) + (verts[0].lon,)
+        lats = tuple(lats) + (lats[0],)
+        lons = tuple(lons) + (lons[0],)
         for lat, lon in zip(lats, lons):
             # Comparisons with NaN are false, so this also rejects NaN.
             if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
@@ -89,32 +84,25 @@ class PolygonRing:
                 last = top
             for k in range(first if first < last else last, last + 1):
                 slabs[k].append(i)
-        object.__setattr__(self, "lats", lats)
-        object.__setattr__(self, "lons", lons)
-        object.__setattr__(self, "lat_lo", lat_lo)
-        object.__setattr__(self, "lat_hi", lat_hi)
-        object.__setattr__(self, "slab_scale", scale)
-        object.__setattr__(self, "slabs", tuple(map(tuple, slabs)))
+        self.lats = lats
+        self.lons = lons
+        self.lat_lo = lat_lo
+        self.lat_hi = lat_hi
+        self.lon_lo = min(lons) - margin
+        self.lon_hi = max(lons) + margin
+        self.slab_scale = scale
+        self.slabs = tuple(map(tuple, slabs))
+
+    @property
+    def vertices(self) -> tuple[GeoPoint, ...]:
+        """The ring's vertices, the first not repeated at the end."""
+        return tuple(map(GeoPoint, self.lats[:-1], self.lons[:-1]))
 
 
 @dataclass(frozen=True)
 class ZonePolygon:
     outer: PolygonRing
     holes: tuple[PolygonRing, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class BoundingBox:
-    min_lat: float
-    max_lat: float
-    min_lon: float
-    max_lon: float
-
-    def contains(self, p: GeoPoint) -> bool:
-        return (
-            self.min_lat <= p.lat <= self.max_lat
-            and self.min_lon <= p.lon <= self.max_lon
-        )
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -128,12 +116,6 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
         + math.cos(rlat1) * math.cos(rlat2) * math.sin(dlon / 2.0) ** 2
     )
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(s)))
-
-
-def bbox(poly: ZonePolygon) -> BoundingBox:
-    """Tight axis-aligned bounds of the outer ring."""
-    lats, lons = poly.outer.lats, poly.outer.lons
-    return BoundingBox(min(lats), max(lats), min(lons), max(lons))
 
 
 def _near_edge(lat: float, lon: float, alat: float, alon: float, dy: float, dx: float) -> bool:

@@ -107,19 +107,18 @@ class GroundTruthTrip:
 
 
 def _zone_interior_point(zs: ZoneSet, zone_id: str, rng: random.Random) -> GeoPoint:
-    """Representative point well inside the zone: bbox center if that works,
-    else deterministic rejection sampling inside the bbox."""
-    from .geometry import bbox as poly_bbox
-
+    """Representative point well inside the zone: the center of its first
+    outer ring's tight bounds if that works, else deterministic rejection
+    sampling inside those bounds."""
     zone = next(z for z in zs.zones if z.zone_id == zone_id)
-    box = poly_bbox(zone.polygons[0])
-    center = GeoPoint((box.min_lat + box.max_lat) / 2, (box.min_lon + box.max_lon) / 2)
+    outer = zone.polygons[0].outer
+    min_lat, max_lat = min(outer.lats), max(outer.lats)
+    min_lon, max_lon = min(outer.lons), max(outer.lons)
+    center = GeoPoint((min_lat + max_lat) / 2, (min_lon + max_lon) / 2)
     if zs.label_point(center) == zone_id:
         return center
     for _ in range(10_000):
-        p = GeoPoint(
-            rng.uniform(box.min_lat, box.max_lat), rng.uniform(box.min_lon, box.max_lon)
-        )
+        p = GeoPoint(rng.uniform(min_lat, max_lat), rng.uniform(min_lon, max_lon))
         if zs.label_point(p) == zone_id:
             return p
     raise ConfigError(f"could not sample an interior point for zone {zone_id!r}")

@@ -7,15 +7,7 @@ from dataclasses import dataclass
 from typing import IO
 
 from .errors import ConfigError, InvalidGeometryError
-from .geometry import (
-    SLAB_MARGIN_DEG,
-    BoundingBox,
-    GeoPoint,
-    PolygonRing,
-    ZonePolygon,
-    bbox,
-    point_in_polygon,
-)
+from .geometry import GeoPoint, PolygonRing, ZonePolygon, point_in_polygon
 
 #: Sentinel label for points lying in no configured zone.
 EXTERNAL = "EXTERNAL"
@@ -24,7 +16,6 @@ EXTERNAL = "EXTERNAL"
 @dataclass(frozen=True)
 class Zone:
     zone_id: str
-    name: str
     polygons: tuple[ZonePolygon, ...]
 
 
@@ -32,7 +23,7 @@ class ZoneSet:
     """Immutable zone collection.
 
     `label_point` scans the polygons in declaration order, skipping each one
-    whose padded bounding box misses the point, so overlapping zones go to
+    whose outer ring's padded bounds miss the point, so overlapping zones go to
     the zone declared first.  The scan costs time in proportion to the
     polygon count; each ring's latitude-slab index keeps the point-in-polygon
     test short.
@@ -45,26 +36,18 @@ class ZoneSet:
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate zone_id in zone set")
         self.zones = tuple(zones)
-        # Each box is padded by the slab margin, so a point just outside it
-        # but within EDGE_TOLERANCE_DEG of an edge still reaches the test.
-        m = SLAB_MARGIN_DEG
-        self._entries: list[tuple[str, ZonePolygon, BoundingBox]] = []
+        self._entries: list[tuple[str, ZonePolygon, float, float, float, float]] = []
         for zone in self.zones:
             for poly in zone.polygons:
-                b = bbox(poly)
-                box = BoundingBox(b.min_lat - m, b.max_lat + m, b.min_lon - m, b.max_lon + m)
-                self._entries.append((zone.zone_id, poly, box))
+                o = poly.outer
+                self._entries.append((zone.zone_id, poly, o.lat_lo, o.lat_hi, o.lon_lo, o.lon_hi))
 
     def label_point(self, p: GeoPoint) -> str:
         """Zone id of the first zone in declaration order that holds `p`, else EXTERNAL."""
         lat = p.lat
         lon = p.lon
-        for zone_id, poly, box in self._entries:
-            if (
-                box.min_lat <= lat <= box.max_lat
-                and box.min_lon <= lon <= box.max_lon
-                and point_in_polygon(p, poly)
-            ):
+        for zone_id, poly, lat_lo, lat_hi, lon_lo, lon_hi in self._entries:
+            if lat_lo <= lat <= lat_hi and lon_lo <= lon <= lon_hi and point_in_polygon(p, poly):
                 return zone_id
         return EXTERNAL
 
@@ -76,7 +59,8 @@ class ZoneSet:
 def _ring_from_coords(coords, feature_label: str) -> PolygonRing:
     if not isinstance(coords, list) or len(coords) < 3:
         raise InvalidGeometryError(f"{feature_label}: ring with fewer than 3 positions")
-    pts = []
+    lats: list[float] = []
+    lons: list[float] = []
     for pos in coords:
         if not isinstance(pos, (list, tuple)) or len(pos) < 2:
             raise InvalidGeometryError(f"{feature_label}: malformed coordinate position")
@@ -86,12 +70,13 @@ def _ring_from_coords(coords, feature_label: str) -> PolygonRing:
             raise InvalidGeometryError(
                 f"{feature_label}: non-numeric coordinate position {pos!r}"
             ) from None
-        pts.append(GeoPoint(lat, lon))
-    # GeoJSON rings repeat the first position at the end; storage does not.
-    if pts[0] == pts[-1]:
-        pts = pts[:-1]
+        lats.append(lat)
+        lons.append(lon)
+    # GeoJSON rings repeat the first position at the end; PolygonRing does not.
+    if (lats[0], lons[0]) == (lats[-1], lons[-1]):
+        del lats[-1], lons[-1]
     try:
-        return PolygonRing(tuple(pts))
+        return PolygonRing(lats, lons)
     except InvalidGeometryError as exc:
         raise InvalidGeometryError(f"{feature_label}: {exc}") from None
 
@@ -109,8 +94,9 @@ def _polygon_from_rings(rings, feature_label: str) -> ZonePolygon:
 def load_zones(source: str | IO[str] | dict) -> ZoneSet:
     """Load a ZoneSet from a GeoJSON FeatureCollection.
 
-    Each feature must be a Polygon or MultiPolygon with ``zone_id`` and
-    ``name`` properties.  Coordinates are [lon, lat] per RFC 7946.
+    Each feature must be a Polygon or MultiPolygon with a ``zone_id``
+    property; other properties, such as ``name``, are ignored.  Coordinates
+    are [lon, lat] per RFC 7946.
     """
     name = source if isinstance(source, str) else getattr(source, "name", "zones document")
     try:
@@ -138,7 +124,6 @@ def load_zones(source: str | IO[str] | dict) -> ZoneSet:
         if not zone_id:
             raise ConfigError(f"{name}: feature #{fi} has no zone_id property")
         label = f"feature {zone_id!r}"
-        zone_name = str(props.get("name", zone_id))
         geom = feature.get("geometry") or {}
         if not isinstance(geom, dict):
             raise InvalidGeometryError(f"{label}: geometry is not a JSON object")
@@ -151,7 +136,7 @@ def load_zones(source: str | IO[str] | dict) -> ZoneSet:
         if not isinstance(coords, list):
             raise InvalidGeometryError(f"{label}: multipolygon coordinates are not a list")
         polys = tuple(_polygon_from_rings(rings, label) for rings in coords)
-        zones.append(Zone(str(zone_id), zone_name, polys))
+        zones.append(Zone(str(zone_id), polys))
     if not zones:
         raise ConfigError("no zones")
     return ZoneSet(zones)

@@ -75,21 +75,19 @@ def random_simple_polygon(rng, n_vertices: int, center=(40.5, -74.0), scale=0.5)
 
 def _on_ring_edge(lat: float, lon: float, ring: PolygonRing) -> bool:
     tol2 = EDGE_TOLERANCE_DEG * EDGE_TOLERANCE_DEG
-    verts = ring.vertices
-    n = len(verts)
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        dy = b.lat - a.lat
-        dx = b.lon - a.lon
+    lats, lons = ring.lats, ring.lons
+    for i in range(len(lats) - 1):
+        alat, alon = lats[i], lons[i]
+        dy = lats[i + 1] - alat
+        dx = lons[i + 1] - alon
         seg2 = dx * dx + dy * dy
         if seg2 == 0.0:
             t = 0.0
         else:
-            t = ((lat - a.lat) * dy + (lon - a.lon) * dx) / seg2
+            t = ((lat - alat) * dy + (lon - alon) * dx) / seg2
             t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-        py = a.lat + t * dy
-        px = a.lon + t * dx
+        py = alat + t * dy
+        px = alon + t * dx
         d2 = (lat - py) * (lat - py) + (lon - px) * (lon - px)
         if d2 <= tol2:
             return True
@@ -98,14 +96,12 @@ def _on_ring_edge(lat: float, lon: float, ring: PolygonRing) -> bool:
 
 def _ring_crossings(lat: float, lon: float, ring: PolygonRing) -> int:
     """Number of ring edges crossed by the eastward ray from (lat, lon)."""
-    verts = ring.vertices
-    n = len(verts)
+    lats, lons = ring.lats, ring.lons
     crossings = 0
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        if (a.lat > lat) != (b.lat > lat):
-            lon_at = a.lon + (lat - a.lat) * (b.lon - a.lon) / (b.lat - a.lat)
+    for i in range(len(lats) - 1):
+        alat, blat = lats[i], lats[i + 1]
+        if (alat > lat) != (blat > lat):
+            lon_at = lons[i] + (lat - alat) * (lons[i + 1] - lons[i]) / (blat - alat)
             if lon < lon_at:
                 crossings += 1
     return crossings

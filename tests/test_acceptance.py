@@ -69,9 +69,7 @@ def test_criterion_01_pip_oracle_equivalence():
     checked = 0
     for poly_i in range(3):
         verts = random_simple_polygon(rng, 50)
-        zone = ZoneSet(
-            [Zone("z", "z", (ZonePolygon(PolygonRing(tuple(GeoPoint(a, b) for a, b in verts))),))]
-        )
+        zone = ZoneSet([Zone("z", (ZonePolygon(PolygonRing(verts[:, 0], verts[:, 1])),))])
         lats = rng.uniform(39.7, 41.3, size=10_000)
         lons = rng.uniform(-75.0, -73.0, size=10_000)
         for lat, lon in zip(lats, lons):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -7,7 +8,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from geotrips.cli import main
+from geotrips.cli import _merged, main
 from geotrips.displacement import DISPLACEMENT_COLUMNS, read_displacements_csv
 from geotrips.errors import ValidationError
 
@@ -348,6 +349,26 @@ class TestCompareCommand:
         assert main(["compare", str(a), str(a)]) == 1
         assert capsys.readouterr().err == f"error: {a}:3: field larger than field limit (131072)\n"
 
+    @pytest.mark.parametrize(
+        "labels_b, first_difference",
+        [
+            (["b0", "b2", "b1"], "bin 2 is 'b1' in the first and 'b2' in the second"),
+            (["b0", "b1", "hour2"], "bin 3 is 'b2' in the first and 'hour2' in the second"),
+        ],
+        ids=["reordered", "renamed"],
+    )
+    def test_bin_labels_must_match(self, tmp_path, labels_b, first_difference, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self.write_series(a, [0.5, 0.5, 0.5])
+        b.write_text("bin_label,value\n" + "".join(f"{label},0.5\n" for label in labels_b))
+        for argv in (["compare", str(a), str(b)], ["compare", str(a), str(b), "--normalize"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {a} and {b} have different bin labels: {first_difference}\n"
+            )
+
     def test_unnormalized_inputs_fail_without_flag(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         self.write_series(a, [3.0, 1.0])
@@ -412,6 +433,34 @@ class TestBadConfiguration:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"{cfg}: min_tweets = 'abc' is not a valid int" in err
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("extract", "format = xml", "format = 'xml' is not one of csv, jsonl"),
+            ("extract", "legacy_timestamps = Y", "legacy_timestamps = 'Y' is not a valid bool"),
+            ("analyze", "include_intra = ture", "include_intra = 'ture' is not a valid bool"),
+            ("analyze", "include_external = 2", "include_external = '2' is not a valid bool"),
+        ],
+        ids=["format", "legacy-timestamps", "include-intra", "include-external"],
+    )
+    def test_bad_config_value_is_config_error(
+        self, tmp_path, inputs, command, line, message, capsys
+    ):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(line + "\n")
+        argv = inputs[command] + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "raw, value",
+        [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+         ("0", False), ("False", False), ("NO", False), ("Off", False)],
+    )
+    def test_config_booleans_in_any_case(self, raw, value):
+        args = argparse.Namespace(config="pipeline.cfg", include_intra=None)
+        assert _merged(args, {"include_intra": raw}, "include_intra", None, bool) is value
 
     def test_nan_max_speed_is_rejected(self, tmp_path, inputs, capsys):
         argv = inputs["extract"] + ["--max-speed-mph", "nan", "--out", str(tmp_path / "out")]

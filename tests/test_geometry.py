@@ -8,10 +8,10 @@ from geotrips.errors import InvalidGeometryError
 from geotrips.geometry import (
     EARTH_RADIUS_M,
     EDGE_TOLERANCE_DEG,
+    SLAB_MARGIN_DEG,
     GeoPoint,
     PolygonRing,
     ZonePolygon,
-    bbox,
     haversine_m,
     point_in_polygon,
 )
@@ -28,7 +28,13 @@ lon_st = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
 
 
 def ring(*latlon_pairs):
-    return PolygonRing(tuple(GeoPoint(lat, lon) for lat, lon in latlon_pairs))
+    lats, lons = zip(*latlon_pairs)
+    return PolygonRing(lats, lons)
+
+
+def array_ring(verts) -> PolygonRing:
+    """Ring of an (n, 2) array of [lat, lon] vertices, not closed."""
+    return PolygonRing(verts[:, 0], verts[:, 1])
 
 
 UNIT_SQUARE = ZonePolygon(ring((0, 0), (0, 1), (1, 1), (1, 0)))
@@ -89,14 +95,14 @@ class TestPointInPolygon:
 
     def test_degenerate_ring_rejected(self):
         with pytest.raises(InvalidGeometryError):
-            PolygonRing((GeoPoint(0, 0), GeoPoint(1, 1)))
+            ring((0, 0), (1, 1))
         with pytest.raises(InvalidGeometryError):
-            PolygonRing((GeoPoint(0, 0), GeoPoint(0, 0), GeoPoint(1, 1)))
+            ring((0, 0), (0, 0), (1, 1))
 
     def test_agrees_with_winding_number_oracle(self):
         rng = np.random.default_rng(42)
         verts = random_simple_polygon(rng, 50)
-        poly = ZonePolygon(PolygonRing(tuple(GeoPoint(a, b) for a, b in verts)))
+        poly = ZonePolygon(array_ring(verts))
         pts = np.column_stack(
             [rng.uniform(39.8, 41.2, size=2000), rng.uniform(-74.8, -73.2, size=2000)]
         )
@@ -113,9 +119,7 @@ class TestPointInPolygon:
         st.floats(min_value=-10.0, max_value=10.0),
     )
     def test_translation_invariance_in_longitude(self, lat, lon, shift):
-        shifted = ZonePolygon(
-            PolygonRing(tuple(GeoPoint(v.lat, v.lon + shift) for v in UNIT_SQUARE.outer.vertices))
-        )
+        shifted = ZonePolygon(ring(*((v.lat, v.lon + shift) for v in UNIT_SQUARE.outer.vertices)))
         assert point_in_polygon(GeoPoint(lat, lon), UNIT_SQUARE) == point_in_polygon(
             GeoPoint(lat, lon + shift), shifted
         )
@@ -127,14 +131,14 @@ def star_ring(rng, n_vertices: int, scale: float) -> PolygonRing:
     Only vertices strictly between the ring's lowest and highest latitude
     move, so the slabs stay where they were."""
     verts = random_simple_polygon(rng, n_vertices, scale=scale)
-    ring = PolygonRing(tuple(GeoPoint(a, b) for a, b in verts))
+    ring = array_ring(verts)
     n_slabs = len(ring.slabs)
     lat_min, lat_max = verts[:, 0].min(), verts[:, 0].max()
     for i in rng.choice(n_vertices, size=min(n_vertices, 4), replace=False):
         boundary = ring.lat_lo + int(rng.integers(1, n_slabs + 1)) / ring.slab_scale
         if lat_min < verts[i, 0] < lat_max and lat_min < boundary < lat_max:
             verts[i, 0] = boundary
-    return PolygonRing(tuple(GeoPoint(a, b) for a, b in verts))
+    return array_ring(verts)
 
 
 def query_points(rng, ring: PolygonRing) -> list[GeoPoint]:
@@ -218,31 +222,43 @@ class TestSlabIndexExactness:
             assert set().union(*ring.slabs) == set(range(n))
 
 
-class TestBBox:
+class TestPaddedBounds:
     def test_unit_square(self):
-        box = bbox(UNIT_SQUARE)
-        assert (box.min_lat, box.min_lon, box.max_lat, box.max_lon) == (0, 0, 1, 1)
+        m = SLAB_MARGIN_DEG
+        o = UNIT_SQUARE.outer
+        assert (o.lat_lo, o.lat_hi, o.lon_lo, o.lon_hi) == (-m, 1 + m, -m, 1 + m)
 
     def test_triangle(self):
-        tri = ZonePolygon(ring((0, 0), (2, 0), (1, 3)))
-        box = bbox(tri)
-        assert (box.min_lat, box.min_lon, box.max_lat, box.max_lon) == (0, 0, 2, 3)
+        m = SLAB_MARGIN_DEG
+        o = ring((0, 0), (2, 0), (1, 3))
+        assert (o.lat_lo, o.lat_hi, o.lon_lo, o.lon_hi) == (-m, 2 + m, -m, 3 + m)
 
-    def test_every_vertex_within_box(self):
+    def test_every_vertex_within_bounds(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            verts = random_simple_polygon(rng, 12)
-            poly = ZonePolygon(PolygonRing(tuple(GeoPoint(a, b) for a, b in verts)))
-            box = bbox(poly)
-            for v in poly.outer.vertices:
-                assert box.contains(v)
+            o = array_ring(random_simple_polygon(rng, 12))
+            for v in o.vertices:
+                assert o.lat_lo < v.lat < o.lat_hi and o.lon_lo < v.lon < o.lon_hi
 
-    def test_inside_implies_within_bbox(self):
+    def test_inside_implies_within_bounds(self):
         rng = np.random.default_rng(3)
         verts = random_simple_polygon(rng, 30)
-        poly = ZonePolygon(PolygonRing(tuple(GeoPoint(a, b) for a, b in verts)))
-        box = bbox(poly)
-        for lat, lon in zip(rng.uniform(39.5, 41.5, 500), rng.uniform(-75, -73, 500)):
-            p = GeoPoint(lat, lon)
+        poly = ZonePolygon(array_ring(verts))
+        o = poly.outer
+        near = 0.5 * EDGE_TOLERANCE_DEG
+        pts = [
+            GeoPoint(lat, lon)
+            for lat, lon in zip(rng.uniform(39.5, 41.5, 500), rng.uniform(-75, -73, 500))
+        ]
+        # Points just outside each vertex, within tolerance of the ring.
+        pts += [
+            GeoPoint(v.lat + dlat, v.lon + dlon)
+            for v in o.vertices
+            for dlat, dlon in ((-near, 0.0), (near, 0.0), (0.0, -near), (0.0, near))
+        ]
+        inside = 0
+        for p in pts:
             if point_in_polygon(p, poly):
-                assert box.contains(p)
+                inside += 1
+                assert o.lat_lo <= p.lat <= o.lat_hi and o.lon_lo <= p.lon <= o.lon_hi, p
+        assert inside > 4 * len(verts)

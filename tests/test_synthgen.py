@@ -1,18 +1,21 @@
 import io
+import random
 
 import pytest
 
 from geotrips.displacement import FilterConfig, run_extraction
 from geotrips.errors import ConfigError
+from geotrips.geometry import GeoPoint
 from geotrips.records import build_timelines, dedupe_records, write_records_csv
 from geotrips.synthgen import (
     SynthConfig,
+    _zone_interior_point,
     generate,
     read_ground_truth_csv,
     write_ground_truth_csv,
 )
 from geotrips.zones import load_zones
-from conftest import feature_collection, square_feature
+from conftest import feature_collection, square_feature, square_ring
 
 TWO_ZONE_OD = {("alpha", "beta"): 0.6, ("beta", "alpha"): 0.4}
 
@@ -47,6 +50,42 @@ class TestConfigValidation:
     def test_unknown_zone_rejected(self, four_zone_map):
         with pytest.raises(ConfigError, match="unknown zone"):
             small_cfg(four_zone_map, od_weights={("alpha", "nowhere"): 1.0})
+
+
+class TestZoneInteriorPoint:
+    """The anchor comes from the outer ring's tight bounds, not its padded
+    ones: the centre and the sampling range are the floats the corpora were
+    built from."""
+
+    def test_centre_of_the_tight_bounds(self):
+        zs = load_zones(feature_collection(square_feature("sq", 40.0, -74.0, 0.2)))
+        p = _zone_interior_point(zs, "sq", random.Random(1))
+        assert p == GeoPoint((40.0 + 40.2) / 2, (-74.0 + -73.8) / 2)
+
+    def test_samples_within_the_tight_bounds(self):
+        # a square whose centre lies in a hole: the centre is not in the zone
+        zs = load_zones(
+            feature_collection(
+                {
+                    "type": "Feature",
+                    "properties": {"zone_id": "ring"},
+                    "geometry": {
+                        "type": "Polygon",
+                        "coordinates": [
+                            square_ring(40.0, -74.0, 0.2),
+                            square_ring(40.02, -73.98, 0.16),
+                        ],
+                    },
+                }
+            )
+        )
+        p = _zone_interior_point(zs, "ring", random.Random(7))
+        draws = random.Random(7)
+        while True:
+            q = GeoPoint(draws.uniform(40.0, 40.2), draws.uniform(-74.0, -73.8))
+            if zs.label_point(q) == "ring":
+                break
+        assert p == q
 
 
 class TestGenerate:

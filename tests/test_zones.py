@@ -7,7 +7,7 @@ import pytest
 
 from conftest import feature_collection, square_feature, square_ring
 from geotrips.errors import ConfigError, InvalidGeometryError
-from geotrips.geometry import EDGE_TOLERANCE_DEG, GeoPoint, bbox
+from geotrips.geometry import EDGE_TOLERANCE_DEG, GeoPoint
 from geotrips.zones import EXTERNAL, load_zones
 from oracles import label_point_scan, random_simple_polygon
 
@@ -178,6 +178,39 @@ class TestLoadZones:
         assert four_zone_map.label_point(GeoPoint(40.1, -73.9)) == "alpha"
         assert four_zone_map.label_point(GeoPoint(-73.9, 40.1)) == EXTERNAL
 
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            # the last position shares its longitude with the first ...
+            [[-74.0, 40.0], [-73.8, 40.05], [-73.85, 40.2], [-74.0, 40.15]],
+            # ... or its latitude; neither is a closing position
+            [[-74.0, 40.0], [-73.8, 40.05], [-73.85, 40.2], [-73.9, 40.0]],
+        ],
+        ids=["same-lon", "same-lat"],
+    )
+    def test_ring_is_its_positions_closed_once(self, positions, closed):
+        hole = [[-73.9, 40.08], [-73.88, 40.1], [-73.9, 40.12]]
+        rings = [positions, hole]
+        if closed:
+            rings = [r + [r[0]] for r in rings]
+        zs = load_zones(
+            feature_collection(
+                {
+                    "type": "Feature",
+                    "properties": {"zone_id": "z"},
+                    "geometry": {"type": "Polygon", "coordinates": rings},
+                }
+            )
+        )
+        poly = zs.zones[0].polygons[0]
+        for ring, given in ((poly.outer, positions), (poly.holes[0], hole)):
+            assert ring.lats == tuple(lat for _, lat in given) + (given[0][1],)
+            assert ring.lons == tuple(lon for lon, _ in given) + (given[0][0],)
+            # the count the benchmark reports as zones.load_zones.vertices
+            assert len(ring.vertices) == len(given)
+            assert ring.vertices == tuple(GeoPoint(lat, lon) for lon, lat in given)
+
 
 class TestLabelPoint:
     def test_interior_points(self, four_zone_map):
@@ -224,19 +257,21 @@ class TestLabelPoint:
         ]
         rng = np.random.default_rng(11)
         for zs, lat_range, lon_range, n in cases:
-            boxes = [bbox(poly) for z in zs.zones for poly in z.polygons]
+            outers = [poly.outer for z in zs.zones for poly in z.polygons]
             labels = set()
-            outside_every_box = 0
+            outside_every_outer = 0
             for lat, lon in zip(rng.uniform(*lat_range, n), rng.uniform(*lon_range, n)):
                 p = GeoPoint(lat, lon)
                 got = zs.label_point(p)
                 assert got == label_point_scan(zs, p)
                 labels.add(got)
-                outside_every_box += not any(box.contains(p) for box in boxes)
+                outside_every_outer += not any(
+                    o.lat_lo <= lat <= o.lat_hi and o.lon_lo <= lon <= o.lon_hi for o in outers
+                )
             # the sample actually exercises all zones and EXTERNAL, also
-            # through points that no bounding box holds
+            # through points outside every outer ring's padded bounds
             assert labels == set(zs.zone_ids) | {EXTERNAL}
-            assert outside_every_box > 0
+            assert outside_every_outer > 0
 
     def test_edge_tolerance_reaches_past_the_bounding_box(self, four_zone_map):
         # alpha spans lat 40.0-40.2 and lon -74.0 to -73.8: each point lies
