@@ -21,7 +21,7 @@ from .displacement import (
     run_extraction,
     write_displacements_csv,
 )
-from .errors import ConfigError, GeotripsError, ValidationError
+from .errors import ConfigError, GeotripsError, ValidationError, not_utf8
 from .records import load_timelines, read_table, write_records_csv, write_rejects_csv
 from .zones import load_zones
 
@@ -35,43 +35,38 @@ BOOLS = {
 }
 
 
-def _load_flat_config(path: str) -> dict[str, str]:
-    """Flat `key = value` config file; '#' starts a comment."""
-    out: dict[str, str] = {}
+def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The flat `key = value` file at `path` ('#' starts a comment) as
+    defaults for `parser`: each key is the `dest` of one of its options, and
+    each value is read as that option reads it."""
+    options = {a.dest: a for a in parser._actions if a.option_strings}
+    del options["help"], options["config"]
+    out = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(not_utf8(path, exc)) from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        action = options.get(key)
+        if action is None:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        # A flag that takes no value (store_true) reads a BOOLS spelling.
+        cast = bool if action.nargs == 0 else action.type or str
+        try:
+            value = BOOLS[raw.lower()] if cast is bool else cast(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{path}: {key} = {raw!r} is not a valid {cast.__name__}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"{path}: {key} = {raw!r} is not one of {', '.join(action.choices)}")
+        out[key] = value
     return out
-
-
-def _merged(
-    args: argparse.Namespace, filecfg: dict[str, str], key: str, default, cast, choices=None
-):
-    """Value of `key`: its flag if given, else its config-file value read by
-    `cast` (and one of `choices` where given), else `default`."""
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        return flag_value
-    if key not in filecfg:
-        return default
-    raw = filecfg[key]
-    try:
-        value = BOOLS[raw.lower()] if cast is bool else cast(raw)
-    except (KeyError, ValueError):
-        raise ConfigError(
-            f"{args.config}: {key} = {raw!r} is not a valid {cast.__name__}"
-        ) from None
-    if choices is not None and value not in choices:
-        raise ConfigError(
-            f"{args.config}: {key} = {raw!r} is not one of {', '.join(choices)}"
-        )
-    return value
 
 
 def _timezone(name: str) -> ZoneInfo:
@@ -100,16 +95,7 @@ def _print_report_table(report: RunReport) -> None:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    filecfg = _load_flat_config(args.config) if args.config else {}
-    input_path = _merged(args, filecfg, "input", None, str)
-    zones_path = _merged(args, filecfg, "zones", None, str)
-    out_dir = _merged(args, filecfg, "out", "out", str)
-    fmt = _infer_format(input_path or "", _merged(args, filecfg, "format", None, str, FORMATS))
-    tz_name = _merged(args, filecfg, "tz", _default_tz(), str)
-    legacy = _merged(args, filecfg, "legacy_timestamps", False, bool)
-    # Accepted for compatibility and ignored: extraction is one serial pass.
-    _merged(args, filecfg, "workers", 1, int)
-
+    input_path, zones_path, out_dir = args.input, args.zones, args.out
     if input_path is None:
         raise ConfigError("no input file given (--input or config 'input')")
     if zones_path is None:
@@ -120,18 +106,20 @@ def cmd_extract(args: argparse.Namespace) -> int:
         raise ConfigError(f"zones file not found: {zones_path}")
 
     cfg = FilterConfig(
-        min_tweets=_merged(args, filecfg, "min_tweets", 100, int),
-        max_speed=_merged(args, filecfg, "max_speed_mph", 100.0, float) * MPH_TO_MPS,
-        time_window=_merged(args, filecfg, "time_window_h", 2.0, float) * 3600.0,
-        min_displacement_distance=_merged(args, filecfg, "min_displacement_m", 100.0, float),
+        min_tweets=args.min_tweets,
+        max_speed=args.max_speed_mph * MPH_TO_MPS,
+        time_window=args.time_window_h * 3600.0,
+        min_displacement_distance=args.min_displacement_m,
     )
-    tz = _timezone(tz_name)
+    tz = _timezone(args.tz)
+    fmt = _infer_format(input_path, args.format)
+    legacy_tz = tz if args.legacy_timestamps else None
 
     os.makedirs(out_dir, exist_ok=True)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    ingest = load_timelines(input_path, format=fmt, legacy_tz=tz if legacy else None)
+    ingest = load_timelines(input_path, format=fmt, legacy_tz=legacy_tz)
     timelines = ingest.timelines
     timings["ingest"] = time.perf_counter() - t0
 
@@ -182,21 +170,15 @@ def _profiles_from(disp_counts: dict[str, int], users_path: str) -> list[analyti
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    filecfg = _load_flat_config(args.config) if args.config else {}
-    disp_path = _merged(args, filecfg, "displacements", None, str)
+    disp_path, users_path, out_dir = args.displacements, args.users, args.out
+    focal = args.focal_zone
     if disp_path is None:
         raise ConfigError("no displacement CSV given")
     if not os.path.exists(disp_path):
         raise ConfigError(f"displacement file not found: {disp_path}")
-    users_path = _merged(
-        args, filecfg, "users", os.path.join(os.path.dirname(disp_path), "users.csv"), str
-    )
-    out_dir = _merged(args, filecfg, "out", "out", str)
-    tz = _timezone(_merged(args, filecfg, "tz", _default_tz(), str))
-    focal = _merged(args, filecfg, "focal_zone", None, str)
-    include_intra = _merged(args, filecfg, "include_intra", False, bool)
-    include_external = _merged(args, filecfg, "include_external", False, bool)
-    cutoff = _merged(args, filecfg, "group_cutoff", 0.01, float)
+    if users_path is None:
+        users_path = os.path.join(os.path.dirname(disp_path), "users.csv")
+    tz = _timezone(args.tz)
 
     directions = {"all": (analytics.ANY, analytics.ANY)}
     if focal:
@@ -210,7 +192,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     pair_counts, hists, disp_counts = analytics.aggregate(
-        rows, tz, list(directions.values()), include_intra, include_external
+        rows, tz, list(directions.values()), args.include_intra, args.include_external
     )
     matrix = analytics.od_matrix(pair_counts)
     if not os.path.exists(users_path):
@@ -218,7 +200,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"users file not found: {users_path} (written by 'extract'; pass --users)"
         )
     profiles = _profiles_from(disp_counts, users_path)
-    partition = analytics.classify_groups(profiles, cutoff=cutoff)
+    partition = analytics.classify_groups(profiles, cutoff=args.group_cutoff)
     timings["aggregate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -257,6 +239,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f"{args.series_a} and {args.series_b} have different bin labels: "
                 f"bin {i + 1} is {a!r} in the first and {b!r} in the second"
             )
+    if len(labels_a) != len(labels_b) or len(labels_a) < 2:
+        raise ValidationError(
+            f"{args.series_a} and {args.series_b} have {len(labels_a)} and {len(labels_b)} "
+            "bins: a comparison needs the same number of bins, at least 2"
+        )
     if args.normalize:
         values_a = analytics.normalize(values_a)
         values_b = analytics.normalize(values_b)
@@ -305,11 +292,13 @@ def _parse_synth_config(path: str) -> synthgen.SynthConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(not_utf8(path, exc)) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: synth config is not a JSON object")
     zones_path = doc.get("zones")
     if not zones_path:
-        raise ConfigError("synth config needs a 'zones' GeoJSON path")
+        raise ConfigError(f"{path}: synth config needs a 'zones' GeoJSON path")
     zones_path = _synth_value(path, "zones", zones_path, "")
     if not os.path.isabs(zones_path):
         zones_path = os.path.join(os.path.dirname(os.path.abspath(path)), zones_path)
@@ -327,7 +316,10 @@ def _parse_synth_config(path: str) -> synthgen.SynthConfig:
         for f in dataclasses.fields(synthgen.SynthConfig)
         if f.name in doc and f.name not in ("zone_map", "od_weights")
     }
-    return synthgen.SynthConfig(zone_map=zs, od_weights=od_weights, **kwargs)
+    try:
+        return synthgen.SynthConfig(zone_map=zs, od_weights=od_weights, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -354,41 +346,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="run the full displacement extraction pipeline")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--input", dest="input", help="CSV or JSONL input file")
-    p.add_argument("--format", choices=FORMATS, dest="format")
-    p.add_argument("--zones", dest="zones", help="GeoJSON zone map")
-    p.add_argument("--out", dest="out", help="output directory (default ./out)")
-    p.add_argument("--min-tweets", dest="min_tweets", type=int)
-    p.add_argument("--max-speed-mph", dest="max_speed_mph", type=float)
-    p.add_argument("--time-window-h", dest="time_window_h", type=float)
-    p.add_argument("--min-displacement-m", dest="min_displacement_m", type=float)
-    p.add_argument("--tz", dest="tz", help=f"analysis timezone (default ${TZ_ENV_VAR} or UTC)")
+    p.add_argument("--input", help="CSV or JSONL input file")
+    p.add_argument("--format", choices=FORMATS)
+    p.add_argument("--zones", help="GeoJSON zone map")
+    p.add_argument("--out", default="out", help="output directory (default ./out)")
+    p.add_argument("--min-tweets", type=int, default=100)
+    p.add_argument("--max-speed-mph", type=float, default=100.0)
+    p.add_argument("--time-window-h", type=float, default=2.0)
+    p.add_argument("--min-displacement-m", type=float, default=100.0)
+    p.add_argument(
+        "--tz", default=_default_tz(), help=f"analysis timezone (default ${TZ_ENV_VAR} or UTC)"
+    )
     p.add_argument(
         "--legacy-timestamps",
-        dest="legacy_timestamps",
-        action="store_const",
-        const=True,
+        action="store_true",
         help="also accept 'M/D/YYYY HH:MM' timestamps in the analysis timezone",
     )
     p.add_argument(
-        "--workers",
-        dest="workers",
-        type=int,
-        help="accepted and ignored: extraction is one serial pass per user",
+        "--workers", type=int, help="accepted and ignored: extraction is one serial pass per user"
     )
-    p.set_defaults(func=cmd_extract)
+    p.set_defaults(func=cmd_extract, parser=p)
 
     p = sub.add_parser("analyze", help="aggregate a displacement CSV into OD/histogram/group products")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--displacements", dest="displacements", help="displacement CSV from 'extract'")
-    p.add_argument("--users", dest="users", help="users.csv from 'extract'")
-    p.add_argument("--out", dest="out")
-    p.add_argument("--tz", dest="tz")
-    p.add_argument("--focal-zone", dest="focal_zone")
-    p.add_argument("--include-intra", dest="include_intra", action="store_const", const=True)
-    p.add_argument("--include-external", dest="include_external", action="store_const", const=True)
-    p.add_argument("--group-cutoff", dest="group_cutoff", type=float)
-    p.set_defaults(func=cmd_analyze)
+    p.add_argument("--displacements", help="displacement CSV from 'extract'")
+    p.add_argument("--users", help="users.csv from 'extract' (default: beside --displacements)")
+    p.add_argument("--out", default="out")
+    p.add_argument("--tz", default=_default_tz())
+    p.add_argument("--focal-zone")
+    p.add_argument("--include-intra", action="store_true")
+    p.add_argument("--include-external", action="store_true")
+    p.add_argument("--group-cutoff", type=float, default=0.01)
+    p.set_defaults(func=cmd_analyze, parser=p)
 
     p = sub.add_parser("compare", help="compare two normalized reference series")
     p.add_argument("series_a")
@@ -406,10 +395,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The parsed command line.  An `extract` or `analyze` `--config` file's
+    values become that command's defaults and the line is parsed again, so a
+    flag beats the file and the file beats the built-in default."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = getattr(args, "parser", None)
+    if command is not None and args.config:
+        command.set_defaults(**_config_defaults(args.config, command))
+        args = parser.parse_args(argv)
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
+        args = parse_args(argv)
         return args.func(args)
     except (GeotripsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone, tzinfo
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
-from .errors import FormatMismatchError, ValidationError
+from .errors import FormatMismatchError, ValidationError, not_utf8
 
 CSV_COLUMNS = ("user_id", "lat", "lon", "timestamp", "text")
 LEGACY_TIMESTAMP_FORMAT = "%m/%d/%Y %H:%M"
@@ -246,9 +246,7 @@ def _valid_records(
                 sys.intern(user_id), lat, lon, ts, "" if text is None else str(text)
             )
     except UnicodeDecodeError as exc:
-        raise FormatMismatchError(
-            f"input is not UTF-8: byte {exc.object[exc.start]:#04x}: {exc.reason}"
-        ) from None
+        raise FormatMismatchError(not_utf8("input", exc)) from None
     lines_read = parsed + len(rejects)
     if lines_read > 0 and len(rejects) * 2 > lines_read:
         raise FormatMismatchError(

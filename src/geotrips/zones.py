@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import IO
 
-from .errors import ConfigError, InvalidGeometryError
+from .errors import ConfigError, InvalidGeometryError, not_utf8
 from .geometry import GeoPoint, PolygonRing, ZonePolygon, point_in_polygon
 
 #: Sentinel label for points lying in no configured zone.
@@ -109,6 +109,8 @@ def load_zones(source: str | IO[str] | dict) -> ZoneSet:
             doc = json.load(source)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{name}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(not_utf8(name, exc)) from None
 
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ConfigError(f"{name}: not a GeoJSON FeatureCollection")

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import json
 import os
@@ -8,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from geotrips.cli import _merged, main
+from geotrips.cli import main, parse_args
 from geotrips.displacement import DISPLACEMENT_COLUMNS, read_displacements_csv
 from geotrips.errors import ValidationError
 
@@ -369,6 +368,24 @@ class TestCompareCommand:
                 f"error: {a} and {b} have different bin labels: {first_difference}\n"
             )
 
+    @pytest.mark.parametrize(
+        "values_a, values_b",
+        [([0.5, 0.5], [0.2, 0.3, 0.5]), ([0.2, 0.3, 0.5], [0.5, 0.5]), ([1.0], [1.0]), ([], [])],
+        ids=["2-vs-3", "3-vs-2", "one-bin", "header-only"],
+    )
+    def test_bin_counts_must_match_and_reach_two(self, tmp_path, values_a, values_b, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self.write_series(a, values_a)
+        self.write_series(b, values_b)
+        for argv in (["compare", str(a), str(b)], ["compare", str(a), str(b), "--normalize"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {a} and {b} have {len(values_a)} and {len(values_b)} bins: "
+                "a comparison needs the same number of bins, at least 2\n"
+            )
+
     def test_unnormalized_inputs_fail_without_flag(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         self.write_series(a, [3.0, 1.0])
@@ -393,6 +410,65 @@ class TestEnvironment:
         subprocess.run(
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True
         )
+
+
+def config_options(command):
+    """(key, option) for every option of `command` that a config file may set."""
+    parser = parse_args([command]).parser
+    return [
+        (a.dest, a) for a in parser._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    ]
+
+
+CONFIG_OPTIONS = [(c, key) for c in ("extract", "analyze") for key, _ in config_options(c)]
+
+
+def two_values(option):
+    """Two spellings that `option` reads as different values, neither its default."""
+    if option.choices:
+        return [c for c in option.choices if c != option.default][:2]
+    return {int: ["7", "3"], float: ["2.5", "0.75"], None: ["a/b", "c/d"]}[option.type]
+
+
+@pytest.mark.parametrize("command, key", CONFIG_OPTIONS)
+class TestConfigKeysAreOptions:
+    """A config key is its option's name, read as the option reads it."""
+
+    def test_config_value_parses_as_its_flag(self, tmp_path, command, key):
+        option = dict(config_options(command))[key]
+        flag = option.option_strings[0]
+        cfg = tmp_path / "pipeline.cfg"
+        if option.nargs == 0:
+            cfg.write_text(f"{key} = true\n")
+            flag_argv = [flag]
+        else:
+            raw = two_values(option)[0]
+            cfg.write_text(f"{key} = {raw}\n")
+            flag_argv = [flag, raw]
+        from_file = getattr(parse_args([command, "--config", str(cfg)]), key)
+        from_flag = getattr(parse_args([command] + flag_argv), key)
+        assert from_file == from_flag != option.default
+        assert type(from_file) is type(from_flag)
+
+    def test_flag_beats_config_even_at_its_default(self, tmp_path, command, key):
+        option = dict(config_options(command))[key]
+        flag = option.option_strings[0]
+        cfg = tmp_path / "pipeline.cfg"
+        if option.nargs == 0:
+            cfg.write_text(f"{key} = false\n")
+            flag_argv = [flag]
+        else:
+            file_raw, other = two_values(option)
+            cfg.write_text(f"{key} = {file_raw}\n")
+            flag_argv = [flag, other if option.default is None else str(option.default)]
+        expected = getattr(parse_args([command] + flag_argv), key)
+        assert getattr(parse_args([command, "--config", str(cfg)]), key) != expected
+        for argv in (
+            [command, "--config", str(cfg)] + flag_argv,
+            [command] + flag_argv + ["--config", str(cfg)],
+        ):
+            assert getattr(parse_args(argv), key) == expected
 
 
 # A synth config whose only fault is the key spliced in after its OD weights.
@@ -458,9 +534,63 @@ class TestBadConfiguration:
         [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
          ("0", False), ("False", False), ("NO", False), ("Off", False)],
     )
-    def test_config_booleans_in_any_case(self, raw, value):
-        args = argparse.Namespace(config="pipeline.cfg", include_intra=None)
-        assert _merged(args, {"include_intra": raw}, "include_intra", None, bool) is value
+    def test_config_booleans_in_any_case(self, tmp_path, raw, value, capsys):
+        # One inter-zone and one intra-zone displacement: only include_intra
+        # puts the second into the OD matrix.
+        disp = tmp_path / "displacements.csv"
+        disp.write_text(DISPLACEMENT_HEADER + "".join(
+            f"u1,40.1,-73.9,40.1,-73.6,2014-08-04T1{h}:00:00Z,2014-08-04T1{h}:30:00Z,1800.0,"
+            f"25000.0,alpha,{dest},2014-08-04T1{h}:15:00Z\n"
+            for h, dest in enumerate(["beta", "alpha"])
+        ))
+        (tmp_path / "users.csv").write_text("user_id,tweet_count\nu1,200\n")
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(f"include_intra = {raw}\n")
+        argv = ["analyze", "--displacements", str(disp), "--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "an")]) == 0
+        assert f"displacements in OD: {2 if value else 1}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("extract", "min_tweet"), ("analyze", "min_tweets"), ("extract", "focal_zone"),
+         ("analyze", "config")],
+        ids=["misspelt", "extract-key-in-analyze", "analyze-key-in-extract", "config"],
+    )
+    def test_unknown_config_key_is_config_error(self, tmp_path, inputs, command, key, capsys):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(f"# the next line names no option of {command}\n{key} = 1\n")
+        out = tmp_path / "out"
+        assert main(inputs[command] + ["--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: unknown key '{key}'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, body, reason",
+        [
+            ("pipeline.cfg", b"tz = Europe/Z\xfcrich\n", "byte 0xfc: invalid start byte"),
+            (
+                "synth.json",
+                b'{"zones": "zones.geojson", "tz": "Europe/Z\xfcrich"}',
+                "byte 0xfc: invalid start byte",
+            ),
+            (
+                "bad.geojson",
+                b'{"type": "FeatureCollection", "name": "caf\xe9", "features": []}',
+                "byte 0xe9: invalid continuation byte",
+            ),
+        ],
+        ids=["extract-config", "synth-config", "zones"],
+    )
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, inputs, name, body, reason, capsys):
+        path = tmp_path / name
+        path.write_bytes(body)
+        argv = {
+            "pipeline.cfg": inputs["extract"] + ["--config", str(path)],
+            "synth.json": ["synth", "--config", str(path)],
+            "bad.geojson": inputs["extract"] + ["--zones", str(path)],
+        }[name]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path} is not UTF-8: {reason}\n"
 
     def test_nan_max_speed_is_rejected(self, tmp_path, inputs, capsys):
         argv = inputs["extract"] + ["--max-speed-mph", "nan", "--out", str(tmp_path / "out")]
@@ -554,30 +684,39 @@ class TestBadConfiguration:
             # right type, out of range
             (
                 VALID_SYNTH % '"tweet_alpha": 0',
-                "tweet_alpha = 0 is out of range: must be finite and > 0",
+                "{path}: tweet_alpha = 0 is out of range: must be finite and > 0",
             ),
             (
                 VALID_SYNTH % '"gps_noise_sigma": NaN',
-                "gps_noise_sigma = nan is out of range: must be finite and >= 0",
+                "{path}: gps_noise_sigma = nan is out of range: must be finite and >= 0",
             ),
-            (VALID_SYNTH % '"n_agents": -1', "n_agents = -1 is out of range: must be >= 1"),
-            (VALID_SYNTH % '"tweet_cap": 0', "tweet_cap = 0 is out of range: must be >= 1"),
+            (VALID_SYNTH % '"n_agents": -1', "{path}: n_agents = -1 is out of range: must be >= 1"),
+            (VALID_SYNTH % '"tweet_cap": 0', "{path}: tweet_cap = 0 is out of range: must be >= 1"),
             (
                 VALID_SYNTH % '"trip_fraction": 2.0',
-                "trip_fraction = 2.0 is out of range: must be in [0, 1]",
+                "{path}: trip_fraction = 2.0 is out of range: must be in [0, 1]",
             ),
             (
                 VALID_SYNTH % '"time_window": -5.0',
-                "time_window = -5.0 is out of range: must be finite and > 0",
+                "{path}: time_window = -5.0 is out of range: must be finite and > 0",
             ),
             (
                 VALID_SYNTH % '"max_speed": Infinity',
-                "max_speed = inf is out of range: must be finite and > 0",
+                "{path}: max_speed = inf is out of range: must be finite and > 0",
             ),
-            (VALID_SYNTH % '"tweet_floor": -1', "tweet_floor = -1 is out of range: must be >= 0"),
+            (VALID_SYNTH % '"tweet_floor": -1', "{path}: tweet_floor = -1 is out of range: must be >= 0"),
             (
                 VALID_SYNTH % '"gps_noise_sigma": Infinity',
-                "gps_noise_sigma = inf is out of range: must be finite and >= 0",
+                "{path}: gps_noise_sigma = inf is out of range: must be finite and >= 0",
+            ),
+            ('{"seed": 1}', "{path}: synth config needs a 'zones' GeoJSON path"),
+            (
+                '{"zones": "zones.geojson", "od_weights": {"alpha": {"beta": 0.5}}}',
+                "{path}: od_weights must sum to 1, got 0.5",
+            ),
+            (
+                '{"zones": "zones.geojson", "od_weights": {"alpha": {"nowhere": 1}}}',
+                "{path}: od_weights references unknown zone in (alpha, nowhere)",
             ),
         ],
         ids=[
@@ -585,7 +724,7 @@ class TestBadConfiguration:
             "seed-bool", "noise-string", "period-garbage", "od-weight-string", "od-weights-list",
             "schedule-number", "unknown-tz", "alpha-zero", "noise-nan", "agents-negative",
             "cap-zero", "trip-fraction-two", "window-negative", "speed-infinite", "floor-negative",
-            "noise-infinite",
+            "noise-infinite", "no-zones", "od-weights-sum", "od-weights-unknown-zone",
         ],
     )
     def test_malformed_synth_config_is_config_error(
