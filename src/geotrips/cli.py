@@ -146,7 +146,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(USERS_COLUMNS)
         for uid in sorted(timelines):
-            writer.writerow([uid, len(timelines[uid].records)])
+            writer.writerow([uid, len(timelines[uid])])
     timings["write"] = time.perf_counter() - t0
 
     # Timings go to a separate file so report.json stays byte-identical
@@ -296,6 +296,11 @@ def _parse_synth_config(path: str) -> synthgen.SynthConfig:
             raise ConfigError(not_utf8(path, exc)) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: synth config is not a JSON object")
+    fields = [f for f in dataclasses.fields(synthgen.SynthConfig) if f.name != "zone_map"]
+    known = {"zones", *(f.name for f in fields)}
+    unknown = next((key for key in doc if key not in known), None)
+    if unknown is not None:
+        raise ConfigError(f"{path}: unknown key {unknown!r}")
     zones_path = doc.get("zones")
     if not zones_path:
         raise ConfigError(f"{path}: synth config needs a 'zones' GeoJSON path")
@@ -313,8 +318,8 @@ def _parse_synth_config(path: str) -> synthgen.SynthConfig:
     }
     kwargs = {
         f.name: _synth_value(path, f.name, doc[f.name], f.default)
-        for f in dataclasses.fields(synthgen.SynthConfig)
-        if f.name in doc and f.name not in ("zone_map", "od_weights")
+        for f in fields
+        if f.name in doc and f.name != "od_weights"
     }
     try:
         return synthgen.SynthConfig(zone_map=zs, od_weights=od_weights, **kwargs)

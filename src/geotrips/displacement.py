@@ -18,7 +18,14 @@ from typing import IO, Iterable
 
 from .errors import ValidationError
 from .geometry import GeoPoint, haversine_m
-from .records import TweetRecord, UserTimeline, _parse_utc, format_timestamp, read_table
+from .records import (
+    TweetRecord,
+    UserTimeline,
+    _parse_utc,
+    format_timestamp,
+    from_epoch_us,
+    read_table,
+)
 from .zones import EXTERNAL, ZoneSet
 
 MPH_TO_MPS = 0.44704
@@ -100,9 +107,17 @@ class RunReport:
             self.users_total == self.users_retained + self.users_dropped,
             self.displacements_total
             == self.displacements_inter_zone + self.displacements_intra_zone,
+            self.displacements_external_touching <= self.displacements_total,
+            self.travelers <= self.displacements_total,
             self.travelers <= self.users_retained,
             self.speed_removed_records <= self.records_in_retained_timelines,
         ]
+        if self.lines_read > 0:  # the parse fields are filled in (a library caller leaves them 0)
+            kept = self.parsed_records - self.duplicates_removed
+            checks += [
+                self.duplicates_removed <= self.parsed_records,
+                self.records_in_retained_timelines <= kept,
+            ]
         if not all(checks):
             raise ValidationError(f"inconsistent run report: {self}")
 
@@ -116,9 +131,7 @@ def filter_active_users(
     timelines: dict[str, UserTimeline], cfg: FilterConfig
 ) -> dict[str, UserTimeline]:
     """Keep users with at least `min_tweets` records (inclusive threshold)."""
-    return {
-        uid: tl for uid, tl in timelines.items() if len(tl.records) >= cfg.min_tweets
-    }
+    return {uid: tl for uid, tl in timelines.items() if len(tl) >= cfg.min_tweets}
 
 
 def remove_speed_violations(
@@ -130,28 +143,29 @@ def remove_speed_violations(
     record) exceeds `max_speed` the later record is removed and the scan
     re-evaluates the survivor against the following record.  A zero time
     gap counts as infinite speed when the points are farther apart than
-    `min_displacement_distance`.
+    `min_displacement_distance`.  Returns the surviving timeline and the
+    removed records, as `UserTimeline.records` shows them.
     """
-    recs = tl.records
-    if len(recs) < 2:
+    times, lats, lons = tl.times, tl.lats, tl.lons
+    if len(times) < 2:
         return tl, []
-    kept = [recs[0]]
+    kept = [0]
     removed: list[TweetRecord] = []
     max_speed = cfg.max_speed
     min_dist = cfg.min_displacement_distance
-    for r in recs[1:]:
-        prev = kept[-1]
-        dt = (r.timestamp - prev.timestamp).total_seconds()
-        dist = haversine_m(prev.lat, prev.lon, r.lat, r.lon)
+    for i in range(1, len(times)):
+        p = kept[-1]
+        dt = (times[i] - times[p]) / 1_000_000
+        dist = haversine_m(lats[p], lons[p], lats[i], lons[i])
         if dt <= 0.0:
             violates = dist > min_dist
         else:
             violates = dist / dt > max_speed
         if violates:
-            removed.append(r)
+            removed.append(TweetRecord(tl.user_id, lats[i], lons[i], from_epoch_us(times[i])))
         else:
-            kept.append(r)
-    return UserTimeline(tl.user_id, tuple(kept)), removed
+            kept.append(i)
+    return tl.take(kept), removed
 
 
 def extract_displacements(tl: UserTimeline, cfg: FilterConfig) -> list[Displacement]:
@@ -162,23 +176,24 @@ def extract_displacements(tl: UserTimeline, cfg: FilterConfig) -> list[Displacem
     one displacement and start the next.
     """
     out: list[Displacement] = []
-    recs = tl.records
+    times, lats, lons = tl.times, tl.lats, tl.lons
     window = cfg.time_window
     min_dist = cfg.min_displacement_distance
-    for a, b in zip(recs, recs[1:]):
-        dt = (b.timestamp - a.timestamp).total_seconds()
+    for a in range(len(times) - 1):
+        b = a + 1
+        dt = (times[b] - times[a]) / 1_000_000
         if not 0.0 < dt <= window:
             continue
-        dist = haversine_m(a.lat, a.lon, b.lat, b.lon)
+        dist = haversine_m(lats[a], lons[a], lats[b], lons[b])
         if dist < min_dist:
             continue
         out.append(
             Displacement(
                 user_id=tl.user_id,
-                origin=GeoPoint(a.lat, a.lon),
-                destination=GeoPoint(b.lat, b.lon),
-                start_time=a.timestamp,
-                end_time=b.timestamp,
+                origin=GeoPoint(lats[a], lons[a]),
+                destination=GeoPoint(lats[b], lons[b]),
+                start_time=from_epoch_us(times[a]),
+                end_time=from_epoch_us(times[b]),
                 duration=dt,
                 distance=dist,
             )
@@ -212,12 +227,13 @@ def _scan_user(
 ) -> tuple[list[Displacement], int]:
     """One pass over a non-empty timeline: speed filter, pairing and labeling.
 
-    The scan keeps the previous survivor.  Each record is tested against it
-    with the rule of `remove_speed_violations`; a kept record forms with it
+    The scan keeps the previous survivor.  Each row is tested against it
+    with the rule of `remove_speed_violations`; a kept row forms with it
     exactly the consecutive pair `extract_displacements` sees next, so the
     same gap and distance decide the window and distance tests, and the
     displacement is built once, labeled as `label_displacement` labels it.
-    Returns the user's displacements and the number of records removed.
+    Datetimes are built only for a displacement's start, end and crossing.
+    Returns the user's displacements and the number of rows removed.
     """
     uid = tl.user_id
     label = zs.label_point
@@ -226,11 +242,11 @@ def _scan_user(
     min_dist = cfg.min_displacement_distance
     out: list[Displacement] = []
     removed = 0
-    recs = tl.records
-    prev = recs[0]
-    for r in recs[1:]:
-        dt = (r.timestamp - prev.timestamp).total_seconds()
-        dist = haversine_m(prev.lat, prev.lon, r.lat, r.lon)
+    rows = zip(tl.times, tl.lats, tl.lons)
+    p_t, p_lat, p_lon = next(rows)
+    for t, lat, lon in rows:
+        dt = (t - p_t) / 1_000_000
+        dist = haversine_m(p_lat, p_lon, lat, lon)
         if dt <= 0.0:
             violates = dist > min_dist
         else:
@@ -239,22 +255,22 @@ def _scan_user(
             removed += 1
             continue
         if 0.0 < dt <= window and dist >= min_dist:
-            origin = GeoPoint(prev.lat, prev.lon)
-            destination = GeoPoint(r.lat, r.lon)
+            origin = GeoPoint(p_lat, p_lon)
+            destination = GeoPoint(lat, lon)
             origin_zone = label(origin)
             dest_zone = label(destination)
-            start = prev.timestamp
+            start = from_epoch_us(p_t)
             if origin_zone != dest_zone:
                 crossing = start + timedelta(seconds=dt / 2.0)
             else:
                 crossing = start
             out.append(
                 Displacement(
-                    uid, origin, destination, start, r.timestamp, dt, dist,
+                    uid, origin, destination, start, from_epoch_us(t), dt, dist,
                     origin_zone, dest_zone, crossing,
                 )
             )
-        prev = r
+        p_t, p_lat, p_lon = t, lat, lon
     return out, removed
 
 
@@ -277,7 +293,7 @@ def run_extraction(
     active = filter_active_users(timelines, cfg)
     report.users_retained = len(active)
     report.users_dropped = report.users_total - report.users_retained
-    report.records_in_retained_timelines = sum(len(tl.records) for tl in active.values())
+    report.records_in_retained_timelines = sum(len(tl) for tl in active.values())
 
     displacements: list[Displacement] = []
     for uid in sorted(active):

@@ -13,15 +13,19 @@ import io
 import json
 import math
 import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime, timezone, tzinfo
+from datetime import datetime, timedelta, timezone, tzinfo
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .errors import FormatMismatchError, ValidationError, not_utf8
 
 CSV_COLUMNS = ("user_id", "lat", "lon", "timestamp", "text")
 LEGACY_TIMESTAMP_FORMAT = "%m/%d/%Y %H:%M"
+#: The instant a timeline's `times` count from, in microseconds.
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 T = TypeVar("T")
 
@@ -41,10 +45,63 @@ class RejectedLine:
     reason: str
 
 
-@dataclass(frozen=True)
+def to_epoch_us(dt: datetime) -> int:
+    """An aware datetime as whole microseconds since `EPOCH`; exact."""
+    return (dt - EPOCH) // _MICROSECOND
+
+
+def from_epoch_us(t: int) -> datetime:
+    """The `timezone.utc` datetime `t` microseconds after `EPOCH`."""
+    return EPOCH + timedelta(microseconds=t)
+
+
+@dataclass(frozen=True, slots=True)
 class UserTimeline:
+    """One user's records in time order, as three parallel columns.
+
+    `times` holds UTC epoch microseconds (`array('q')`), `lats` and `lons`
+    the coordinates (`array('d')`); row `i` is one record.  A gap between
+    two rows in seconds is `(t1 - t0) / 1_000_000`, which equals
+    `timedelta.total_seconds()` of the two datetimes.  No text is kept.
+    """
+
     user_id: str
-    records: tuple[TweetRecord, ...]
+    times: array
+    lats: array
+    lons: array
+
+    @classmethod
+    def from_records(cls, user_id: str, records: Iterable[TweetRecord]) -> UserTimeline:
+        """The timeline of `records`, taken in the order given."""
+        recs = list(records)
+        return cls(
+            user_id,
+            array("q", [to_epoch_us(r.timestamp) for r in recs]),
+            array("d", [r.lat for r in recs]),
+            array("d", [r.lon for r in recs]),
+        )
+
+    def take(self, rows: list[int]) -> UserTimeline:
+        """The timeline of `rows`, in that order, in fresh, exactly sized arrays."""
+        return UserTimeline(
+            self.user_id,
+            array("q", list(map(self.times.__getitem__, rows))),
+            array("d", list(map(self.lats.__getitem__, rows))),
+            array("d", list(map(self.lons.__getitem__, rows))),
+        )
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    @property
+    def records(self) -> tuple[TweetRecord, ...]:
+        """The rows as `TweetRecord`s with empty `text`, built on each access.
+        A view for library callers; the pipeline reads the columns."""
+        uid = self.user_id
+        return tuple(
+            TweetRecord(uid, lat, lon, from_epoch_us(t))
+            for t, lat, lon in zip(self.times, self.lats, self.lons)
+        )
 
 
 @dataclass
@@ -208,17 +265,17 @@ def _raw_rows(lines: Iterable[str], format: str, rejects: list[RejectedLine]) ->
         raise ValueError(f"unknown format {format!r}")
 
 
-def _valid_records(
+def _valid_rows(
     lines: Iterable[str], format: str, legacy_tz: tzinfo | None, rejects: list[RejectedLine]
-) -> Iterator[TweetRecord]:
-    """The row validator: yield each valid record in input order, append a
-    `RejectedLine` for each bad line, and raise `FormatMismatchError` at the
-    end if more than half of the data lines were rejected, or at a byte
-    that is not UTF-8.
+) -> Iterator[tuple]:
+    """The row validator: yield `(user_id, lat, lon, timestamp, text)` for
+    each valid record in input order, append a `RejectedLine` for each bad
+    line, and raise `FormatMismatchError` at the end if more than half of
+    the data lines were rejected, or at a byte that is not UTF-8.
 
-    Every data line either yields a record or is rejected, so the caller
-    gets `lines_read` as records yielded plus rejects.  User ids are
-    interned: a user's records share one string.
+    `timestamp` is an aware UTC datetime; `text` is as read (a JSON line's
+    may be any value, or None).  Every data line either yields a row or is
+    rejected, so the caller gets `lines_read` as rows yielded plus rejects.
     """
     parsed = 0
     try:
@@ -242,9 +299,7 @@ def _valid_records(
                 rejects.append(RejectedLine(lineno, str(exc)))
                 continue
             parsed += 1
-            yield TweetRecord(
-                sys.intern(user_id), lat, lon, ts, "" if text is None else str(text)
-            )
+            yield user_id, lat, lon, ts, text
     except UnicodeDecodeError as exc:
         raise FormatMismatchError(not_utf8("input", exc)) from None
     lines_read = parsed + len(rejects)
@@ -267,7 +322,11 @@ def parse_records(
     """
     rejects: list[RejectedLine] = []
     with _open_lines(source) as lines:
-        records = list(_valid_records(lines, format, legacy_tz, rejects))
+        # User ids are interned: a user's records share one string.
+        records = [
+            TweetRecord(sys.intern(uid), lat, lon, ts, "" if text is None else str(text))
+            for uid, lat, lon, ts, text in _valid_rows(lines, format, legacy_tz, rejects)
+        ]
     return ParseResult(records, rejects, len(records) + len(rejects))
 
 
@@ -319,7 +378,7 @@ def build_timelines(records: Iterable[TweetRecord]) -> dict[str, UserTimeline]:
     for r in records:
         by_user.setdefault(r.user_id, []).append(r)
     return {
-        uid: UserTimeline(uid, tuple(sorted(recs, key=_by_timestamp)))
+        uid: UserTimeline.from_records(uid, sorted(recs, key=_by_timestamp))
         for uid, recs in by_user.items()
     }
 
@@ -342,45 +401,51 @@ def load_timelines(
 ) -> Ingest:
     """Parse, deduplicate and build timelines in one pass over the input.
 
-    Each valid record goes straight onto its user's list.  Each list is then
-    stable-sorted by timestamp, and inside each run of equal timestamps only
-    the first record per `(lat, lon)` in input order is kept.  Timelines,
-    rejects and counts are those of
+    Each valid record goes straight onto its user's three columns: the
+    timestamp as epoch microseconds (the parsed datetime is then dropped),
+    the latitude and the longitude.  No `TweetRecord` is built and `text`
+    is not kept.  Then, one user at a time, the rows are stable-sorted by
+    time, and inside each run of equal times only the first row per
+    `(lat, lon)` in input order is kept; the kept rows go into fresh
+    arrays.  Timelines, rejects and counts are those of
     `build_timelines(dedupe_records(parse_records(...).records)[0])`, since a
     duplicate shares the user and instant of the record it repeats.
     """
     rejects: list[RejectedLine] = []
-    by_user: dict[str, list[TweetRecord]] = {}
+    columns: dict[str, tuple[array, array, array]] = {}
     with _open_lines(source) as lines:
-        for r in _valid_records(lines, format, legacy_tz, rejects):
-            recs = by_user.get(r.user_id)
-            if recs is None:
-                by_user[r.user_id] = [r]
-            else:
-                recs.append(r)
+        for uid, lat, lon, ts, _ in _valid_rows(lines, format, legacy_tz, rejects):
+            cols = columns.get(uid)
+            if cols is None:
+                cols = columns[uid] = (array("q"), array("d"), array("d"))
+            cols[0].append(to_epoch_us(ts))
+            cols[1].append(lat)
+            cols[2].append(lon)
 
     timelines: dict[str, UserTimeline] = {}
     parsed = duplicates = 0
-    for uid, recs in by_user.items():
-        parsed += len(recs)
-        recs.sort(key=_by_timestamp)
+    # Popping each user's raw columns frees them once their kept rows are copied.
+    for uid in list(columns):
+        times, lats, lons = columns.pop(uid)
+        parsed += len(times)
         kept = []
-        run_ts = None
-        run_coords = None  # (lat, lon) pairs of the run, built once it has two records
-        for r in recs:
-            if r.timestamp != run_ts:
-                run_ts = r.timestamp
+        run_t = None
+        run_coords = None  # (lat, lon) pairs of the run, built once it has two rows
+        for i in sorted(range(len(times)), key=times.__getitem__):
+            t = times[i]
+            if t != run_t:
+                run_t = t
                 run_coords = None
-                kept.append(r)
+                kept.append(i)
                 continue
-            coord = (r.lat, r.lon)
+            coord = (lats[i], lons[i])
             if run_coords is None:
                 first = kept[-1]
-                run_coords = {(first.lat, first.lon)}
+                run_coords = {(lats[first], lons[first])}
             if coord in run_coords:
                 duplicates += 1
             else:
                 run_coords.add(coord)
-                kept.append(r)
-        timelines[uid] = UserTimeline(uid, tuple(kept))
+                kept.append(i)
+        timelines[uid] = UserTimeline(uid, times, lats, lons).take(kept)
     return Ingest(timelines, rejects, parsed + len(rejects), parsed, duplicates)

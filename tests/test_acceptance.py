@@ -142,7 +142,7 @@ def test_criterion_04_displacement_pairing_oracle():
             )
             for t in times
         )
-        tl = UserTimeline("u", recs)
+        tl = UserTimeline.from_records("u", recs)
         got = extract_displacements(tl, cfg)
         expected = []
         for a, b in zip(recs, recs[1:]):

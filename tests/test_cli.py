@@ -718,6 +718,10 @@ class TestBadConfiguration:
                 '{"zones": "zones.geojson", "od_weights": {"alpha": {"nowhere": 1}}}',
                 "{path}: od_weights references unknown zone in (alpha, nowhere)",
             ),
+            # a key that is no setting: not ignored, even where its value is fine
+            (VALID_SYNTH % '"n_agent": 3', "{path}: unknown key 'n_agent'"),
+            (VALID_SYNTH % '"zone_map": "zones.geojson"', "{path}: unknown key 'zone_map'"),
+            ('{"seed": 1, "Seed": 2}', "{path}: unknown key 'Seed'"),
         ],
         ids=[
             "syntax", "not-an-object", "zones-number", "n-agents-string", "seed-string",
@@ -725,6 +729,7 @@ class TestBadConfiguration:
             "schedule-number", "unknown-tz", "alpha-zero", "noise-nan", "agents-negative",
             "cap-zero", "trip-fraction-two", "window-negative", "speed-infinite", "floor-negative",
             "noise-infinite", "no-zones", "od-weights-sum", "od-weights-unknown-zone",
+            "unknown-key", "zone-map-key", "unknown-key-before-zones",
         ],
     )
     def test_malformed_synth_config_is_config_error(

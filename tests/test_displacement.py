@@ -32,7 +32,7 @@ def rec(minutes=0.0, lat=40.1, lon=-73.9, user="u1"):
 
 def timeline(*records):
     uid = records[0].user_id if records else "u1"
-    return UserTimeline(uid, tuple(sorted(records, key=lambda r: r.timestamp)))
+    return UserTimeline.from_records(uid, sorted(records, key=lambda r: r.timestamp))
 
 
 class TestFilterConfig:
@@ -332,7 +332,7 @@ class TestFusedScan:
             for gap_us, site in steps:
                 t += timedelta(microseconds=gap_us)
                 recs.append(TweetRecord(uid, *SITES[site], t, ""))
-            timelines[uid] = UserTimeline(uid, tuple(recs))
+            timelines[uid] = UserTimeline.from_records(uid, recs)
         got, report = run_extraction(timelines, FUSED_ZONES, FUSED_CFG)
         expected, removed = stage_composition(timelines, FUSED_ZONES, FUSED_CFG)
         assert got == expected
@@ -355,6 +355,37 @@ class TestRunReport:
         r = RunReport(lines_read=10, parsed_records=5, rejected_lines=4)
         with pytest.raises(ValidationError):
             r.validate()
+
+    # A balanced report: 10 lines, 2 rejected, 1 duplicate, 6 of the 7 kept
+    # records in 2 retained users' timelines, 2 removed for speed, 3
+    # displacements (1 touching EXTERNAL) by 2 travelers.
+    BALANCED = dict(
+        lines_read=10, rejected_lines=2, parsed_records=8, duplicates_removed=1,
+        users_total=3, users_retained=2, users_dropped=1, records_in_retained_timelines=6,
+        speed_removed_records=2, displacements_total=3, displacements_inter_zone=2,
+        displacements_intra_zone=1, displacements_external_touching=1, travelers=2,
+    )
+
+    def test_balanced_report_validates(self):
+        RunReport(**self.BALANCED).validate()
+        # A library caller of run_extraction leaves the parse fields at zero.
+        RunReport(**{**self.BALANCED, "lines_read": 0, "rejected_lines": 0,
+                     "parsed_records": 0, "duplicates_removed": 0}).validate()
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"displacements_external_touching": 4},
+            {"travelers": 4, "users_retained": 5, "users_total": 6, "users_dropped": 1},
+            {"duplicates_removed": 9},  # also leaves fewer kept records than retained ones
+            {"records_in_retained_timelines": 8},
+        ],
+        ids=["external-above-total", "travelers-above-displacements",
+             "duplicates-above-parsed", "retained-above-kept"],
+    )
+    def test_validate_catches_broken_conservation(self, changes):
+        with pytest.raises(ValidationError, match="inconsistent run report"):
+            RunReport(**{**self.BALANCED, **changes}).validate()
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import time
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
@@ -13,8 +14,10 @@ from geotrips.analytics import read_series_csv
 from geotrips.cli import _profiles_from
 from geotrips.displacement import (
     Displacement,
+    FilterConfig,
     read_displacements_csv,
     read_od_rows,
+    run_extraction,
     write_displacements_csv,
 )
 from geotrips.errors import FormatMismatchError, ValidationError
@@ -25,13 +28,15 @@ from geotrips.records import (
     build_timelines,
     dedupe_records,
     format_timestamp,
+    from_epoch_us,
     load_timelines,
     parse_records,
     parse_timestamp,
     read_table,
+    to_epoch_us,
     write_records_csv,
 )
-from geotrips.synthgen import read_ground_truth_csv
+from geotrips.synthgen import SynthConfig, generate, read_ground_truth_csv
 
 HEADER = "user_id,lat,lon,timestamp,text\n"
 
@@ -191,6 +196,67 @@ class TestFastTimestamp:
         assert _parse_utc("8/2/2014 21:58", tz) == parse_timestamp("8/2/2014 21:58", tz)
 
 
+# Wall-clock instants whose UTC form stays inside years 1-9999 for any
+# offset below 24 h.
+WALL_CLOCKS = st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30))
+LEGACY_ZONES = ("UTC", "America/New_York", "Asia/Kolkata", "Pacific/Chatham")
+
+
+@st.composite
+def stamped_instants(draw):
+    """An instant parsed from a `Z`, a `+hh:mm`/`-hh:mm` or a legacy-timezone
+    string, with the string and the zone it was read in."""
+    wall = draw(WALL_CLOCKS)
+    form = draw(st.sampled_from(["Z", "offset", "legacy"]))
+    legacy_tz = None
+    if form == "Z":
+        raw = wall.isoformat() + "Z"
+    elif form == "offset":
+        minutes = draw(st.integers(-(24 * 60 - 1), 24 * 60 - 1))
+        sign = "-" if minutes < 0 else "+"
+        raw = f"{wall.isoformat()}{sign}{abs(minutes) // 60:02d}:{abs(minutes) % 60:02d}"
+    else:
+        legacy_tz = ZoneInfo(draw(st.sampled_from(LEGACY_ZONES)))
+        raw = f"{wall.month}/{wall.day}/{wall.year:04d} {wall.hour:02d}:{wall.minute:02d}"
+    return parse_timestamp(raw, legacy_tz)
+
+
+class TestEpochMicroseconds:
+    """A timeline's `times` stand in for the parsed datetimes without changing
+    any gap, written timestamp or crossing estimate."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        st.datetimes(
+            min_value=datetime(1, 1, 1),
+            max_value=datetime(9999, 12, 31, 23, 59, 59, 999_999),
+            timezones=st.just(timezone.utc),
+        )
+    )
+    @example(datetime(1, 1, 1, tzinfo=timezone.utc))
+    @example(datetime(9999, 12, 31, 23, 59, 59, 999_999, tzinfo=timezone.utc))
+    @example(datetime(1969, 12, 31, 23, 59, 59, 999_999, tzinfo=timezone.utc))
+    def test_round_trip_is_exact(self, d):
+        back = from_epoch_us(to_epoch_us(d))
+        assert back == d and back.tzinfo is timezone.utc
+        assert format_timestamp(back) == format_timestamp(d)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(stamped_instants(), stamped_instants())
+    def test_gap_written_time_and_crossing_match_datetimes(self, d0, d1):
+        t0, t1 = to_epoch_us(d0), to_epoch_us(d1)
+        dt = (t1 - t0) / 1_000_000
+        assert dt == (d1 - d0).total_seconds()
+        start = from_epoch_us(t0)
+        assert format_timestamp(start) == format_timestamp(d0)
+        assert format_timestamp(from_epoch_us(t1)) == format_timestamp(d1)
+        if dt > 0:
+            crossing = start + timedelta(seconds=dt / 2.0)
+            reference = d0 + timedelta(seconds=(d1 - d0).total_seconds() / 2.0)
+            assert crossing == reference
+            assert format_timestamp(crossing) == format_timestamp(reference)
+
+
 def make_record(user="u1", lat=40.9, lon=-73.9, ts="2014-08-02T21:58:00Z", text=""):
     return TweetRecord(user, lat, lon, parse_timestamp(ts), text)
 
@@ -267,7 +333,7 @@ class TestBuildTimelines:
         expected = sorted([a, b, c], key=lambda r: r.timestamp)  # stable oracle
         (tl,) = build_timelines([a, b, c]).values()
         assert list(tl.records) == expected
-        assert tl.records[1] is a and tl.records[2] is b
+        assert tl.records[1] == a and tl.records[2] == b
 
     @given(
         st.lists(
@@ -276,13 +342,14 @@ class TestBuildTimelines:
         )
     )
     def test_bijective_partition(self, rows):
+        # A timeline keeps no text, so each record's index is its longitude.
         recs = [
-            TweetRecord(u, 40.0, -74.0, datetime.fromtimestamp(t, timezone.utc), str(i))
+            TweetRecord(u, 40.0, float(i), datetime.fromtimestamp(t, timezone.utc))
             for i, (u, t) in enumerate(rows)
         ]
         tls = build_timelines(recs)
         flattened = [r for tl in tls.values() for r in tl.records]
-        assert sorted(r.text for r in flattened) == sorted(r.text for r in recs)
+        assert sorted(flattened, key=lambda r: r.lon) == recs
         for uid, tl in tls.items():
             assert all(r.user_id == uid for r in tl.records)
 
@@ -476,6 +543,51 @@ class TestLoadTimelines:
         # A pairwise scan of the run makes ~6M coordinate comparisons and takes
         # tens of times longer than the same records at distinct instants.
         assert best_of_3(one_instant) < 5 * best_of_3(distinct)
+
+
+class TestColumnarIngest:
+    @pytest.fixture
+    def corpus(self, tmp_path, four_zone_map):
+        """About 20k records of 100 agents, no agent above 1,000, and 500
+        repeated lines."""
+        recs, _ = generate(
+            SynthConfig(
+                seed=48, n_agents=100, zone_map=four_zone_map, anomaly_rate=0.01,
+                tweet_cap=1000, od_weights={("alpha", "beta"): 0.6, ("beta", "alpha"): 0.4},
+            )
+        )
+        path = tmp_path / "corpus.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_records_csv(recs + recs[:500], fh)
+        return str(path)
+
+    def test_ingest_peaks_under_48_bytes_per_kept_record(self, corpus):
+        # A timeline row is 24 bytes of array; a TweetRecord with its
+        # datetime and text took about 176 bytes.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ingest = load_timelines(corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = ingest.parsed_records - ingest.duplicates
+        assert ingest.duplicates == 500 and kept > 19_000
+        assert peak / kept < 48
+
+    def test_extract_path_builds_no_tweet_record(self, corpus, four_zone_map, monkeypatch):
+        expected = run_extraction(load_timelines(corpus).timelines, four_zone_map, FilterConfig())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a TweetRecord was built")
+
+        monkeypatch.setattr("geotrips.records.TweetRecord", refuse)
+        monkeypatch.setattr("geotrips.displacement.TweetRecord", refuse)
+        ingest = load_timelines(corpus)
+        for tl in ingest.timelines.values():
+            assert (tl.times.typecode, tl.lats.typecode, tl.lons.typecode) == ("q", "d", "d")
+        got = run_extraction(ingest.timelines, four_zone_map, FilterConfig())
+        assert got == expected and len(got[0]) > 0
 
 
 class TestReadTable:
