@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -12,15 +13,7 @@ import time
 from datetime import datetime, timezone
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
-from . import analytics, synthgen
-from .displacement import (
-    FilterConfig,
-    MPH_TO_MPS,
-    RunReport,
-    read_od_rows,
-    run_extraction,
-    write_displacements_csv,
-)
+from .displacement import FilterConfig, MPH_TO_MPS, RunReport, extract_to_csv, read_od_rows
 from .errors import ConfigError, GeotripsError, ValidationError, not_utf8
 from .records import load_timelines, read_table, write_records_csv, write_rejects_csv
 from .zones import load_zones
@@ -127,19 +120,28 @@ def cmd_extract(args: argparse.Namespace) -> int:
     zs = load_zones(zones_path)
     timings["zones"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    displacements, report = run_extraction(timelines, zs, cfg)
-    timings["extraction"] = time.perf_counter() - t0
+    # The rows are written as the scan finds them, under a temporary name that
+    # replaces displacements.csv only once the report validates: a failed run
+    # leaves no new product.
+    disp_path = os.path.join(out_dir, "displacements.csv")
+    part_path = disp_path + ".tmp"
+    try:
+        t0 = time.perf_counter()
+        with open(part_path, "w", encoding="utf-8", newline="") as fh:
+            report = extract_to_csv(timelines, zs, cfg, fh)
+        timings["extraction"] = time.perf_counter() - t0
 
-    report.lines_read = ingest.lines_read
-    report.rejected_lines = len(ingest.rejects)
-    report.parsed_records = ingest.parsed_records
-    report.duplicates_removed = ingest.duplicates
-    report.validate()
+        report.lines_read = ingest.lines_read
+        report.rejected_lines = len(ingest.rejects)
+        report.parsed_records = ingest.parsed_records
+        report.duplicates_removed = ingest.duplicates
+        report.validate()
+        os.replace(part_path, disp_path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part_path)
 
     t0 = time.perf_counter()
-    with open(os.path.join(out_dir, "displacements.csv"), "w", encoding="utf-8", newline="") as fh:
-        write_displacements_csv(displacements, fh)
     with open(os.path.join(out_dir, "rejects.csv"), "w", encoding="utf-8", newline="") as fh:
         write_rejects_csv(ingest.rejects, fh)
     with open(os.path.join(out_dir, "users.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -163,6 +165,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _profiles_from(disp_counts: dict[str, int], users_path: str) -> list[analytics.UserProfile]:
+    from . import analytics
+
     def profile(row: list[str]) -> analytics.UserProfile:
         return analytics.UserProfile(row[0], int(row[1]), disp_counts.get(row[0], 0))
 
@@ -170,6 +174,8 @@ def _profiles_from(disp_counts: dict[str, int], users_path: str) -> list[analyti
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import analytics
+
     disp_path, users_path, out_dir = args.displacements, args.users, args.out
     focal = args.focal_zone
     if disp_path is None:
@@ -231,6 +237,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import analytics
+
     labels_a, values_a = analytics.read_series_csv(args.series_a)
     labels_b, values_b = analytics.read_series_csv(args.series_b)
     for i, (a, b) in enumerate(zip(labels_a, labels_b)):
@@ -287,6 +295,8 @@ def _synth_value(path: str, key: str, value, default):
 
 
 def _parse_synth_config(path: str) -> synthgen.SynthConfig:
+    from . import synthgen
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -328,6 +338,8 @@ def _parse_synth_config(path: str) -> synthgen.SynthConfig:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synthgen
+
     cfg = _parse_synth_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)

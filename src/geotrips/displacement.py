@@ -14,7 +14,7 @@ import csv
 import dataclasses
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .errors import ValidationError
 from .geometry import GeoPoint, haversine_m
@@ -44,6 +44,15 @@ class FilterConfig:
                 raise ValidationError(f"FilterConfig.{name} must be strictly positive")
 
 
+#: A displacement's values in `DISPLACEMENT_COLUMNS` order, unformatted:
+#: ``(user_id, origin_lat, origin_lon, dest_lat, dest_lon, start, end,
+#: duration_s, distance_m, origin_zone, dest_zone, crossing)``.
+DisplacementFields = tuple[
+    str, float, float, float, float, datetime, datetime, float, float,
+    str | None, str | None, datetime | None,
+]
+
+
 @dataclass(frozen=True)
 class Displacement:
     user_id: str
@@ -68,6 +77,19 @@ class Displacement:
     @property
     def touches_external(self) -> bool:
         return EXTERNAL in (self.origin_zone, self.destination_zone)
+
+    def fields(self) -> DisplacementFields:
+        return (
+            self.user_id, self.origin.lat, self.origin.lon,
+            self.destination.lat, self.destination.lon, self.start_time, self.end_time,
+            self.duration, self.distance, self.origin_zone, self.destination_zone,
+            self.crossing_time_estimate,
+        )
+
+    @classmethod
+    def from_fields(cls, fields: DisplacementFields) -> Displacement:
+        uid, origin_lat, origin_lon, dest_lat, dest_lon, *rest = fields
+        return cls(uid, GeoPoint(origin_lat, origin_lon), GeoPoint(dest_lat, dest_lon), *rest)
 
 
 @dataclass
@@ -223,24 +245,24 @@ def label_displacement(d: Displacement, zs: ZoneSet) -> Displacement:
 
 
 def _scan_user(
-    tl: UserTimeline, zs: ZoneSet, cfg: FilterConfig
-) -> tuple[list[Displacement], int]:
+    tl: UserTimeline, zs: ZoneSet, cfg: FilterConfig, report: RunReport
+) -> Iterator[DisplacementFields]:
     """One pass over a non-empty timeline: speed filter, pairing and labeling.
 
     The scan keeps the previous survivor.  Each row is tested against it
     with the rule of `remove_speed_violations`; a kept row forms with it
     exactly the consecutive pair `extract_displacements` sees next, so the
-    same gap and distance decide the window and distance tests, and the
-    displacement is built once, labeled as `label_displacement` labels it.
-    Datetimes are built only for a displacement's start, end and crossing.
-    Returns the user's displacements and the number of rows removed.
+    same gap and distance decide the window and distance tests, and each
+    displacement's fields are yielded once, labeled as `label_displacement`
+    labels them.  Datetimes are built only for a displacement's start, end
+    and crossing.  The rows removed are added to
+    `report.speed_removed_records` once the user is done.
     """
     uid = tl.user_id
     label = zs.label_point
     max_speed = cfg.max_speed
     window = cfg.time_window
     min_dist = cfg.min_displacement_distance
-    out: list[Displacement] = []
     removed = 0
     rows = zip(tl.times, tl.lats, tl.lons)
     p_t, p_lat, p_lon = next(rows)
@@ -255,23 +277,56 @@ def _scan_user(
             removed += 1
             continue
         if 0.0 < dt <= window and dist >= min_dist:
-            origin = GeoPoint(p_lat, p_lon)
-            destination = GeoPoint(lat, lon)
-            origin_zone = label(origin)
-            dest_zone = label(destination)
+            origin_zone = label(GeoPoint(p_lat, p_lon))
+            dest_zone = label(GeoPoint(lat, lon))
             start = from_epoch_us(p_t)
             if origin_zone != dest_zone:
                 crossing = start + timedelta(seconds=dt / 2.0)
             else:
                 crossing = start
-            out.append(
-                Displacement(
-                    uid, origin, destination, start, from_epoch_us(t), dt, dist,
-                    origin_zone, dest_zone, crossing,
-                )
+            yield (
+                uid, p_lat, p_lon, lat, lon, start, from_epoch_us(t), dt, dist,
+                origin_zone, dest_zone, crossing,
             )
         p_t, p_lat, p_lon = t, lat, lon
-    return out, removed
+    report.speed_removed_records += removed
+
+
+def _scan(
+    timelines: dict[str, UserTimeline], zs: ZoneSet, cfg: FilterConfig, report: RunReport
+) -> Iterator[DisplacementFields]:
+    """Every displacement of the retained users, scanned once each.
+
+    Users come in sorted order and each user's displacements in time order,
+    so the sequence is canonical.  The walk fills `report`'s user and record
+    counts and tallies the displacements (total, inter-zone,
+    `EXTERNAL`-touching, travelers) as it yields them; the report is
+    complete once the iterator is exhausted.
+    """
+    report.users_total = len(timelines)
+    active = filter_active_users(timelines, cfg)
+    report.users_retained = len(active)
+    report.users_dropped = report.users_total - report.users_retained
+    report.records_in_retained_timelines = sum(len(tl) for tl in active.values())
+
+    total = inter = external = travelers = 0
+    for uid in sorted(active):
+        before = total
+        for fields in _scan_user(active[uid], zs, cfg, report):
+            total += 1
+            origin_zone, dest_zone = fields[9], fields[10]
+            if origin_zone != dest_zone:
+                inter += 1
+            if EXTERNAL in (origin_zone, dest_zone):
+                external += 1
+            yield fields
+        if total > before:
+            travelers += 1
+    report.displacements_total = total
+    report.displacements_inter_zone = inter
+    report.displacements_intra_zone = total - inter
+    report.displacements_external_touching = external
+    report.travelers = travelers
 
 
 def run_extraction(
@@ -282,35 +337,30 @@ def run_extraction(
 ) -> tuple[list[Displacement], RunReport]:
     """Run the per-user pipeline over all timelines.
 
-    Each retained user's timeline is scanned once (`_scan_user`); the result
-    equals `label_displacement` over `extract_displacements` over
-    `remove_speed_violations`, user by user.  Users are processed in sorted
-    order and each user's displacements come out time-ordered, so the result
-    is canonical.  `workers` is accepted and ignored: extraction is serial.
+    Each retained user's timeline is scanned once; the result equals
+    `label_displacement` over `extract_displacements` over
+    `remove_speed_violations`, user by user, with users in sorted order and
+    each user's displacements in time order.  `extract_to_csv` writes the
+    same displacements as rows without building them.  `workers` is accepted
+    and ignored: extraction is serial.
     """
     report = RunReport()
-    report.users_total = len(timelines)
-    active = filter_active_users(timelines, cfg)
-    report.users_retained = len(active)
-    report.users_dropped = report.users_total - report.users_retained
-    report.records_in_retained_timelines = sum(len(tl) for tl in active.values())
-
-    displacements: list[Displacement] = []
-    for uid in sorted(active):
-        disps, removed = _scan_user(active[uid], zs, cfg)
-        displacements.extend(disps)
-        report.speed_removed_records += removed
-
-    report.displacements_total = len(displacements)
-    report.displacements_inter_zone = sum(1 for d in displacements if d.is_inter_zone)
-    report.displacements_intra_zone = (
-        report.displacements_total - report.displacements_inter_zone
-    )
-    report.displacements_external_touching = sum(
-        1 for d in displacements if d.touches_external
-    )
-    report.travelers = len({d.user_id for d in displacements})
+    displacements = [Displacement.from_fields(f) for f in _scan(timelines, zs, cfg, report)]
     return displacements, report
+
+
+def extract_to_csv(
+    timelines: dict[str, UserTimeline], zs: ZoneSet, cfg: FilterConfig, fh: IO[str]
+) -> RunReport:
+    """`run_extraction`, writing each displacement to `fh` as a CSV row as soon
+    as the scan finds it; returns the report.
+
+    No `Displacement` is built or held: what is written equals
+    `write_displacements_csv(run_extraction(...)[0], fh)` byte for byte.
+    """
+    report = RunReport()
+    _write_rows(_scan(timelines, zs, cfg, report), fh)
+    return report
 
 
 DISPLACEMENT_COLUMNS = (
@@ -329,26 +379,33 @@ DISPLACEMENT_COLUMNS = (
 )
 
 
-def write_displacements_csv(displacements: Iterable[Displacement], fh: IO[str]) -> None:
+def _format_fields(fields: DisplacementFields) -> tuple[str, ...]:
+    (uid, origin_lat, origin_lon, dest_lat, dest_lon, start, end, duration, distance,
+     origin_zone, dest_zone, crossing) = fields
+    return (
+        uid,
+        repr(origin_lat),
+        repr(origin_lon),
+        repr(dest_lat),
+        repr(dest_lon),
+        format_timestamp(start),
+        format_timestamp(end),
+        repr(duration),
+        repr(distance),
+        origin_zone or "",
+        dest_zone or "",
+        format_timestamp(crossing) if crossing else "",
+    )
+
+
+def _write_rows(rows: Iterable[DisplacementFields], fh: IO[str]) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(DISPLACEMENT_COLUMNS)
-    for d in displacements:
-        writer.writerow(
-            [
-                d.user_id,
-                repr(d.origin.lat),
-                repr(d.origin.lon),
-                repr(d.destination.lat),
-                repr(d.destination.lon),
-                format_timestamp(d.start_time),
-                format_timestamp(d.end_time),
-                repr(d.duration),
-                repr(d.distance),
-                d.origin_zone or "",
-                d.destination_zone or "",
-                format_timestamp(d.crossing_time_estimate) if d.crossing_time_estimate else "",
-            ]
-        )
+    writer.writerows(map(_format_fields, rows))
+
+
+def write_displacements_csv(displacements: Iterable[Displacement], fh: IO[str]) -> None:
+    _write_rows((d.fields() for d in displacements), fh)
 
 
 def _displacement_from_row(row: list[str]) -> Displacement:

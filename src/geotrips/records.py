@@ -196,6 +196,7 @@ def read_table(
     <reason>")`; `what` stands for the file name of a handle that has none.
     """
     name = source if isinstance(source, str) else getattr(source, "name", what)
+    start = source.tell() if _seekable_binary(source) else None
     with _open_lines(source) as lines:
         reader = csv.reader(lines)
         try:
@@ -209,8 +210,41 @@ def read_table(
                 elif row:
                     raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
         except (ValueError, csv.Error) as exc:
-            raise ValidationError(f"{name}:{reader.line_num or 1}: {exc}") from None
+            line = reader.line_num or 1
+            if isinstance(exc, UnicodeDecodeError):
+                # Decoding runs a chunk ahead of the reader, so its line is not
+                # the bad byte's.
+                line = _undecodable_line(source, start) or line
+            raise ValidationError(f"{name}:{line}: {exc}") from None
     return out
+
+
+def _seekable_binary(source) -> bool:
+    return (
+        hasattr(source, "read") and isinstance(source.read(0), bytes) and source.seekable()
+    )
+
+
+def _undecodable_line(source, start: int | None) -> int | None:
+    """Number of the first line of `source` that is not UTF-8, reading its
+    bytes again: a path is re-opened and a seekable binary handle is rewound
+    to `start`.  Lines end where the text reader ends them (at ``\n``, ``\r``
+    or ``\r\n``).  None for any other source."""
+    if isinstance(source, str):
+        with open(source, "rb") as fh:
+            return _undecodable_line(fh, 0)
+    if start is None:
+        return None
+    source.seek(start)
+    lineno = 0
+    for chunk in source:
+        for line in chunk.splitlines():
+            lineno += 1
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None
 
 
 def _raw_rows(lines: Iterable[str], format: str, rejects: list[RejectedLine]) -> Iterator[tuple]:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -8,8 +9,16 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from geotrips.cli import main, parse_args
-from geotrips.displacement import DISPLACEMENT_COLUMNS, read_displacements_csv
+from geotrips.displacement import (
+    DISPLACEMENT_COLUMNS,
+    FilterConfig,
+    read_displacements_csv,
+    run_extraction,
+    write_displacements_csv,
+)
 from geotrips.errors import ValidationError
+from geotrips.records import load_timelines
+from geotrips.zones import load_zones
 
 DISPLACEMENT_HEADER = ",".join(DISPLACEMENT_COLUMNS) + "\n"
 
@@ -141,6 +150,108 @@ class TestExtractCommand:
                 (out / "report.json").read_bytes(),
             )
         assert outputs["1"] == outputs["4"]
+
+
+# 30-minute steps over the four-zone map (alpha, beta, gamma; between them no
+# zone): u1 moves within alpha, to beta, teleports (removed for speed), then
+# to no zone and to gamma; u2 has enough records but never moves; u3 has too
+# few.  One line repeats an earlier one and one is rejected.
+HAND_CORPUS = """user_id,lat,lon,timestamp,text
+u1,40.1,-73.9,2014-08-02T12:00:00Z,
+u1,40.15,-73.9,2014-08-02T12:30:00Z,
+u1,40.1,-73.6,2014-08-02T13:00:00Z,
+u1,43.5,-70.0,2014-08-02T13:01:00Z,
+u1,40.25,-73.75,2014-08-02T13:30:00Z,
+u1,40.4,-73.9,2014-08-02T14:00:00Z,
+u1,40.1,-73.9,2014-08-02T12:00:00Z,
+u2,40.1,-73.9,2014-08-02T12:00:00Z,
+u2,40.1,-73.9,2014-08-02T12:30:00Z,
+u2,40.1,-73.9,2014-08-02T13:00:00Z,
+u2,north,-73.9,2014-08-02T13:30:00Z,
+u3,40.1,-73.9,2014-08-02T12:00:00Z,
+u3,40.1,-73.6,2014-08-02T12:30:00Z,
+"""
+
+
+class TestStreamingExtract:
+    @pytest.fixture
+    def hand_corpus(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text(HAND_CORPUS)
+        return str(path)
+
+    def extract(self, corpus, zones, out, *flags):
+        return main(["extract", "--input", corpus, "--zones", zones, "--out", str(out),
+                     "--min-tweets", "3", *flags])
+
+    def library_outputs(self, corpus, zones):
+        """`displacements.csv` and `report.json` as the library's
+        `run_extraction` and `write_displacements_csv` give them."""
+        ingest = load_timelines(corpus)
+        displacements, report = run_extraction(
+            ingest.timelines, load_zones(zones), FilterConfig(min_tweets=3)
+        )
+        report.lines_read = ingest.lines_read
+        report.rejected_lines = len(ingest.rejects)
+        report.parsed_records = ingest.parsed_records
+        report.duplicates_removed = ingest.duplicates
+        buf = io.StringIO(newline="")
+        write_displacements_csv(displacements, buf)
+        return buf.getvalue().encode("utf-8"), report.to_dict()
+
+    def test_streamed_rows_and_report_equal_the_library_run(
+        self, tmp_path, hand_corpus, four_zone_geojson
+    ):
+        expected_csv, expected_report = self.library_outputs(hand_corpus, four_zone_geojson)
+        out = tmp_path / "out"
+        assert self.extract(hand_corpus, four_zone_geojson, out) == 0
+        assert (out / "displacements.csv").read_bytes() == expected_csv
+        report = json.loads((out / "report.json").read_text())
+        assert report == expected_report
+        assert sorted(os.listdir(out)) == [
+            "displacements.csv", "rejects.csv", "report.json", "timings.json", "users.csv"
+        ]
+        # The corpus exercises every count the walk tallies.
+        assert report["rejected_lines"] == report["duplicates_removed"] == 1
+        assert report["speed_removed_records"] == 1
+        assert report["displacements_inter_zone"] == 3
+        assert report["displacements_intra_zone"] == 1
+        assert report["displacements_external_touching"] == 2
+        assert report["travelers"] == 1 < report["users_retained"] == 2
+
+    def test_extract_path_builds_no_displacement(
+        self, tmp_path, hand_corpus, four_zone_geojson, monkeypatch
+    ):
+        expected_csv, _ = self.library_outputs(hand_corpus, four_zone_geojson)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Displacement was built")
+
+        monkeypatch.setattr("geotrips.displacement.Displacement", refuse)
+        out = tmp_path / "out"
+        assert self.extract(hand_corpus, four_zone_geojson, out) == 0
+        assert (out / "displacements.csv").read_bytes() == expected_csv
+
+    @pytest.mark.parametrize(
+        "target", ["geotrips.displacement.RunReport.validate", "geotrips.zones.ZoneSet.label_point"]
+    )
+    def test_failed_run_leaves_the_earlier_product(
+        self, tmp_path, hand_corpus, four_zone_geojson, target, monkeypatch, capsys
+    ):
+        out = tmp_path / "out"
+        # An earlier run whose 6-minute window pairs nothing: a header-only file.
+        assert self.extract(hand_corpus, four_zone_geojson, out, "--time-window-h", "0.1") == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert before["displacements.csv"] == DISPLACEMENT_HEADER.encode()
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise ValidationError("failed on purpose")
+
+        monkeypatch.setattr(target, fail)
+        assert self.extract(hand_corpus, four_zone_geojson, out) == 1
+        assert capsys.readouterr().err == "error: failed on purpose\n"
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
 
 class TestAnalyzeCommand:
@@ -410,6 +521,35 @@ class TestEnvironment:
         subprocess.run(
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True
         )
+
+    def test_each_command_imports_only_its_modules(self, tmp_path, four_zone_geojson):
+        """`extract` loads neither `analytics` nor `synthgen`, and `analyze`
+        does not load `synthgen`: each process compiles what it imports."""
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(HAND_CORPUS)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import sys; from geotrips.cli import main; assert main(sys.argv[1:]) == 0; "
+            "print(*sorted(m for m in sys.modules if m in "
+            "('geotrips.analytics', 'geotrips.synthgen')))"
+        )
+
+        def loaded(*argv):
+            done = subprocess.run(
+                [sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
+                check=True, capture_output=True, text=True,
+            )
+            return done.stdout.splitlines()[-1]
+
+        out = tmp_path / "out"
+        assert loaded(
+            "extract", "--input", str(corpus), "--zones", four_zone_geojson,
+            "--out", str(out), "--min-tweets", "3",
+        ) == ""
+        assert loaded(
+            "analyze", "--displacements", str(out / "displacements.csv"),
+            "--out", str(tmp_path / "products"),
+        ) == "geotrips.analytics"
 
 
 def config_options(command):

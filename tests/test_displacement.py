@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -11,6 +12,7 @@ from geotrips.displacement import (
     FilterConfig,
     RunReport,
     extract_displacements,
+    extract_to_csv,
     filter_active_users,
     label_displacement,
     read_displacements_csv,
@@ -20,7 +22,14 @@ from geotrips.displacement import (
 )
 from geotrips.errors import ValidationError
 from geotrips.geometry import GeoPoint, haversine_m
-from geotrips.records import TweetRecord, UserTimeline, build_timelines
+from geotrips.records import (
+    TweetRecord,
+    UserTimeline,
+    build_timelines,
+    load_timelines,
+    write_records_csv,
+)
+from geotrips.synthgen import SynthConfig, generate
 from geotrips.zones import EXTERNAL, load_zones
 
 T0 = datetime(2014, 8, 2, 12, 0, tzinfo=timezone.utc)
@@ -337,6 +346,46 @@ class TestFusedScan:
         expected, removed = stage_composition(timelines, FUSED_ZONES, FUSED_CFG)
         assert got == expected
         assert report.speed_removed_records == removed
+        # The streamed rows are the written list's, and the report is the same.
+        written, streamed = io.StringIO(newline=""), io.StringIO(newline="")
+        write_displacements_csv(got, written)
+        assert extract_to_csv(timelines, FUSED_ZONES, FUSED_CFG, streamed) == report
+        assert streamed.getvalue() == written.getvalue()
+        assert (
+            report.displacements_total, report.displacements_inter_zone,
+            report.displacements_external_touching, report.travelers,
+        ) == (
+            len(got), sum(d.is_inter_zone for d in got),
+            sum(d.touches_external for d in got), len({d.user_id for d in got}),
+        )
+
+
+class TestStreamingExtraction:
+    def test_peak_memory_does_not_grow_with_displacements(self, tmp_path, four_zone_map):
+        """Streaming holds no displacement: the tracemalloc peak of writing
+        ~6,000 of them to a file stays under 64 B each.  Building the list
+        first and then writing it peaks at about 570 B each."""
+        recs, _ = generate(
+            SynthConfig(
+                seed=48, n_agents=200, zone_map=four_zone_map, anomaly_rate=0.01,
+                tweet_cap=1000, od_weights={("alpha", "beta"): 0.6, ("beta", "alpha"): 0.4},
+            )
+        )
+        corpus = io.StringIO(newline="")
+        write_records_csv(recs, corpus)
+        del recs
+        corpus.seek(0)
+        timelines = load_timelines(corpus).timelines
+        del corpus
+        with open(tmp_path / "displacements.csv", "w", encoding="utf-8", newline="") as fh:
+            tracemalloc.start()
+            try:
+                report = extract_to_csv(timelines, four_zone_map, FilterConfig(), fh)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert report.displacements_total > 5_000
+        assert peak / report.displacements_total < 64
 
 
 class TestRunReport:

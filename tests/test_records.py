@@ -630,9 +630,23 @@ class TestReadTable:
         assert str(exc.value).startswith(f"{path}:2: ")
 
     def test_undecodable_bytes_are_validation_error(self):
-        # Decoding runs a chunk ahead of the reader, so the line is not checked.
-        with pytest.raises(ValidationError, match="^counts CSV:[0-9]+: 'utf-8' codec"):
+        with pytest.raises(ValidationError, match="^counts CSV:2: 'utf-8' codec"):
             read_table(io.BytesIO(b"name,count\n\xff,1\n"), self.COLUMNS, tuple, "counts CSV")
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, newline):
+        """The line of the bad byte, not of the row the reader stopped at: the
+        decoder runs a chunk ahead of the reader.  A handle is read again from
+        where it stood, not from its first byte."""
+        body = newline.join([b"name,count"] + [b"a,1"] * 1000 + [b"caf\xe9,2", b"b,3", b""])
+        path = tmp_path / "counts.csv"
+        path.write_bytes(body)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:1002: 'utf-8' codec"):
+            read_table(str(path), self.COLUMNS, tuple, "counts CSV")
+        handle = io.BytesIO(b"skipped\n" + body)
+        handle.readline()
+        with pytest.raises(ValidationError, match="^counts CSV:1002: 'utf-8' codec"):
+            read_table(handle, self.COLUMNS, tuple, "counts CSV")
 
 
 def _users_reader(source):
