@@ -290,5 +290,7 @@ def write_groups_csv(
 
 def read_series_csv(source: str | IO[str]) -> tuple[list[str], list[float]]:
     """Read a reference series CSV with header ``bin_label,value``."""
-    points = read_table(source, ("bin_label", "value"), lambda r: (r[0], float(r[1])), "series CSV")
+    points = list(
+        read_table(source, ("bin_label", "value"), lambda r: (r[0], float(r[1])), "series CSV")
+    )
     return [label for label, _ in points], [value for _, value in points]

@@ -165,12 +165,29 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _profiles_from(disp_counts: dict[str, int], users_path: str) -> list[analytics.UserProfile]:
+    """The rows of `users_path` as profiles, each with its count in
+    `disp_counts`.  A user listed twice, or a user with displacements but no
+    row, means the file is not the one written with the displacements: it is
+    a `ValidationError` naming the file and the line or the user."""
     from . import analytics
 
-    def profile(row: list[str]) -> analytics.UserProfile:
-        return analytics.UserProfile(row[0], int(row[1]), disp_counts.get(row[0], 0))
+    seen: set[str] = set()
 
-    return read_table(users_path, USERS_COLUMNS, profile, "users CSV")
+    def profile(row: list[str]) -> analytics.UserProfile:
+        uid = row[0]
+        p = analytics.UserProfile(uid, int(row[1]), disp_counts.get(uid, 0))
+        if uid in seen:
+            raise ValueError(f"user_id {uid!r} is listed twice")
+        seen.add(uid)
+        return p
+
+    profiles = list(read_table(users_path, USERS_COLUMNS, profile, "users CSV"))
+    missing = disp_counts.keys() - seen
+    if missing:
+        raise ValidationError(
+            f"{users_path}: no row for user {min(missing)!r}, who has displacements"
+        )
+    return profiles
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -185,6 +202,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if users_path is None:
         users_path = os.path.join(os.path.dirname(disp_path), "users.csv")
     tz = _timezone(args.tz)
+    if not os.path.exists(users_path):
+        raise ConfigError(
+            f"users file not found: {users_path} (written by 'extract'; pass --users)"
+        )
 
     directions = {"all": (analytics.ANY, analytics.ANY)}
     if focal:
@@ -192,19 +213,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         directions[f"to_{focal}"] = (analytics.ANY, focal)
     timings: dict[str, float] = {}
 
-    t0 = time.perf_counter()
-    rows = read_od_rows(disp_path)
-    timings["read"] = time.perf_counter() - t0
-
+    # The rows stream from the file into the walk: none is held once counted.
     t0 = time.perf_counter()
     pair_counts, hists, disp_counts = analytics.aggregate(
-        rows, tz, list(directions.values()), args.include_intra, args.include_external
+        read_od_rows(disp_path), tz, list(directions.values()),
+        args.include_intra, args.include_external,
     )
     matrix = analytics.od_matrix(pair_counts)
-    if not os.path.exists(users_path):
-        raise ConfigError(
-            f"users file not found: {users_path} (written by 'extract'; pass --users)"
-        )
     profiles = _profiles_from(disp_counts, users_path)
     partition = analytics.classify_groups(profiles, cutoff=args.group_cutoff)
     timings["aggregate"] = time.perf_counter() - t0

@@ -424,7 +424,9 @@ def _displacement_from_row(row: list[str]) -> Displacement:
 
 
 def read_displacements_csv(source: str | IO[str]) -> list[Displacement]:
-    return read_table(source, DISPLACEMENT_COLUMNS, _displacement_from_row, "displacement CSV")
+    return list(
+        read_table(source, DISPLACEMENT_COLUMNS, _displacement_from_row, "displacement CSV")
+    )
 
 
 #: The columns of a displacement that aggregation uses:
@@ -434,14 +436,17 @@ ODRow = tuple[str, str | None, str | None, datetime | None]
 
 def _od_row(row: list[str]) -> ODRow:
     # Every dropped column is still parsed, in `_displacement_from_row`'s
-    # order, so a bad value anywhere raises the error the full read raises.
+    # order, so a bad value anywhere raises the error the full read raises,
+    # at the same line.  The stream stops there, part way through the walk
+    # that consumes it; `analyze` writes its products only after the walk.
     float(row[1]), float(row[2]), float(row[3]), float(row[4])
     _parse_utc(row[5]), _parse_utc(row[6])
     float(row[7]), float(row[8])
     return row[0], row[9] or None, row[10] or None, _parse_utc(row[11]) if row[11] else None
 
 
-def read_od_rows(source: str | IO[str]) -> list[ODRow]:
-    """`read_displacements_csv` projected onto `ODRow`s: the same checks and
-    errors, without building a `Displacement` per row."""
+def read_od_rows(source: str | IO[str]) -> Iterator[ODRow]:
+    """`read_displacements_csv` projected onto `ODRow`s and read lazily: the
+    same checks and errors, without building a `Displacement` per row or
+    holding the rows read (see `read_table`)."""
     return read_table(source, DISPLACEMENT_COLUMNS, _od_row, "displacement CSV")

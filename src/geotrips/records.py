@@ -187,13 +187,17 @@ def _open_lines(source) -> Iterator[Iterable[str]]:
 
 def read_table(
     source, columns: tuple[str, ...], convert: Callable[[list[str]], T], what: str
-) -> list[T]:
-    """Read a CSV table whose header is `columns`: `convert` each non-blank
-    row of exactly `len(columns)` fields, in order.
+) -> Iterator[T]:
+    """Read a CSV table whose header is `columns`: yield `convert` of each
+    non-blank row of exactly `len(columns)` fields, in order, as the rows are
+    read.  Nothing is read before the first `next`; a caller that wants every
+    row takes `list(...)` of it.
 
     A wrong header, a row with another field count, a CSV syntax error or a
     `ValueError` from `convert` raises `ValidationError("<file>:<line>:
-    <reason>")`; `what` stands for the file name of a handle that has none.
+    <reason>")` when the walk reaches it; `what` stands for the file name of a
+    handle that has none.  A file opened here is closed when the walk ends or
+    the generator is closed; a handle the caller passed in stays open.
     """
     name = source if isinstance(source, str) else getattr(source, "name", what)
     start = source.tell() if _seekable_binary(source) else None
@@ -203,10 +207,9 @@ def read_table(
             header = next(reader, None)
             if header is None or tuple(h.strip() for h in header) != columns:
                 raise ValueError(f"expected header {','.join(columns)!r}")
-            out = []
             for row in reader:
                 if len(row) == len(columns):
-                    out.append(convert(row))
+                    yield convert(row)
                 elif row:
                     raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
         except (ValueError, csv.Error) as exc:
@@ -216,7 +219,6 @@ def read_table(
                 # the bad byte's.
                 line = _undecodable_line(source, start) or line
             raise ValidationError(f"{name}:{line}: {exc}") from None
-    return out
 
 
 def _seekable_binary(source) -> bool:

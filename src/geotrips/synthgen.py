@@ -332,4 +332,4 @@ def _trip_from_row(row: list[str]) -> GroundTruthTrip:
 
 
 def read_ground_truth_csv(source: str | IO[str]) -> list[GroundTruthTrip]:
-    return read_table(source, GROUND_TRUTH_COLUMNS, _trip_from_row, "ground-truth CSV")
+    return list(read_table(source, GROUND_TRUTH_COLUMNS, _trip_from_row, "ground-truth CSV"))

@@ -287,12 +287,13 @@ class TestAnalyzeCommand:
         assert {n: (an / n).read_bytes() for n in names} == first
         assert sorted(os.listdir(an)) == sorted(names + ["timings.json"])
         timings = json.loads((an / "timings.json").read_text())
-        assert sorted(timings) == ["aggregate", "read", "write"]
+        assert sorted(timings) == ["aggregate", "write"]
 
     def test_empty_displacements_fails_with_empty_od(self, tmp_path, extracted, capsys):
         empty = tmp_path / "empty.csv"
         header = (extracted / "displacements.csv").read_text().splitlines()[0]
         empty.write_text(header + "\n")
+        (tmp_path / "users.csv").write_bytes((extracted / "users.csv").read_bytes())
         rc = main(["analyze", "--displacements", str(empty), "--out", str(tmp_path / "an2")])
         assert rc != 0
         assert "empty OD" in capsys.readouterr().err
@@ -347,6 +348,7 @@ class TestAnalyzeCommand:
             bad[DISPLACEMENT_COLUMNS.index(name)] = v
         disp = tmp_path / "displacements.csv"
         disp.write_text(DISPLACEMENT_HEADER + ",".join(good) + "\n" + ",".join(bad) + "\n")
+        (tmp_path / "users.csv").write_text("user_id,tweet_count\nu1,200\n")
         with pytest.raises(ValidationError) as full:
             read_displacements_csv(str(disp))
         assert str(full.value).startswith(f"{disp}:3: ")
@@ -386,7 +388,47 @@ class TestAnalyzeCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {users}:3: {reason}\n"
 
-    def test_missing_users_file_writes_nothing(self, tmp_path, extracted, capsys):
+    def test_repeated_user_names_its_line(self, tmp_path, extracted, capsys):
+        """A user listed twice would be ranked, and written to groups.csv, twice."""
+        users = tmp_path / "users.csv"
+        lines = (extracted / "users.csv").read_text().splitlines()
+        lines.insert(3, lines[1])
+        users.write_text("\n".join(lines) + "\n")
+        an = tmp_path / "an"
+        rc = main([
+            "analyze", "--displacements", str(extracted / "displacements.csv"),
+            "--users", str(users), "--out", str(an),
+        ])
+        assert rc == 1
+        uid = lines[1].split(",")[0]
+        assert capsys.readouterr().err == f"error: {users}:4: user_id {uid!r} is listed twice\n"
+        assert not an.exists()
+
+    def test_user_with_displacements_but_no_row_is_named(self, tmp_path, extracted, capsys):
+        """Such a user would drop out of the groups without a word."""
+        users = tmp_path / "users.csv"
+        lines = (extracted / "users.csv").read_text().splitlines()
+        uid = lines.pop(2).split(",")[0]
+        disps = read_displacements_csv(str(extracted / "displacements.csv"))
+        assert uid in {d.user_id for d in disps}
+        users.write_text("\n".join(lines) + "\n")
+        an = tmp_path / "an"
+        rc = main([
+            "analyze", "--displacements", str(extracted / "displacements.csv"),
+            "--users", str(users), "--out", str(an),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {users}: no row for user {uid!r}, who has displacements\n"
+        )
+        assert not an.exists()
+
+    def test_missing_users_file_writes_nothing(self, tmp_path, extracted, capsys, monkeypatch):
+        """The users file is checked before the displacement file is opened."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the displacement file was read")
+
+        monkeypatch.setattr("geotrips.cli.read_od_rows", refuse)
         an = tmp_path / "an5"
         an.mkdir()
         missing = tmp_path / "nowhere.csv"

@@ -1,12 +1,14 @@
 import io
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import feature_collection, square_feature
 
+from geotrips.analytics import ANY, aggregate
 from geotrips.displacement import (
     Displacement,
     FilterConfig,
@@ -16,6 +18,7 @@ from geotrips.displacement import (
     filter_active_users,
     label_displacement,
     read_displacements_csv,
+    read_od_rows,
     remove_speed_violations,
     run_extraction,
     write_displacements_csv,
@@ -386,6 +389,40 @@ class TestStreamingExtraction:
                 tracemalloc.stop()
         assert report.displacements_total > 5_000
         assert peak / report.displacements_total < 64
+
+
+class TestStreamingAnalysis:
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        """`analyze` holds no displacement row: the tracemalloc peak of
+        aggregating 6,000 rows streamed from a file stays under 64 B each.
+        Reading the rows into a list first peaks at about 240 B each."""
+        zones = ["alpha", "beta", EXTERNAL, None]
+        rows = 6_000
+        disps = []
+        for i in range(rows):
+            start = T0 + timedelta(minutes=37 * i)
+            o, t = zones[i % 4], zones[i // 4 % 4]
+            disps.append(Displacement(
+                f"u{i % 40}", GeoPoint(40.1, -73.9), GeoPoint(40.1, -73.6),
+                start, start + timedelta(minutes=30), 1800.0, 25_000.0, o, t,
+                start + timedelta(minutes=15) if o and t and o != t else None,
+            ))
+        path = tmp_path / "displacements.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_displacements_csv(disps, fh)
+        del disps
+        tz = ZoneInfo("America/New_York")
+        directions = [(ANY, ANY), ("alpha", ANY), (ANY, "alpha")]
+        tracemalloc.start()
+        try:
+            _, hists, per_user = aggregate(
+                read_od_rows(str(path)), tz, directions, include_external=True
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(per_user.values()) == rows and hists[0].total > 0
+        assert peak / rows < 64
 
 
 class TestRunReport:

@@ -4,6 +4,7 @@ import json
 import re
 import time
 import tracemalloc
+import warnings
 from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
@@ -594,7 +595,7 @@ class TestReadTable:
     COLUMNS = ("name", "count")
 
     def read(self, text, convert=lambda row: (row[0], int(row[1]))):
-        return read_table(io.StringIO(text), self.COLUMNS, convert, "counts CSV")
+        return list(read_table(io.StringIO(text), self.COLUMNS, convert, "counts CSV"))
 
     def test_converts_rows_and_skips_blank_ones(self):
         assert self.read("name,count\na,1\n\n b ,2\n") == [("a", 1), (" b ", 2)]
@@ -624,14 +625,15 @@ class TestReadTable:
         path = tmp_path / "t.csv"
         path.write_text("name,count\na,x\n")
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: "):
-            read_table(str(path), self.COLUMNS, lambda row: int(row[1]), "counts CSV")
+            list(read_table(str(path), self.COLUMNS, lambda row: int(row[1]), "counts CSV"))
         with open(path, "rb") as fh, pytest.raises(ValidationError) as exc:
-            read_table(fh, self.COLUMNS, lambda row: int(row[1]), "counts CSV")
+            list(read_table(fh, self.COLUMNS, lambda row: int(row[1]), "counts CSV"))
         assert str(exc.value).startswith(f"{path}:2: ")
 
     def test_undecodable_bytes_are_validation_error(self):
+        bad = io.BytesIO(b"name,count\n\xff,1\n")
         with pytest.raises(ValidationError, match="^counts CSV:2: 'utf-8' codec"):
-            read_table(io.BytesIO(b"name,count\n\xff,1\n"), self.COLUMNS, tuple, "counts CSV")
+            list(read_table(bad, self.COLUMNS, tuple, "counts CSV"))
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_undecodable_byte_names_its_line(self, tmp_path, newline):
@@ -642,11 +644,11 @@ class TestReadTable:
         path = tmp_path / "counts.csv"
         path.write_bytes(body)
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:1002: 'utf-8' codec"):
-            read_table(str(path), self.COLUMNS, tuple, "counts CSV")
+            list(read_table(str(path), self.COLUMNS, tuple, "counts CSV"))
         handle = io.BytesIO(b"skipped\n" + body)
         handle.readline()
         with pytest.raises(ValidationError, match="^counts CSV:1002: 'utf-8' codec"):
-            read_table(handle, self.COLUMNS, tuple, "counts CSV")
+            list(read_table(handle, self.COLUMNS, tuple, "counts CSV"))
 
 
 def _users_reader(source):
@@ -664,7 +666,7 @@ def _one_displacement_csv() -> str:
 # Each table reader, with a valid file and a file whose second row is bad.
 TABLE_READERS = {
     "displacements": (read_displacements_csv, _one_displacement_csv()),
-    "od-rows": (read_od_rows, _one_displacement_csv()),
+    "od-rows": (lambda source: list(read_od_rows(source)), _one_displacement_csv()),
     "users": (_users_reader, "user_id,tweet_count\nu1,5\n"),
     "series": (read_series_csv, "bin_label,value\na,0.5\n"),
     "ground-truth": (
@@ -700,6 +702,31 @@ class TestCallerHandlesStayOpen:
             read(bad)
         gc.collect()
         assert not fh.closed and not bad.closed
+
+    def test_abandoned_stream(self, tmp_path):
+        """A walk of `read_od_rows` stopped after one row closes the file the
+        reader opened, and leaves a caller's binary handle open and usable."""
+        header, row = _one_displacement_csv().splitlines(keepends=True)
+        text = header + row * 3
+        path = tmp_path / "displacements.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stream = read_od_rows(str(path))
+            first = next(stream)
+            stream.close()
+            del stream
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        handle = io.BytesIO(text.encode())
+        stream = read_od_rows(handle)
+        assert next(stream) == first
+        stream.close()
+        del stream
+        gc.collect()
+        assert not handle.closed
+        handle.seek(0)
+        assert handle.read() == text.encode()
 
     @pytest.mark.parametrize("kind", ["text", "binary"])
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
@@ -756,10 +783,10 @@ class TestTableReaderFuzz:
             full = read_displacements_csv(io.StringIO(text))
         except ValidationError as exc:
             with pytest.raises(ValidationError) as projected:
-                read_od_rows(io.StringIO(text))
+                list(read_od_rows(io.StringIO(text)))
             assert str(projected.value) == str(exc)
         else:
-            assert read_od_rows(io.StringIO(text)) == [
+            assert list(read_od_rows(io.StringIO(text))) == [
                 (d.user_id, d.origin_zone, d.destination_zone, d.crossing_time_estimate)
                 for d in full
             ]
