@@ -4,7 +4,6 @@ comparisons against external reference series."""
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -14,7 +13,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 from .displacement import Displacement, ODRow
 from .errors import EmptyODError, ValidationError
-from .records import read_table
+from .records import read_table, write_table
 from .zones import EXTERNAL
 
 #: Wildcard for direction filters: matches any zone.
@@ -229,7 +228,7 @@ def compare_distributions(
     if len(a) < 2:
         raise ValidationError("series must have at least 2 bins")
     for name, series in (("a", a), ("b", b)):
-        if abs(sum(series) - 1.0) > tol:
+        if not abs(sum(series) - 1.0) <= tol:  # also a NaN sum
             raise ValidationError(f"series {name} is not normalized (sum={sum(series)!r})")
     l1 = sum(abs(x - y) for x, y in zip(a, b))
     try:
@@ -256,41 +255,43 @@ def write_od_csv(matrix: ODMatrix, fh: IO[str], kind: str = "counts") -> None:
     """Write the matrix as rows=origins, columns=destinations."""
     if kind not in ("counts", "proportions"):
         raise ValueError(f"unknown OD export kind {kind!r}")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["origin"] + matrix.zone_ids)
     cells = matrix.counts if kind == "counts" else matrix.proportions
-    for zid, row in zip(matrix.zone_ids, cells):
-        writer.writerow([zid] + [repr(c) if kind == "proportions" else c for c in row])
+    write_table(fh, ["origin"] + matrix.zone_ids, (
+        [zid] + [repr(c) if kind == "proportions" else c for c in row]
+        for zid, row in zip(matrix.zone_ids, cells)
+    ))
 
 
 def write_histogram_csv(hist: TimeOfDayHistogram, fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["hour", "weekday_count", "weekend_count", "weekday_frac", "weekend_frac"])
     wf = hist.weekday_fracs
     ef = hist.weekend_fracs
-    for h in range(24):
-        writer.writerow(
-            [h, hist.weekday_counts[h], hist.weekend_counts[h], repr(wf[h]), repr(ef[h])]
-        )
+    write_table(fh, ("hour", "weekday_count", "weekend_count", "weekday_frac", "weekend_frac"), (
+        (h, hist.weekday_counts[h], hist.weekend_counts[h], repr(wf[h]), repr(ef[h]))
+        for h in range(24)
+    ))
 
 
 def write_groups_csv(
     partition: GroupPartition, profiles: Sequence[UserProfile], fh: IO[str]
 ) -> None:
     by_id = {p.user_id: p for p in profiles}
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["user_id", "tweet_count", "displacement_count", "group"])
-    for uid in partition.high_group:
-        p = by_id[uid]
-        writer.writerow([uid, p.tweet_count, p.displacement_count, "HIGH_FREQUENCY"])
-    for uid in partition.low_group:
-        p = by_id[uid]
-        writer.writerow([uid, p.tweet_count, p.displacement_count, "LOW_FREQUENCY"])
+    groups = (("HIGH_FREQUENCY", partition.high_group), ("LOW_FREQUENCY", partition.low_group))
+    write_table(fh, ("user_id", "tweet_count", "displacement_count", "group"), (
+        (uid, by_id[uid].tweet_count, by_id[uid].displacement_count, group)
+        for group, ids in groups
+        for uid in ids
+    ))
+
+
+def _series_point(row: list[str]) -> tuple[str, float]:
+    value = float(row[1])
+    if not math.isfinite(value):
+        raise ValueError(f"value {row[1]!r} is not finite")
+    return row[0], value
 
 
 def read_series_csv(source: str | IO[str]) -> tuple[list[str], list[float]]:
-    """Read a reference series CSV with header ``bin_label,value``."""
-    points = list(
-        read_table(source, ("bin_label", "value"), lambda r: (r[0], float(r[1])), "series CSV")
-    )
+    """Read a reference series CSV with header ``bin_label,value``; every
+    value must be a finite number."""
+    points = list(read_table(source, ("bin_label", "value"), _series_point, "series CSV"))
     return [label for label, _ in points], [value for _, value in points]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import os
@@ -15,7 +14,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .displacement import FilterConfig, MPH_TO_MPS, RunReport, extract_to_csv, read_od_rows
 from .errors import ConfigError, GeotripsError, ValidationError, not_utf8
-from .records import load_timelines, read_table, write_records_csv, write_rejects_csv
+from .records import load_timelines, read_table, write_records_csv, write_rejects_csv, write_table
 from .zones import load_zones
 
 TZ_ENV_VAR = "GEOTRIPS_TZ"
@@ -77,6 +76,17 @@ def _infer_format(path: str, declared: str | None) -> str:
     if declared:
         return declared
     return "jsonl" if path.endswith((".jsonl", ".ndjson", ".json")) else "csv"
+
+
+def _write_json(path: str | None, doc) -> None:
+    """`doc` as indented JSON with sorted keys and a final newline, to the file
+    `path`, or to stdout if no path is given."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _print_report_table(report: RunReport) -> None:
@@ -145,20 +155,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
     with open(os.path.join(out_dir, "rejects.csv"), "w", encoding="utf-8", newline="") as fh:
         write_rejects_csv(ingest.rejects, fh)
     with open(os.path.join(out_dir, "users.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(USERS_COLUMNS)
-        for uid in sorted(timelines):
-            writer.writerow([uid, len(timelines[uid])])
+        write_table(fh, USERS_COLUMNS, ((uid, len(timelines[uid])) for uid in sorted(timelines)))
     timings["write"] = time.perf_counter() - t0
 
     # Timings go to a separate file so report.json stays byte-identical
     # across runs and worker counts.
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "timings.json"), "w", encoding="utf-8") as fh:
-        json.dump(timings, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "report.json"), report.to_dict())
+    _write_json(os.path.join(out_dir, "timings.json"), timings)
 
     _print_report_table(report)
     return 0
@@ -166,9 +169,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def _profiles_from(disp_counts: dict[str, int], users_path: str) -> list[analytics.UserProfile]:
     """The rows of `users_path` as profiles, each with its count in
-    `disp_counts`.  A user listed twice, or a user with displacements but no
-    row, means the file is not the one written with the displacements: it is
-    a `ValidationError` naming the file and the line or the user."""
+    `disp_counts`.  A negative count, a count below a user's displacements
+    plus one (k displacements join k + 1 records), a user listed twice, or a
+    user with displacements but no row means the file is not the one written
+    with the displacements: it is a `ValidationError` naming the file and the
+    line or the user."""
     from . import analytics
 
     seen: set[str] = set()
@@ -176,6 +181,13 @@ def _profiles_from(disp_counts: dict[str, int], users_path: str) -> list[analyti
     def profile(row: list[str]) -> analytics.UserProfile:
         uid = row[0]
         p = analytics.UserProfile(uid, int(row[1]), disp_counts.get(uid, 0))
+        if p.tweet_count < 0:
+            raise ValueError(f"user_id {uid!r} has a negative tweet_count {p.tweet_count}")
+        if p.displacement_count and p.tweet_count <= p.displacement_count:
+            raise ValueError(
+                f"user_id {uid!r} has tweet_count {p.tweet_count}, too few for "
+                f"{p.displacement_count} displacements"
+            )
         if uid in seen:
             raise ValueError(f"user_id {uid!r} is listed twice")
         seen.add(uid)
@@ -238,9 +250,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         analytics.write_groups_csv(partition, profiles, fh)
     timings["write"] = time.perf_counter() - t0
 
-    with open(os.path.join(out_dir, "timings.json"), "w", encoding="utf-8") as fh:
-        json.dump(timings, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "timings.json"), timings)
 
     print(f"od zones: {len(matrix.zone_ids)}; displacements in OD: {matrix.total}")
     print(f"histogram displacements: {hists[0].total}")
@@ -271,18 +281,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         values_a = analytics.normalize(values_a)
         values_b = analytics.normalize(values_b)
     result = analytics.compare_distributions(values_a, values_b, labels=labels_a)
-    payload = {
+    _write_json(args.out, {
         "labels": result.labels,
         "l1_distance": result.l1_distance,
         "pearson_r": result.pearson_r,
         "n_bins": len(result.labels),
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    })
     return 0
 
 

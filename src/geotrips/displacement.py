@@ -10,10 +10,10 @@ estimated as the interval midpoint.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
 from .errors import ValidationError
@@ -25,6 +25,7 @@ from .records import (
     format_timestamp,
     from_epoch_us,
     read_table,
+    write_table,
 )
 from .zones import EXTERNAL, ZoneSet
 
@@ -359,7 +360,7 @@ def extract_to_csv(
     `write_displacements_csv(run_extraction(...)[0], fh)` byte for byte.
     """
     report = RunReport()
-    _write_rows(_scan(timelines, zs, cfg, report), fh)
+    write_table(fh, DISPLACEMENT_COLUMNS, map(_format_fields, _scan(timelines, zs, cfg, report)))
     return report
 
 
@@ -398,51 +399,37 @@ def _format_fields(fields: DisplacementFields) -> tuple[str, ...]:
     )
 
 
-def _write_rows(rows: Iterable[DisplacementFields], fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(DISPLACEMENT_COLUMNS)
-    writer.writerows(map(_format_fields, rows))
+def _parse_fields(row: list[str]) -> DisplacementFields:
+    """The inverse of `_format_fields`.  Every column is parsed, in column
+    order, so the first bad value in a row names the error."""
+    return (
+        row[0], float(row[1]), float(row[2]), float(row[3]), float(row[4]),
+        _parse_utc(row[5]), _parse_utc(row[6]), float(row[7]), float(row[8]),
+        row[9] or None, row[10] or None, _parse_utc(row[11]) if row[11] else None,
+    )
 
 
 def write_displacements_csv(displacements: Iterable[Displacement], fh: IO[str]) -> None:
-    _write_rows((d.fields() for d in displacements), fh)
-
-
-def _displacement_from_row(row: list[str]) -> Displacement:
-    return Displacement(
-        user_id=row[0],
-        origin=GeoPoint(float(row[1]), float(row[2])),
-        destination=GeoPoint(float(row[3]), float(row[4])),
-        start_time=_parse_utc(row[5]),
-        end_time=_parse_utc(row[6]),
-        duration=float(row[7]),
-        distance=float(row[8]),
-        origin_zone=row[9] or None,
-        destination_zone=row[10] or None,
-        crossing_time_estimate=_parse_utc(row[11]) if row[11] else None,
-    )
+    write_table(fh, DISPLACEMENT_COLUMNS, (_format_fields(d.fields()) for d in displacements))
 
 
 def read_displacements_csv(source: str | IO[str]) -> list[Displacement]:
-    return list(
-        read_table(source, DISPLACEMENT_COLUMNS, _displacement_from_row, "displacement CSV")
-    )
+    rows = read_table(source, DISPLACEMENT_COLUMNS, _parse_fields, "displacement CSV")
+    return list(map(Displacement.from_fields, rows))
 
 
 #: The columns of a displacement that aggregation uses:
 #: ``(user_id, origin_zone, dest_zone, crossing)``.
 ODRow = tuple[str, str | None, str | None, datetime | None]
+_od_fields = itemgetter(0, 9, 10, 11)  # `DisplacementFields` -> `ODRow`
 
 
 def _od_row(row: list[str]) -> ODRow:
-    # Every dropped column is still parsed, in `_displacement_from_row`'s
-    # order, so a bad value anywhere raises the error the full read raises,
-    # at the same line.  The stream stops there, part way through the walk
-    # that consumes it; `analyze` writes its products only after the walk.
-    float(row[1]), float(row[2]), float(row[3]), float(row[4])
-    _parse_utc(row[5]), _parse_utc(row[6])
-    float(row[7]), float(row[8])
-    return row[0], row[9] or None, row[10] or None, _parse_utc(row[11]) if row[11] else None
+    # The row goes through `_parse_fields`, the parser of the full read, so a
+    # bad value in a dropped column raises the same error at the same line.
+    # The stream stops there, part way through the walk that consumes it;
+    # `analyze` writes its products only after the walk.
+    return _od_fields(_parse_fields(row))
 
 
 def read_od_rows(source: str | IO[str]) -> Iterator[ODRow]:

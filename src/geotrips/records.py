@@ -221,6 +221,15 @@ def read_table(
             raise ValidationError(f"{name}:{line}: {exc}") from None
 
 
+def write_table(fh: IO[str], columns: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write a CSV table to `fh`: the header `columns`, then each of `rows`,
+    every line ended by ``\n``.  The mirror of `read_table`: every table the
+    package writes goes through it."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+
+
 def _seekable_binary(source) -> bool:
     return (
         hasattr(source, "read") and isinstance(source.read(0), bytes) and source.seekable()
@@ -368,17 +377,14 @@ def parse_records(
 
 def write_records_csv(records: Iterable[TweetRecord], fh: IO[str]) -> None:
     """Serialize records in the canonical CSV layout (round-trip safe)."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow([r.user_id, repr(r.lat), repr(r.lon), format_timestamp(r.timestamp), r.text])
+    write_table(fh, CSV_COLUMNS, (
+        (r.user_id, repr(r.lat), repr(r.lon), format_timestamp(r.timestamp), r.text)
+        for r in records
+    ))
 
 
 def write_rejects_csv(rejects: Iterable[RejectedLine], fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["line_number", "reason"])
-    for r in rejects:
-        writer.writerow([r.line_number, r.reason])
+    write_table(fh, ("line_number", "reason"), ((r.line_number, r.reason) for r in rejects))
 
 
 def dedupe_records(records: Iterable[TweetRecord]) -> tuple[list[TweetRecord], int]:

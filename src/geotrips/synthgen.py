@@ -10,7 +10,6 @@ separated by far more than the time window.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from bisect import bisect_right
@@ -21,7 +20,7 @@ from zoneinfo import ZoneInfo
 
 from .errors import ConfigError
 from .geometry import GeoPoint, haversine_m
-from .records import TweetRecord, format_timestamp, parse_timestamp, read_table
+from .records import TweetRecord, format_timestamp, parse_timestamp, read_table, write_table
 from .zones import ZoneSet
 
 _UTC = timezone.utc
@@ -319,12 +318,10 @@ GROUND_TRUTH_COLUMNS = ("user_id", "origin_zone", "dest_zone", "true_crossing_ti
 
 
 def write_ground_truth_csv(trips: list[GroundTruthTrip], fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(GROUND_TRUTH_COLUMNS)
-    for t in trips:
-        writer.writerow(
-            [t.user_id, t.origin_zone, t.destination_zone, format_timestamp(t.true_crossing_time)]
-        )
+    write_table(fh, GROUND_TRUTH_COLUMNS, (
+        (t.user_id, t.origin_zone, t.destination_zone, format_timestamp(t.true_crossing_time))
+        for t in trips
+    ))
 
 
 def _trip_from_row(row: list[str]) -> GroundTruthTrip:

@@ -26,15 +26,11 @@ class ZoneSet:
     whose outer ring's padded bounds miss the point, so overlapping zones go to
     the zone declared first.  The scan costs time in proportion to the
     polygon count; each ring's latitude-slab index keeps the point-in-polygon
-    test short.
+    test short.  `load_zones` refuses an empty map, a repeated `zone_id` and a
+    zone named `EXTERNAL`.
     """
 
     def __init__(self, zones: list[Zone]):
-        if not zones:
-            raise ConfigError("no zones")
-        ids = [z.zone_id for z in zones]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("duplicate zone_id in zone set")
         self.zones = tuple(zones)
         self._entries: list[tuple[str, ZonePolygon, float, float, float, float]] = []
         for zone in self.zones:
@@ -117,7 +113,7 @@ def load_zones(source: str | IO[str] | dict) -> ZoneSet:
     features = doc.get("features", [])
     if not isinstance(features, list):
         raise ConfigError(f"{name}: 'features' is not a list")
-    zones: list[Zone] = []
+    zones: dict[str, Zone] = {}
     for fi, feature in enumerate(features):
         if not isinstance(feature, dict):
             raise ConfigError(f"{name}: feature #{fi} is not a JSON object")
@@ -125,6 +121,11 @@ def load_zones(source: str | IO[str] | dict) -> ZoneSet:
         zone_id = props.get("zone_id") if isinstance(props, dict) else None
         if not zone_id:
             raise ConfigError(f"{name}: feature #{fi} has no zone_id property")
+        zid = str(zone_id)
+        if zid == EXTERNAL:  # the label of points in no zone
+            raise ConfigError(f"{name}: feature #{fi} has the reserved zone_id {zid!r}")
+        if zid in zones:
+            raise ConfigError(f"{name}: feature #{fi} repeats zone_id {zid!r}")
         label = f"feature {zone_id!r}"
         geom = feature.get("geometry") or {}
         if not isinstance(geom, dict):
@@ -138,7 +139,7 @@ def load_zones(source: str | IO[str] | dict) -> ZoneSet:
         if not isinstance(coords, list):
             raise InvalidGeometryError(f"{label}: multipolygon coordinates are not a list")
         polys = tuple(_polygon_from_rings(rings, label) for rings in coords)
-        zones.append(Zone(str(zone_id), polys))
+        zones[zid] = Zone(zid, polys)
     if not zones:
-        raise ConfigError("no zones")
-    return ZoneSet(zones)
+        raise ConfigError(f"{name}: no zones")
+    return ZoneSet(list(zones.values()))

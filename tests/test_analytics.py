@@ -345,6 +345,15 @@ class TestCompareDistributions:
         with pytest.raises(ValidationError):
             compare_distributions([0.5, 0.6], [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "a", [[0.5, math.nan], [math.nan, math.nan], normalize([1.0, math.inf])],
+        ids=["one-nan", "all-nan", "normalized-inf"],
+    )
+    def test_nan_sum_is_not_normalized(self, a):
+        """`abs(nan - 1) > tol` is false: a NaN sum must still fail the check."""
+        with pytest.raises(ValidationError, match="series a is not normalized"):
+            compare_distributions(a, [0.5, 0.5])
+
     @given(
         st.lists(st.floats(0.001, 1.0), min_size=2, max_size=12),
         st.lists(st.floats(0.001, 1.0), min_size=2, max_size=12),
@@ -380,6 +389,12 @@ class TestCsvIO:
         buf = io.StringIO("bin_label,value\n07,0.5\n08,0.5\n")
         labels, values = read_series_csv(buf)
         assert labels == ["07", "08"] and values == [0.5, 0.5]
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_series_non_finite_value_names_its_line(self, value):
+        with pytest.raises(ValidationError) as exc:
+            read_series_csv(io.StringIO(f"bin_label,value\n07,0.5\n08,{value}\n"))
+        assert str(exc.value) == f"series CSV:3: value {value!r} is not finite"
 
     def test_series_bad_header(self):
         with pytest.raises(ValidationError):

@@ -373,8 +373,10 @@ class TestAnalyzeCommand:
         [
             ("u1", "expected 2 fields, got 1"),
             ("u1,many", "invalid literal for int() with base 10: 'many'"),
+            # classify_groups ranks by tweet_count: a negative one would reorder the groups
+            ("u1,-5", "user_id 'u1' has a negative tweet_count -5"),
         ],
-        ids=["short-row", "non-integer-count"],
+        ids=["short-row", "non-integer-count", "negative-count"],
     )
     def test_malformed_users_row_names_its_line(self, tmp_path, extracted, row, reason, capsys):
         users = tmp_path / "users.csv"
@@ -422,6 +424,37 @@ class TestAnalyzeCommand:
             f"error: {users}: no row for user {uid!r}, who has displacements\n"
         )
         assert not an.exists()
+
+    def test_tweet_count_below_displacements_plus_one_names_its_line(
+        self, tmp_path, extracted, capsys
+    ):
+        """k displacements join k + 1 records: a smaller count is refused, k + 1 passes."""
+        disp_path = extracted / "displacements.csv"
+        counts: dict[str, int] = {}
+        for d in read_displacements_csv(str(disp_path)):
+            counts[d.user_id] = counts.get(d.user_id, 0) + 1
+        lines = (extracted / "users.csv").read_text().splitlines()
+        lineno, uid = next(
+            (i, line.split(",")[0]) for i, line in enumerate(lines)
+            if line.split(",")[0] in counts
+        )
+        k = counts[uid]
+        users = tmp_path / "users.csv"
+        for count, rc in ((k, 1), (0, 1), (k + 1, 0)):
+            lines[lineno] = f"{uid},{count}"
+            users.write_text("\n".join(lines) + "\n")
+            an = tmp_path / f"an{count}"
+            assert main([
+                "analyze", "--displacements", str(disp_path),
+                "--users", str(users), "--out", str(an),
+            ]) == rc
+            err = capsys.readouterr().err
+            if rc:
+                assert err == (
+                    f"error: {users}:{lineno + 1}: user_id {uid!r} has tweet_count {count}, "
+                    f"too few for {k} displacements\n"
+                )
+                assert not an.exists()
 
     def test_missing_users_file_writes_nothing(self, tmp_path, extracted, capsys, monkeypatch):
         """The users file is checked before the displacement file is opened."""
@@ -538,6 +571,18 @@ class TestCompareCommand:
                 f"error: {a} and {b} have {len(values_a)} and {len(values_b)} bins: "
                 "a comparison needs the same number of bins, at least 2\n"
             )
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, value, capsys):
+        """A NaN once passed the normalisation check and printed invalid JSON."""
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self.write_series(a, [0.5, value])
+        self.write_series(b, [0.5, 0.5])
+        for argv in (["compare", str(a), str(b)], ["compare", str(a), str(b), "--normalize"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {a}:3: value {value!r} is not finite\n"
 
     def test_unnormalized_inputs_fail_without_flag(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -1,3 +1,4 @@
+import ast
 import gc
 import io
 import json
@@ -6,16 +7,20 @@ import time
 import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import geotrips
 from geotrips.analytics import read_series_csv
 from geotrips.cli import _profiles_from
 from geotrips.displacement import (
     Displacement,
     FilterConfig,
+    _format_fields,
+    _parse_fields,
     read_displacements_csv,
     read_od_rows,
     run_extraction,
@@ -36,6 +41,7 @@ from geotrips.records import (
     read_table,
     to_epoch_us,
     write_records_csv,
+    write_table,
 )
 from geotrips.synthgen import SynthConfig, generate, read_ground_truth_csv
 
@@ -649,6 +655,45 @@ class TestReadTable:
         handle.readline()
         with pytest.raises(ValidationError, match="^counts CSV:1002: 'utf-8' codec"):
             list(read_table(handle, self.COLUMNS, tuple, "counts CSV"))
+
+
+class TestWriteTable:
+    def test_header_then_rows_each_ended_by_newline(self):
+        buf = io.StringIO()
+        write_table(buf, ("name", "count"), [("a", 1), ['b, "c"', 2.5], ("", None)])
+        assert buf.getvalue() == 'name,count\na,1\n"b, ""c""",2.5\n,\n'
+
+    def test_only_records_imports_csv(self):
+        """The CSV dialect lives in `read_table`, `write_table` and the corpus
+        parser, all in `records`: no other module imports `csv`."""
+        importers = set()
+        for path in sorted(Path(geotrips.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                if any(m.split(".")[0] == "csv" for m in modules):
+                    importers.add(path.stem)
+        assert importers == {"records"}
+
+
+utc_instants = st.datetimes(
+    min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30), timezones=st.just(timezone.utc)
+)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+zone_labels = st.none() | st.text(min_size=1, max_size=6)
+
+
+class TestDisplacementRow:
+    @given(st.tuples(
+        st.text(min_size=1, max_size=6), finite, finite, finite, finite, utc_instants,
+        utc_instants, finite, finite, zone_labels, zone_labels, st.none() | utc_instants,
+    ))
+    def test_parse_inverts_format(self, fields):
+        assert _parse_fields(list(_format_fields(fields))) == fields
 
 
 def _users_reader(source):

@@ -99,9 +99,38 @@ class TestLoadZones:
         assert len(zs.zones) == 7
         assert zs.zone_ids == [f"zone{i}" for i in range(7)]
 
-    def test_empty_collection_is_fatal(self):
-        with pytest.raises(ConfigError, match="no zones"):
-            load_zones(feature_collection())
+    def write_map(self, tmp_path, *features):
+        path = tmp_path / "zones.geojson"
+        path.write_text(json.dumps(feature_collection(*features)))
+        return str(path)
+
+    def test_empty_collection_is_fatal(self, tmp_path):
+        path = self.write_map(tmp_path)
+        with pytest.raises(ConfigError) as exc:
+            load_zones(path)
+        assert str(exc.value) == f"{path}: no zones"
+
+    def test_external_zone_id_is_refused(self, tmp_path):
+        """Points inside such a zone would share the label of points in none."""
+        path = self.write_map(
+            tmp_path,
+            square_feature("alpha", 40.0, -74.0),
+            square_feature(EXTERNAL, 41.0, -74.0),
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_zones(path)
+        assert str(exc.value) == f"{path}: feature #1 has the reserved zone_id 'EXTERNAL'"
+
+    def test_repeated_zone_id_names_the_file_and_the_id(self, tmp_path):
+        path = self.write_map(
+            tmp_path,
+            square_feature("alpha", 40.0, -74.0),
+            square_feature("beta", 41.0, -74.0),
+            square_feature("alpha", 42.0, -74.0),
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_zones(path)
+        assert str(exc.value) == f"{path}: feature #2 repeats zone_id 'alpha'"
 
     def test_multipolygon_becomes_one_zone_with_two_parts(self):
         fc = feature_collection(
