@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
@@ -21,10 +21,12 @@ from .geometry import GeoPoint, haversine_m
 from .records import (
     TweetRecord,
     UserTimeline,
+    _MICROSECOND,
     _parse_utc,
-    format_timestamp,
+    format_us,
     from_epoch_us,
     read_table,
+    to_epoch_us,
     write_table,
 )
 from .zones import EXTERNAL, ZoneSet
@@ -47,10 +49,11 @@ class FilterConfig:
 
 #: A displacement's values in `DISPLACEMENT_COLUMNS` order, unformatted:
 #: ``(user_id, origin_lat, origin_lon, dest_lat, dest_lon, start, end,
-#: duration_s, distance_m, origin_zone, dest_zone, crossing)``.
+#: duration_s, distance_m, origin_zone, dest_zone, crossing)``, with the
+#: three times as UTC epoch microseconds (see `records.to_epoch_us`).
 DisplacementFields = tuple[
-    str, float, float, float, float, datetime, datetime, float, float,
-    str | None, str | None, datetime | None,
+    str, float, float, float, float, int, int, float, float,
+    str | None, str | None, int | None,
 ]
 
 
@@ -80,17 +83,29 @@ class Displacement:
         return EXTERNAL in (self.origin_zone, self.destination_zone)
 
     def fields(self) -> DisplacementFields:
+        crossing = self.crossing_time_estimate
         return (
             self.user_id, self.origin.lat, self.origin.lon,
-            self.destination.lat, self.destination.lon, self.start_time, self.end_time,
+            self.destination.lat, self.destination.lon,
+            _epoch_us(self.start_time), _epoch_us(self.end_time),
             self.duration, self.distance, self.origin_zone, self.destination_zone,
-            self.crossing_time_estimate,
+            None if crossing is None else _epoch_us(crossing),
         )
 
     @classmethod
     def from_fields(cls, fields: DisplacementFields) -> Displacement:
-        uid, origin_lat, origin_lon, dest_lat, dest_lon, *rest = fields
-        return cls(uid, GeoPoint(origin_lat, origin_lon), GeoPoint(dest_lat, dest_lon), *rest)
+        (uid, origin_lat, origin_lon, dest_lat, dest_lon, start, end, duration, distance,
+         origin_zone, dest_zone, crossing) = fields
+        return cls(
+            uid, GeoPoint(origin_lat, origin_lon), GeoPoint(dest_lat, dest_lon),
+            from_epoch_us(start), from_epoch_us(end), duration, distance,
+            origin_zone, dest_zone, None if crossing is None else from_epoch_us(crossing),
+        )
+
+
+def _epoch_us(dt: datetime) -> int:
+    # A naive datetime is local time, as `format_timestamp` reads it.
+    return to_epoch_us(dt.astimezone(timezone.utc))
 
 
 @dataclass
@@ -255,9 +270,10 @@ def _scan_user(
     exactly the consecutive pair `extract_displacements` sees next, so the
     same gap and distance decide the window and distance tests, and each
     displacement's fields are yielded once, labeled as `label_displacement`
-    labels them.  Datetimes are built only for a displacement's start, end
-    and crossing.  The rows removed are added to
-    `report.speed_removed_records` once the user is done.
+    labels them.  The three times stay epoch microseconds: the crossing is
+    the datetime arithmetic of `label_displacement` done on the integers.
+    The rows removed are added to `report.speed_removed_records` once the
+    user is done.
     """
     uid = tl.user_id
     label = zs.label_point
@@ -280,13 +296,12 @@ def _scan_user(
         if 0.0 < dt <= window and dist >= min_dist:
             origin_zone = label(GeoPoint(p_lat, p_lon))
             dest_zone = label(GeoPoint(lat, lon))
-            start = from_epoch_us(p_t)
             if origin_zone != dest_zone:
-                crossing = start + timedelta(seconds=dt / 2.0)
+                crossing = p_t + timedelta(seconds=dt / 2.0) // _MICROSECOND
             else:
-                crossing = start
+                crossing = p_t
             yield (
-                uid, p_lat, p_lon, lat, lon, start, from_epoch_us(t), dt, dist,
+                uid, p_lat, p_lon, lat, lon, p_t, t, dt, dist,
                 origin_zone, dest_zone, crossing,
             )
         p_t, p_lat, p_lon = t, lat, lon
@@ -389,19 +404,21 @@ def _format_fields(fields: DisplacementFields) -> tuple[str, ...]:
         repr(origin_lon),
         repr(dest_lat),
         repr(dest_lon),
-        format_timestamp(start),
-        format_timestamp(end),
+        format_us(start),
+        format_us(end),
         repr(duration),
         repr(distance),
         origin_zone or "",
         dest_zone or "",
-        format_timestamp(crossing) if crossing else "",
+        "" if crossing is None else format_us(crossing),  # 0 is the epoch
     )
 
 
-def _parse_fields(row: list[str]) -> DisplacementFields:
-    """The inverse of `_format_fields`.  Every column is parsed, in column
-    order, so the first bad value in a row names the error."""
+def _parse_fields(row: list[str]) -> tuple:
+    """The inverse of `_format_fields`, with the three times as `timezone.utc`
+    datetimes (`from_epoch_us` of the fields' integers).  Every column is
+    parsed, in column order, so the first bad value in a row names the
+    error."""
     return (
         row[0], float(row[1]), float(row[2]), float(row[3]), float(row[4]),
         _parse_utc(row[5]), _parse_utc(row[6]), float(row[7]), float(row[8]),
@@ -415,13 +432,16 @@ def write_displacements_csv(displacements: Iterable[Displacement], fh: IO[str]) 
 
 def read_displacements_csv(source: str | IO[str]) -> list[Displacement]:
     rows = read_table(source, DISPLACEMENT_COLUMNS, _parse_fields, "displacement CSV")
-    return list(map(Displacement.from_fields, rows))
+    return [
+        Displacement(uid, GeoPoint(origin_lat, origin_lon), GeoPoint(dest_lat, dest_lon), *rest)
+        for uid, origin_lat, origin_lon, dest_lat, dest_lon, *rest in rows
+    ]
 
 
 #: The columns of a displacement that aggregation uses:
 #: ``(user_id, origin_zone, dest_zone, crossing)``.
 ODRow = tuple[str, str | None, str | None, datetime | None]
-_od_fields = itemgetter(0, 9, 10, 11)  # `DisplacementFields` -> `ODRow`
+_od_fields = itemgetter(0, 9, 10, 11)  # a `_parse_fields` row -> `ODRow`
 
 
 def _od_row(row: list[str]) -> ODRow:

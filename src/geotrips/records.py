@@ -17,6 +17,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
+from functools import lru_cache
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .errors import FormatMismatchError, ValidationError, not_utf8
@@ -146,6 +147,27 @@ def format_timestamp(dt: datetime) -> str:
     return dt.isoformat().replace("+00:00", "Z")
 
 
+_TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))
+
+
+@lru_cache(maxsize=1024)
+def _date_prefix(day: int) -> str:
+    """``YYYY-MM-DDT`` of the UTC day `day` days after `EPOCH`."""
+    return (EPOCH + timedelta(days=day)).date().isoformat() + "T"
+
+
+def format_us(t: int) -> str:
+    """`format_timestamp(from_epoch_us(t))`, computed from the integer."""
+    day, us = divmod(t, 86_400_000_000)
+    s, us = divmod(us, 1_000_000)
+    m, s = divmod(s, 60)
+    h, m = divmod(m, 60)
+    d = _TWO_DIGITS
+    if us:
+        return f"{_date_prefix(day)}{d[h]}:{d[m]}:{d[s]}.{us:06d}Z"
+    return f"{_date_prefix(day)}{d[h]}:{d[m]}:{d[s]}Z"
+
+
 _DIGIT_Z = tuple(f"{d}Z" for d in "0123456789")
 
 
@@ -258,10 +280,19 @@ def _undecodable_line(source, start: int | None) -> int | None:
     return None
 
 
+# `JSONDecoder.raw_decode` without its Python frame: `(value, end)` of the
+# JSON value at an index, StopIteration if none starts there.
+_scan_json = json.JSONDecoder().scan_once
+_LINE_ENDINGS = ("\n", "\r\n", "\r")
+
+
 def _raw_rows(lines: Iterable[str], format: str, rejects: list[RejectedLine]) -> Iterator[tuple]:
     """Yield `(line_number, user_id, lat, lon, timestamp, text)` for each data
     line of the right shape: a 5-field CSV row or a JSON object.  A line of
-    the wrong shape or CSV syntax goes to `rejects`; blank lines are skipped."""
+    the wrong shape or CSV syntax goes to `rejects`; blank lines are skipped.
+    `user_id` is a string.  In a JSON object, a `user_id` that is not a string
+    or an integer (which becomes its digits) and a boolean `lat` or `lon` are
+    the wrong shape too; the other values are as decoded."""
     if format == "csv":
         reader = csv.reader(lines)
         try:
@@ -288,24 +319,36 @@ def _raw_rows(lines: Iterable[str], format: str, rejects: list[RejectedLine]) ->
                 rejects.append(RejectedLine(reader.line_num, str(exc)))
     elif format == "jsonl":
         for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
+            # A line that is one JSON value and a line ending is decoded
+            # directly; any other goes through `json.loads`, whose value or
+            # error it is (a `bytes` line, which it also reads, is a TypeError
+            # here).
             try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
-                rejects.append(RejectedLine(lineno, str(exc)))
-                continue
+                obj, end = _scan_json(line, 0)
+                if end != len(line) and line[end:] not in _LINE_ENDINGS:
+                    raise ValueError
+            except (StopIteration, ValueError, TypeError, RecursionError):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+                    rejects.append(RejectedLine(lineno, str(exc)))
+                    continue
             if not isinstance(obj, dict):
                 rejects.append(RejectedLine(lineno, "line is not a JSON object"))
                 continue
-            yield (
-                lineno,
-                str(obj.get("user_id", "")),
-                obj.get("lat"),
-                obj.get("lon"),
-                obj.get("timestamp", ""),
-                obj.get("text", ""),
-            )
+            user_id = obj.get("user_id", "")
+            if user_id.__class__ is not str:
+                if user_id.__class__ is not int:  # null, a boolean, a float, ...
+                    rejects.append(RejectedLine(lineno, "user_id is not a string or an integer"))
+                    continue
+                user_id = str(user_id)
+            lat, lon = obj.get("lat"), obj.get("lon")
+            if lat.__class__ is bool or lon.__class__ is bool:  # float(True) is 1.0
+                rejects.append(RejectedLine(lineno, "non-numeric coordinates"))
+                continue
+            yield lineno, user_id, lat, lon, obj.get("timestamp", ""), obj.get("text", "")
     else:
         raise ValueError(f"unknown format {format!r}")
 
@@ -328,6 +371,8 @@ def _valid_rows(
             try:
                 if not user_id:
                     raise ValueError("missing user_id")
+                if "\r" in user_id:  # a CSV writer would leave it unquoted
+                    raise ValueError("user_id holds a carriage return")
                 try:
                     lat = float(lat_raw)
                     lon = float(lon_raw)

@@ -26,12 +26,27 @@ class ZoneSet:
     whose outer ring's padded bounds miss the point, so overlapping zones go to
     the zone declared first.  The scan costs time in proportion to the
     polygon count; each ring's latitude-slab index keeps the point-in-polygon
-    test short.  `load_zones` refuses an empty map, a repeated `zone_id` and a
-    zone named `EXTERNAL`.
+    test short.
+
+    An empty list, a repeated `zone_id`, a zone named `EXTERNAL` and a
+    `zone_id` holding a carriage return are a `ConfigError`; zone ``#i`` is
+    feature ``#i`` of the map `load_zones` reads.
     """
 
     def __init__(self, zones: list[Zone]):
         self.zones = tuple(zones)
+        if not self.zones:
+            raise ConfigError("no zones")
+        seen: set[str] = set()
+        for i, zone in enumerate(self.zones):
+            zid = zone.zone_id
+            if zid == EXTERNAL:  # the label of points in no zone
+                raise ConfigError(f"feature #{i} has the reserved zone_id {zid!r}")
+            if zid in seen:
+                raise ConfigError(f"feature #{i} repeats zone_id {zid!r}")
+            if "\r" in zid:  # a CSV writer would leave it unquoted
+                raise ConfigError(f"feature #{i} has a carriage return in zone_id {zid!r}")
+            seen.add(zid)
         self._entries: list[tuple[str, ZonePolygon, float, float, float, float]] = []
         for zone in self.zones:
             for poly in zone.polygons:
@@ -113,7 +128,7 @@ def load_zones(source: str | IO[str] | dict) -> ZoneSet:
     features = doc.get("features", [])
     if not isinstance(features, list):
         raise ConfigError(f"{name}: 'features' is not a list")
-    zones: dict[str, Zone] = {}
+    zones: list[Zone] = []
     for fi, feature in enumerate(features):
         if not isinstance(feature, dict):
             raise ConfigError(f"{name}: feature #{fi} is not a JSON object")
@@ -121,11 +136,6 @@ def load_zones(source: str | IO[str] | dict) -> ZoneSet:
         zone_id = props.get("zone_id") if isinstance(props, dict) else None
         if not zone_id:
             raise ConfigError(f"{name}: feature #{fi} has no zone_id property")
-        zid = str(zone_id)
-        if zid == EXTERNAL:  # the label of points in no zone
-            raise ConfigError(f"{name}: feature #{fi} has the reserved zone_id {zid!r}")
-        if zid in zones:
-            raise ConfigError(f"{name}: feature #{fi} repeats zone_id {zid!r}")
         label = f"feature {zone_id!r}"
         geom = feature.get("geometry") or {}
         if not isinstance(geom, dict):
@@ -139,7 +149,8 @@ def load_zones(source: str | IO[str] | dict) -> ZoneSet:
         if not isinstance(coords, list):
             raise InvalidGeometryError(f"{label}: multipolygon coordinates are not a list")
         polys = tuple(_polygon_from_rings(rings, label) for rings in coords)
-        zones[zid] = Zone(zid, polys)
-    if not zones:
-        raise ConfigError(f"{name}: no zones")
-    return ZoneSet(list(zones.values()))
+        zones.append(Zone(str(zone_id), polys))
+    try:
+        return ZoneSet(zones)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None

@@ -232,6 +232,22 @@ class TestStreamingExtract:
         assert self.extract(hand_corpus, four_zone_geojson, out) == 0
         assert (out / "displacements.csv").read_bytes() == expected_csv
 
+    def test_extract_path_formats_times_from_epoch_microseconds(
+        self, tmp_path, hand_corpus, four_zone_geojson, monkeypatch
+    ):
+        """The scan's times reach the rows as integers: no timeline instant
+        becomes a datetime to be printed."""
+        expected_csv, _ = self.library_outputs(hand_corpus, four_zone_geojson)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a timeline instant went through a datetime")
+
+        monkeypatch.setattr("geotrips.displacement.from_epoch_us", refuse)
+        monkeypatch.setattr("geotrips.records.format_timestamp", refuse)
+        out = tmp_path / "out"
+        assert self.extract(hand_corpus, four_zone_geojson, out) == 0
+        assert (out / "displacements.csv").read_bytes() == expected_csv
+
     @pytest.mark.parametrize(
         "target", ["geotrips.displacement.RunReport.validate", "geotrips.zones.ZoneSet.label_point"]
     )
@@ -472,6 +488,32 @@ class TestAnalyzeCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: users file not found: {missing}")
         assert list(an.iterdir()) == []
+
+    def test_user_id_with_carriage_return_is_rejected_at_ingest(self, tmp_path, four_zone_geojson):
+        """A lone carriage return in a user id would split its CSV rows; its
+        lines are rejected, and the rest of the corpus extracts and analyzes."""
+        t0 = datetime(2014, 8, 4, 12, tzinfo=timezone.utc)
+        rows = [
+            {"user_id": uid, "lat": 40.1, "lon": (-73.9, -73.6)[h % 2], "text": "",
+             "timestamp": (t0 + timedelta(hours=h)).isoformat()}
+            for uid, hours in (("a\rb", 6), ("plain", 8))
+            for h in range(hours)
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out, an = tmp_path / "out", tmp_path / "an"
+        assert main([
+            "extract", "--input", str(corpus), "--zones", four_zone_geojson,
+            "--out", str(out), "--min-tweets", "2",
+        ]) == 0
+        with open(out / "rejects.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [
+                [str(n), "user_id holds a carriage return"] for n in range(1, 7)
+            ]
+        assert (out / "users.csv").read_text() == "user_id,tweet_count\nplain,8\n"
+        argv = ["analyze", "--displacements", str(out / "displacements.csv"), "--out", str(an)]
+        assert main(argv) == 0
+        assert (an / "groups.csv").read_text().splitlines()[1].startswith("plain,8,7,")
 
     def test_user_id_with_comma_and_quote_survives(self, tmp_path, four_zone_geojson):
         # One user hopping between alpha and beta every hour, one who stays.

@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from array import array
 from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
@@ -13,6 +14,7 @@ from geotrips.displacement import (
     Displacement,
     FilterConfig,
     RunReport,
+    _scan_user,
     extract_displacements,
     extract_to_csv,
     filter_active_users,
@@ -29,7 +31,9 @@ from geotrips.records import (
     TweetRecord,
     UserTimeline,
     build_timelines,
+    from_epoch_us,
     load_timelines,
+    to_epoch_us,
     write_records_csv,
 )
 from geotrips.synthgen import SynthConfig, generate
@@ -361,6 +365,65 @@ class TestFusedScan:
             len(got), sum(d.is_inter_zone for d in got),
             sum(d.touches_external for d in got), len({d.user_id for d in got}),
         )
+
+
+class TestScanTimes:
+    """The scan's times are epoch microseconds, each equal to the datetime
+    `label_displacement` computes."""
+
+    ALPHA, BETA, ALPHA_TOO = (40.1, -73.9), (40.1, -73.6), (40.15, -73.85)
+    CFG = FilterConfig(min_tweets=1, max_speed=1e12)  # no speed removals
+
+    def timeline(self, start: int, end: int, dest: tuple[float, float]) -> UserTimeline:
+        return UserTimeline(
+            "u1", array("q", [start, end]), array("d", [self.ALPHA[0], dest[0]]),
+            array("d", [self.ALPHA[1], dest[1]]),
+        )
+
+    def scan(self, start: int, end: int, dest: tuple[float, float]):
+        tl = self.timeline(start, end, dest)
+        return list(_scan_user(tl, FUSED_ZONES, self.CFG, RunReport()))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.integers(
+            to_epoch_us(datetime(1, 1, 1, tzinfo=timezone.utc)),
+            to_epoch_us(datetime(9999, 12, 31, 21, tzinfo=timezone.utc)),
+        ),
+        st.integers(1, 7_200_000_000),
+        st.booleans(),
+    )
+    @example(0, 1, True)  # odd gaps: the half gap ends in half a microsecond
+    @example(0, 3, True)
+    @example(-1, 1_800_000_003, True)
+    @example(0, 2, True)  # even gaps
+    @example(-1, 7_200_000_000, True)
+    @example(0, 1, False)
+    def test_times_equal_the_datetime_arithmetic(self, start, gap, inter_zone):
+        ((*_, t0, t1, duration, _, origin, dest, crossing),) = self.scan(
+            start, start + gap, self.BETA if inter_zone else self.ALPHA_TOO
+        )
+        assert (origin != dest) == inter_zone
+        assert (t0, t1) == (start, start + gap)
+        d0 = from_epoch_us(start)
+        expected = d0 + timedelta(seconds=duration / 2.0) if inter_zone else d0
+        assert crossing == to_epoch_us(expected)
+
+    def test_displacement_from_the_epoch_writes_its_crossing(self):
+        """The epoch is 0 microseconds: a crossing there is not a missing one."""
+        ((*_, crossing),) = fields = self.scan(0, 600_000_000, self.ALPHA_TOO)
+        assert crossing == 0
+        written = io.StringIO(newline="")
+        write_displacements_csv(map(Displacement.from_fields, fields), written)
+        (row,) = written.getvalue().splitlines()[1:]
+        assert row.endswith(",alpha,alpha,1970-01-01T00:00:00Z")
+        streamed = io.StringIO(newline="")
+        tl = self.timeline(0, 600_000_000, self.ALPHA_TOO)
+        extract_to_csv({"u1": tl}, FUSED_ZONES, self.CFG, streamed)
+        assert streamed.getvalue() == written.getvalue()
+        (read,) = read_displacements_csv(io.StringIO(written.getvalue(), newline=""))
+        assert read.crossing_time_estimate is not None
+        assert read.crossing_time_estimate == from_epoch_us(0)
 
 
 class TestStreamingExtraction:

@@ -29,11 +29,14 @@ from geotrips.displacement import (
 from geotrips.errors import FormatMismatchError, ValidationError
 from geotrips.geometry import GeoPoint
 from geotrips.records import (
+    RejectedLine,
     TweetRecord,
     _parse_utc,
+    _raw_rows,
     build_timelines,
     dedupe_records,
     format_timestamp,
+    format_us,
     from_epoch_us,
     load_timelines,
     parse_records,
@@ -106,6 +109,34 @@ class TestParseRecords:
         assert res.records[0].text == ""
         assert len(res.rejects) == 1
         assert res.rejects[0].line_number == 2
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ('"user_id": null', "user_id is not a string or an integer"),
+            ('"user_id": true', "user_id is not a string or an integer"),
+            ('"user_id": 1.5', "user_id is not a string or an integer"),
+            ('"user_id": ["u1"]', "user_id is not a string or an integer"),
+            ('"user_id": "a\\rb"', "user_id holds a carriage return"),
+            ('"user_id": "u1", "lat": true, "lon": false', "non-numeric coordinates"),
+            ('"user_id": "u1", "lat": 40.9, "lon": false', "non-numeric coordinates"),
+        ],
+    )
+    def test_jsonl_field_of_the_wrong_type_is_rejected(self, fields, reason):
+        good = '{"user_id": 7, "lat": 40.9, "lon": -73.9, "timestamp": "2014-08-02T21:58:00Z"}\n'
+        bad = '{"lat": 40.9, "lon": -73.9, "timestamp": "2014-08-02T22:58:00Z", %s}\n' % fields
+        res = parse_records(io.StringIO(good * 2 + bad), format="jsonl")
+        assert res.rejects == [RejectedLine(3, reason)]
+        assert [r.user_id for r in res.records] == ["7", "7"]  # an integer id is its digits
+
+    def test_csv_user_id_with_carriage_return_is_rejected(self):
+        res = parse_csv(
+            'u1,40.9,-73.9,2014-08-02T21:58:00Z,a\n'
+            '"a\rb",40.9,-73.9,2014-08-02T21:58:00Z,b\n'
+            'u1,40.9,-73.9,2014-08-02T22:58:00Z,c\n'
+        )
+        assert res.rejects == [RejectedLine(3, "user_id holds a carriage return")]
+        assert len(res.records) == 2
 
     def test_naive_timestamp_rejected_without_legacy_tz(self):
         res = parse_csv(
@@ -228,6 +259,10 @@ def stamped_instants(draw):
     return parse_timestamp(raw, legacy_tz)
 
 
+DATETIME_MIN = datetime.min.replace(tzinfo=timezone.utc)
+DATETIME_MAX = datetime.max.replace(tzinfo=timezone.utc)
+
+
 class TestEpochMicroseconds:
     """A timeline's `times` stand in for the parsed datetimes without changing
     any gap, written timestamp or crossing estimate."""
@@ -247,6 +282,20 @@ class TestEpochMicroseconds:
         back = from_epoch_us(to_epoch_us(d))
         assert back == d and back.tzinfo is timezone.utc
         assert format_timestamp(back) == format_timestamp(d)
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(st.integers(to_epoch_us(DATETIME_MIN), to_epoch_us(DATETIME_MAX)))
+    @example(to_epoch_us(DATETIME_MIN))
+    @example(to_epoch_us(DATETIME_MAX))
+    @example(0)
+    @example(-1)
+    @example(1)
+    @example(-86_400_000_000)  # the day before the epoch, at midnight
+    @example(86_400_000_000 - 1)  # the last microsecond of the epoch's day
+    @example(1_407_016_680_000_000)  # 2014-08-02T21:58:00Z
+    @example(1_407_016_680_500_000)  # and half a second later
+    def test_format_us_matches_format_timestamp(self, t):
+        assert format_us(t) == format_timestamp(from_epoch_us(t))
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(stamped_instants(), stamped_instants())
@@ -552,6 +601,96 @@ class TestLoadTimelines:
         assert best_of_3(one_instant) < 5 * best_of_3(distinct)
 
 
+def raw_rows_by_json_loads(lines):
+    """`_raw_rows(lines, "jsonl", rejects)` as it reads with `json.loads` on
+    every line: the rows and the rejects."""
+    rows, rejects = [], []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            rejects.append(RejectedLine(lineno, str(exc)))
+            continue
+        if not isinstance(obj, dict):
+            rejects.append(RejectedLine(lineno, "line is not a JSON object"))
+            continue
+        user_id, lat, lon = obj.get("user_id", ""), obj.get("lat"), obj.get("lon")
+        if type(user_id) not in (str, int):
+            rejects.append(RejectedLine(lineno, "user_id is not a string or an integer"))
+        elif bool in (type(lat), type(lon)):
+            rejects.append(RejectedLine(lineno, "non-numeric coordinates"))
+        else:
+            rows.append((
+                lineno, str(user_id), lat, lon, obj.get("timestamp", ""), obj.get("text", ""),
+            ))
+    return rows, rejects
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+record_objects = st.fixed_dictionaries({}, optional={
+    "user_id": st.sampled_from(["u1", "", 7]) | json_scalars,
+    "lat": st.sampled_from([40.5, -0.0]) | json_scalars,
+    "lon": st.sampled_from([-73.9, 0.0]) | json_scalars,
+    "timestamp": st.sampled_from(TIMESTAMP_FORMS) | json_scalars,
+    "text": json_values,
+})
+
+
+@st.composite
+def jsonl_texts(draw):
+    """JSONL text whose lines may start with a BOM or blanks, carry trailing
+    data, end in ``\n``, ``\r\n``, ``\r`` or nothing, or be cut short."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        obj = draw(record_objects | json_values)
+        line = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+        if draw(st.booleans()):
+            line = line[: draw(st.integers(0, len(line)))]
+        line = draw(st.sampled_from(["", "", "\ufeff", " ", "\t", " \ufeff"])) + line
+        line += draw(st.sampled_from(["", "", " ", "\t", " x", "}", "{}", ",1"]))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r", ""])))
+    return "".join(lines)
+
+
+GOOD_JSON = json.dumps(
+    {"user_id": "u1", "lat": 40.5, "lon": -73.9, "timestamp": TIMESTAMP_FORMS[0]}
+)
+
+
+class TestJsonlDecoding:
+    """Lines decoded directly give the rows and rejects `json.loads` gives."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(jsonl_texts())
+    @example(GOOD_JSON + "\n" + GOOD_JSON + "\r\n" + GOOD_JSON + "\r" + GOOD_JSON)
+    @example("\ufeff" + GOOD_JSON + "\n")  # BOM
+    @example("  " + GOOD_JSON + "\n\t" + GOOD_JSON + "\r\n")  # leading blanks
+    @example(GOOD_JSON + " \n" + GOOD_JSON + "x\n" + GOOD_JSON + "{}\r")  # trailing data
+    @example(GOOD_JSON[:-1] + "\n" + GOOD_JSON[:1] + "\r\n\n \r")  # cut short; blank lines
+    @example('{"user_id": "u1", "lat": NaN, "lon": -0.0}\n[1]\n"s"\n3 \n')
+    def test_matches_json_loads(self, text):
+        lines = list(io.StringIO(text, newline=""))
+        rejects = []
+        rows = list(_raw_rows(lines, "jsonl", rejects))
+        expected_rows, expected_rejects = raw_rows_by_json_loads(lines)
+        assert repr(rows) == repr(expected_rows)  # repr tells NaN, 0.0 and -0.0 apart
+        assert rejects == expected_rejects
+
+    def test_bytes_lines_read_as_json_loads_reads_them(self):
+        lines = [GOOD_JSON + "\n", "{broken\n", GOOD_JSON + " \r\n", GOOD_JSON]
+        as_text = parse_records(lines, format="jsonl")
+        as_bytes = parse_records([line.encode() for line in lines], format="jsonl")
+        assert (as_bytes.records, as_bytes.rejects) == (as_text.records, as_text.rejects)
+        assert len(as_text.records) == 3 and len(as_text.rejects) == 1
+
+
 class TestColumnarIngest:
     @pytest.fixture
     def corpus(self, tmp_path, four_zone_map):
@@ -692,8 +831,15 @@ class TestDisplacementRow:
         st.text(min_size=1, max_size=6), finite, finite, finite, finite, utc_instants,
         utc_instants, finite, finite, zone_labels, zone_labels, st.none() | utc_instants,
     ))
-    def test_parse_inverts_format(self, fields):
-        assert _parse_fields(list(_format_fields(fields))) == fields
+    def test_parse_inverts_format(self, row):
+        """Format takes the times as epoch microseconds and parse gives them
+        back as datetimes: the exact conversion of each instant either way."""
+        start, end, crossing = row[5], row[6], row[11]
+        fields = (
+            *row[:5], to_epoch_us(start), to_epoch_us(end), *row[7:11],
+            None if crossing is None else to_epoch_us(crossing),
+        )
+        assert _parse_fields(list(_format_fields(fields))) == row
 
 
 def _users_reader(source):

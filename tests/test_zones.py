@@ -8,7 +8,7 @@ import pytest
 from conftest import feature_collection, square_feature, square_ring
 from geotrips.errors import ConfigError, InvalidGeometryError
 from geotrips.geometry import EDGE_TOLERANCE_DEG, GeoPoint
-from geotrips.zones import EXTERNAL, load_zones
+from geotrips.zones import EXTERNAL, Zone, ZoneSet, load_zones
 from oracles import label_point_scan, random_simple_polygon
 
 
@@ -132,6 +132,18 @@ class TestLoadZones:
             load_zones(path)
         assert str(exc.value) == f"{path}: feature #2 repeats zone_id 'alpha'"
 
+    def test_zone_id_with_carriage_return_names_the_file_and_the_id(self, tmp_path):
+        """A CSV writer leaves a lone carriage return unquoted, so every
+        reader would split the row there."""
+        path = self.write_map(
+            tmp_path,
+            square_feature("alpha", 40.0, -74.0),
+            square_feature("a\rb", 41.0, -74.0),
+        )
+        with pytest.raises(ConfigError) as exc:
+            load_zones(path)
+        assert str(exc.value) == f"{path}: feature #1 has a carriage return in zone_id 'a\\rb'"
+
     def test_multipolygon_becomes_one_zone_with_two_parts(self):
         fc = feature_collection(
             {
@@ -239,6 +251,26 @@ class TestLoadZones:
             # the count the benchmark reports as zones.load_zones.vertices
             assert len(ring.vertices) == len(given)
             assert ring.vertices == tuple(GeoPoint(lat, lon) for lon, lat in given)
+
+
+class TestZoneSet:
+    """A `ZoneSet` built from a list checks what `load_zones` checks."""
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ((), "no zones"),
+            (("alpha", "beta", "alpha"), "feature #2 repeats zone_id 'alpha'"),
+            (("alpha", EXTERNAL), "feature #1 has the reserved zone_id 'EXTERNAL'"),
+            (("a\rb",), "feature #0 has a carriage return in zone_id 'a\\rb'"),
+        ],
+        ids=["empty", "repeated", "external", "carriage-return"],
+    )
+    def test_bad_zone_list_is_refused(self, ids, message):
+        (square,) = load_zones(feature_collection(square_feature("z", 40.0, -74.0))).zones
+        with pytest.raises(ConfigError) as exc:
+            ZoneSet([Zone(zid, square.polygons) for zid in ids])
+        assert str(exc.value) == message
 
 
 class TestLabelPoint:
