@@ -13,8 +13,11 @@ from datetime import datetime, timezone
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .displacement import FilterConfig, MPH_TO_MPS, RunReport, extract_to_csv, read_od_rows
-from .errors import ConfigError, GeotripsError, ValidationError, not_utf8
-from .records import load_timelines, read_table, write_records_csv, write_rejects_csv, write_table
+from .errors import ConfigError, GeotripsError, ValidationError
+from .records import (
+    _open_lines, load_timelines, read_json, read_table, write_records_csv, write_rejects_csv,
+    write_table,
+)
 from .zones import load_zones
 
 TZ_ENV_VAR = "GEOTRIPS_TZ"
@@ -34,11 +37,8 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     options = {a.dest: a for a in parser._actions if a.option_strings}
     del options["help"], options["config"]
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = list(fh)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(not_utf8(path, exc)) from None
+    with _open_lines(path, path) as fh:
+        lines = list(fh)
     for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -316,13 +316,7 @@ def _synth_value(path: str, key: str, value, default):
 def _parse_synth_config(path: str) -> synthgen.SynthConfig:
     from . import synthgen
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(not_utf8(path, exc)) from None
+    doc = read_json(path, path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: synth config is not a JSON object")
     fields = [f for f in dataclasses.fields(synthgen.SynthConfig) if f.name != "zone_map"]
@@ -386,10 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMATS)
     p.add_argument("--zones", help="GeoJSON zone map")
     p.add_argument("--out", default="out", help="output directory (default ./out)")
-    p.add_argument("--min-tweets", type=int, default=100)
-    p.add_argument("--max-speed-mph", type=float, default=100.0)
-    p.add_argument("--time-window-h", type=float, default=2.0)
-    p.add_argument("--min-displacement-m", type=float, default=100.0)
+    d = FilterConfig()
+    p.add_argument("--min-tweets", type=int, default=d.min_tweets)
+    p.add_argument("--max-speed-mph", type=float, default=d.max_speed / MPH_TO_MPS)
+    p.add_argument("--time-window-h", type=float, default=d.time_window / 3600)
+    p.add_argument("--min-displacement-m", type=float, default=d.min_displacement_distance)
     p.add_argument(
         "--tz", default=_default_tz(), help=f"analysis timezone (default ${TZ_ENV_VAR} or UTC)"
     )

@@ -24,8 +24,3 @@ class ValidationError(GeotripsError):
 class EmptyODError(GeotripsError):
     """No displacements survive the OD filters; there is nothing to normalize."""
 
-
-def not_utf8(name: str, exc: UnicodeDecodeError) -> str:
-    """Message for the first byte of `name` that is not UTF-8: the byte and the
-    decoder's reason."""
-    return f"{name} is not UTF-8: byte {exc.object[exc.start]:#04x}: {exc.reason}"

@@ -20,7 +20,7 @@ from datetime import datetime, timedelta, timezone, tzinfo
 from functools import lru_cache
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
-from .errors import FormatMismatchError, ValidationError, not_utf8
+from .errors import ConfigError, FormatMismatchError, ValidationError
 
 CSV_COLUMNS = ("user_id", "lat", "lon", "timestamp", "text")
 LEGACY_TIMESTAMP_FORMAT = "%m/%d/%Y %H:%M"
@@ -189,22 +189,52 @@ def _parse_utc(raw: str, legacy_tz: tzinfo | None = None) -> datetime:
     return parse_timestamp(raw, legacy_tz)
 
 
+def source_name(source, what: str) -> str:
+    """A message's name for `source`: the path, the handle's `name` or `what`."""
+    return source if isinstance(source, str) else getattr(source, "name", what)
+
+
 @contextmanager
-def _open_lines(source) -> Iterator[Iterable[str]]:
+def _open_lines(source, what: str) -> Iterator[Iterable[str]]:
     """Give the text lines of a path, a text or binary handle, or an iterable
-    of lines.  A file opened here is closed on every exit; a handle the
-    caller passed in is never closed."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            yield fh
-    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
-        text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-        try:
-            yield text
-        finally:
-            text.detach()  # a wrapper closes its buffer when collected
-    else:
-        yield source
+    of lines.  Here alone bytes become text: UTF-8, less a leading BOM.  A
+    byte that is not UTF-8 raises `ValidationError("<file>:<line>: not UTF-8:
+    byte 0x..: <reason>")`, `what` naming a handle that has no name.  A file
+    opened here is closed on every exit, a caller's handle never."""
+    binary = hasattr(source, "read") and isinstance(source.read(0), bytes)
+    start = source.tell() if binary and source.seekable() else None
+    try:
+        if isinstance(source, str):
+            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+                yield fh
+        elif binary:
+            text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+            try:
+                yield text
+            finally:
+                text.detach()  # a wrapper closes its buffer when collected
+        else:
+            yield source
+    except UnicodeDecodeError as exc:
+        # The decoder reads ahead of the reader: count the lines anew.
+        line = _undecodable_line(source, start)
+        where = source_name(source, what) + (f":{line}" if line else "")
+        raise ValidationError(
+            f"{where}: not UTF-8: byte {exc.object[exc.start]:#04x}: {exc.reason}"
+        ) from None
+
+
+def read_json(source, what: str):
+    """The JSON document in `source`, read by `_open_lines` with line ends
+    made ``\n`` (`json` counts lines by ``\n``); bad JSON is a `ConfigError`
+    naming the file, line and column."""
+    try:
+        with _open_lines(source, what) as fh:
+            text = fh.read().replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        name = source_name(source, what)
+        raise ConfigError(f"{name}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
 
 def read_table(
@@ -215,17 +245,16 @@ def read_table(
     read.  Nothing is read before the first `next`; a caller that wants every
     row takes `list(...)` of it.
 
-    A wrong header, a row with another field count, a CSV syntax error or a
-    `ValueError` from `convert` raises `ValidationError("<file>:<line>:
-    <reason>")` when the walk reaches it; `what` stands for the file name of a
-    handle that has none.  A file opened here is closed when the walk ends or
-    the generator is closed; a handle the caller passed in stays open.
+    `_open_lines(source, what)` decodes the file.  A wrong header, a row with
+    another field count, a CSV syntax error or a `ValueError` from `convert`
+    raises `ValidationError("<file>:<line>: <reason>")` when the walk reaches
+    it.  A file opened here is closed when the walk ends or the generator is
+    closed; a handle the caller passed in stays open.
     """
-    name = source if isinstance(source, str) else getattr(source, "name", what)
-    start = source.tell() if _seekable_binary(source) else None
-    with _open_lines(source) as lines:
-        reader = csv.reader(lines)
-        try:
+    name = source_name(source, what)
+    try:
+        with _open_lines(source, what) as lines:
+            reader = csv.reader(lines)
             header = next(reader, None)
             if header is None or tuple(h.strip() for h in header) != columns:
                 raise ValueError(f"expected header {','.join(columns)!r}")
@@ -234,13 +263,8 @@ def read_table(
                     yield convert(row)
                 elif row:
                     raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
-        except (ValueError, csv.Error) as exc:
-            line = reader.line_num or 1
-            if isinstance(exc, UnicodeDecodeError):
-                # Decoding runs a chunk ahead of the reader, so its line is not
-                # the bad byte's.
-                line = _undecodable_line(source, start) or line
-            raise ValidationError(f"{name}:{line}: {exc}") from None
+    except (ValueError, csv.Error) as exc:
+        raise ValidationError(f"{name}:{reader.line_num or 1}: {exc}") from None
 
 
 def write_table(fh: IO[str], columns: Iterable[str], rows: Iterable[Iterable]) -> None:
@@ -250,12 +274,6 @@ def write_table(fh: IO[str], columns: Iterable[str], rows: Iterable[Iterable]) -
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
-
-
-def _seekable_binary(source) -> bool:
-    return (
-        hasattr(source, "read") and isinstance(source.read(0), bytes) and source.seekable()
-    )
 
 
 def _undecodable_line(source, start: int | None) -> int | None:
@@ -269,14 +287,12 @@ def _undecodable_line(source, start: int | None) -> int | None:
     if start is None:
         return None
     source.seek(start)
-    lineno = 0
-    for chunk in source:
-        for line in chunk.splitlines():
-            lineno += 1
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return lineno
+    lines = (line for chunk in source for line in chunk.splitlines())
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
     return None
 
 
@@ -359,39 +375,37 @@ def _valid_rows(
     """The row validator: yield `(user_id, lat, lon, timestamp, text)` for
     each valid record in input order, append a `RejectedLine` for each bad
     line, and raise `FormatMismatchError` at the end if more than half of
-    the data lines were rejected, or at a byte that is not UTF-8.
+    the data lines were rejected.  `_open_lines` refuses bytes that are not
+    UTF-8.
 
     `timestamp` is an aware UTC datetime; `text` is as read (a JSON line's
     may be any value, or None).  Every data line either yields a row or is
     rejected, so the caller gets `lines_read` as rows yielded plus rejects.
     """
     parsed = 0
-    try:
-        for lineno, user_id, lat_raw, lon_raw, ts_raw, text in _raw_rows(lines, format, rejects):
+    for lineno, user_id, lat_raw, lon_raw, ts_raw, text in _raw_rows(lines, format, rejects):
+        try:
+            if not user_id:
+                raise ValueError("missing user_id")
+            if "\r" in user_id:  # a CSV writer would leave it unquoted
+                raise ValueError("user_id holds a carriage return")
             try:
-                if not user_id:
-                    raise ValueError("missing user_id")
-                if "\r" in user_id:  # a CSV writer would leave it unquoted
-                    raise ValueError("user_id holds a carriage return")
-                try:
-                    lat = float(lat_raw)
-                    lon = float(lon_raw)
-                except (TypeError, ValueError):
-                    raise ValueError("non-numeric coordinates")
-                if not (math.isfinite(lat) and math.isfinite(lon)):
-                    raise ValueError("non-finite coordinates")
-                if not -90.0 <= lat <= 90.0:
-                    raise ValueError("latitude out of range")
-                if not -180.0 <= lon <= 180.0:
-                    raise ValueError("longitude out of range")
-                ts = _parse_utc(str(ts_raw), legacy_tz)
-            except ValueError as exc:
-                rejects.append(RejectedLine(lineno, str(exc)))
-                continue
-            parsed += 1
-            yield user_id, lat, lon, ts, text
-    except UnicodeDecodeError as exc:
-        raise FormatMismatchError(not_utf8("input", exc)) from None
+                lat = float(lat_raw)
+                lon = float(lon_raw)
+            except (TypeError, ValueError):
+                raise ValueError("non-numeric coordinates")
+            if not (math.isfinite(lat) and math.isfinite(lon)):
+                raise ValueError("non-finite coordinates")
+            if not -90.0 <= lat <= 90.0:
+                raise ValueError("latitude out of range")
+            if not -180.0 <= lon <= 180.0:
+                raise ValueError("longitude out of range")
+            ts = _parse_utc(str(ts_raw), legacy_tz)
+        except ValueError as exc:
+            rejects.append(RejectedLine(lineno, str(exc)))
+            continue
+        parsed += 1
+        yield user_id, lat, lon, ts, text
     lines_read = parsed + len(rejects)
     if lines_read > 0 and len(rejects) * 2 > lines_read:
         raise FormatMismatchError(
@@ -411,7 +425,7 @@ def parse_records(
     are rejected the whole input is treated as a format mismatch.
     """
     rejects: list[RejectedLine] = []
-    with _open_lines(source) as lines:
+    with _open_lines(source, "input") as lines:
         # User ids are interned: a user's records share one string.
         records = [
             TweetRecord(sys.intern(uid), lat, lon, ts, "" if text is None else str(text))
@@ -500,7 +514,7 @@ def load_timelines(
     """
     rejects: list[RejectedLine] = []
     columns: dict[str, tuple[array, array, array]] = {}
-    with _open_lines(source) as lines:
+    with _open_lines(source, "input") as lines:
         for uid, lat, lon, ts, _ in _valid_rows(lines, format, legacy_tz, rejects):
             cols = columns.get(uid)
             if cols is None:

@@ -18,6 +18,7 @@ from datetime import datetime, timedelta, timezone
 from typing import IO
 from zoneinfo import ZoneInfo
 
+from .displacement import FilterConfig
 from .errors import ConfigError
 from .geometry import GeoPoint, haversine_m
 from .records import TweetRecord, format_timestamp, parse_timestamp, read_table, write_table
@@ -62,11 +63,11 @@ class SynthConfig:
     gps_noise_sigma: float = 30.0  # meters
     anomaly_rate: float = 0.0
     tz: str = "UTC"
-    # Pipeline parameters mirrored for recoverability scheduling.
-    time_window: float = 7200.0
-    max_speed: float = 44.704
-    min_tweets: int = 100
-    min_displacement_distance: float = 100.0
+    # The pipeline's thresholds, for recoverability scheduling.
+    time_window: float = FilterConfig.time_window
+    max_speed: float = FilterConfig.max_speed
+    min_tweets: int = FilterConfig.min_tweets
+    min_displacement_distance: float = FilterConfig.min_displacement_distance
 
     def __post_init__(self):
         if self.zone_map is None:

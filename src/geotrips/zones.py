@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import IO
 
-from .errors import ConfigError, InvalidGeometryError, not_utf8
+from .errors import ConfigError, InvalidGeometryError
 from .geometry import GeoPoint, PolygonRing, ZonePolygon, point_in_polygon
+from .records import read_json, source_name
 
 #: Sentinel label for points lying in no configured zone.
 EXTERNAL = "EXTERNAL"
@@ -102,27 +102,16 @@ def _polygon_from_rings(rings, feature_label: str) -> ZonePolygon:
     return ZonePolygon(outer, holes)
 
 
-def load_zones(source: str | IO[str] | dict) -> ZoneSet:
-    """Load a ZoneSet from a GeoJSON FeatureCollection.
+def load_zones(source: str | IO | dict) -> ZoneSet:
+    """Load a ZoneSet from a GeoJSON FeatureCollection, given parsed or as a
+    path or handle for `records.read_json`.
 
     Each feature must be a Polygon or MultiPolygon with a ``zone_id``
     property; other properties, such as ``name``, are ignored.  Coordinates
     are [lon, lat] per RFC 7946.
     """
-    name = source if isinstance(source, str) else getattr(source, "name", "zones document")
-    try:
-        if isinstance(source, dict):
-            doc = source
-        elif isinstance(source, str):
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        else:
-            doc = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{name}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(not_utf8(name, exc)) from None
-
+    name = source_name(source, "zones document")
+    doc = source if isinstance(source, dict) else read_json(source, name)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ConfigError(f"{name}: not a GeoJSON FeatureCollection")
     features = doc.get("features", [])

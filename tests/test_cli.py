@@ -1,4 +1,6 @@
+import codecs
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,12 +14,14 @@ from geotrips.cli import main, parse_args
 from geotrips.displacement import (
     DISPLACEMENT_COLUMNS,
     FilterConfig,
+    extract_to_csv,
     read_displacements_csv,
     run_extraction,
     write_displacements_csv,
 )
 from geotrips.errors import ValidationError
 from geotrips.records import load_timelines
+from geotrips.synthgen import SynthConfig
 from geotrips.zones import load_zones
 
 DISPLACEMENT_HEADER = ",".join(DISPLACEMENT_COLUMNS) + "\n"
@@ -48,6 +52,15 @@ class TestSynthCommand:
         d2 = run_synth(tmp_path, synth_config, "d2")
         assert (d1 / "corpus.csv").read_bytes() == (d2 / "corpus.csv").read_bytes()
         assert (d1 / "ground_truth.csv").read_bytes() == (d2 / "ground_truth.csv").read_bytes()
+
+    def test_bom_config_gives_the_plain_configs_corpus(self, tmp_path, synth_config):
+        bom_config = tmp_path / "bom.json"
+        with open(synth_config, "rb") as fh:
+            bom_config.write_bytes(codecs.BOM_UTF8 + fh.read())
+        plain = run_synth(tmp_path, synth_config, "plain")
+        bom = run_synth(tmp_path, str(bom_config), "bom")
+        for name in ("corpus.csv", "ground_truth.csv"):
+            assert (bom / name).read_bytes() == (plain / name).read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path, synth_config):
         d1 = run_synth(tmp_path, synth_config, "d1")
@@ -93,18 +106,25 @@ class TestExtractCommand:
         assert "zones file not found" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "name, body",
+        "name, body, line",
         [
-            ("corpus.csv", b"user_id,lat,lon,timestamp,text\nu1,40.1,-73.9,2014-03-01T00:00:00Z,caf\xe9\n"),
+            (
+                "corpus.csv",
+                b"user_id,lat,lon,timestamp,text\nu1,40.1,-73.9,2014-03-01T00:00:00Z,caf\xe9\n",
+                2,
+            ),
             (
                 "corpus.jsonl",
                 b'{"user_id": "u1", "lat": 40.1, "lon": -73.9, '
                 b'"timestamp": "2014-03-01T00:00:00Z", "text": "caf\xe9"}\n',
+                1,
             ),
         ],
         ids=["csv", "jsonl"],
     )
-    def test_non_utf8_corpus_is_one_error_line(self, tmp_path, four_zone_geojson, name, body, capsys):
+    def test_non_utf8_corpus_is_one_error_line(
+        self, tmp_path, four_zone_geojson, name, body, line, capsys
+    ):
         corpus = tmp_path / name
         corpus.write_bytes(body)
         rc = main([
@@ -115,7 +135,7 @@ class TestExtractCommand:
         ])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: input is not UTF-8: byte 0xe9: invalid continuation byte\n"
+            f"error: {corpus}:{line}: not UTF-8: byte 0xe9: invalid continuation byte\n"
         )
 
     def test_config_file_with_flag_override(self, tmp_path, synth_config, four_zone_geojson):
@@ -131,6 +151,12 @@ class TestExtractCommand:
         assert rc == 0
         report = json.loads((tmp_path / "cfg_out" / "report.json").read_text())
         assert report["users_retained"] > 0
+
+    def test_bom_config_file_reads_as_the_plain_one(self, tmp_path):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_bytes(codecs.BOM_UTF8 + b"min_tweets = 3\nformat = jsonl\n")
+        args = parse_args(["extract", "--config", str(cfg)])
+        assert (args.min_tweets, args.format) == (3, "jsonl")
 
     def test_workers_do_not_change_outputs(self, tmp_path, synth_config, four_zone_geojson):
         data = run_synth(tmp_path, synth_config)
@@ -247,6 +273,45 @@ class TestStreamingExtract:
         out = tmp_path / "out"
         assert self.extract(hand_corpus, four_zone_geojson, out) == 0
         assert (out / "displacements.csv").read_bytes() == expected_csv
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_bom_corpus_gives_the_plain_corpus_products(self, tmp_path, four_zone_geojson, fmt):
+        """A corpus that starts with a UTF-8 BOM, as spreadsheet tools write
+        it, gives the products of the same corpus without one."""
+        text = HAND_CORPUS
+        if fmt == "jsonl":
+            text = "".join(json.dumps(row) + "\n" for row in csv.DictReader(io.StringIO(text)))
+        products = {}
+        for name, prefix in (("plain", b""), ("bom", codecs.BOM_UTF8)):
+            corpus = tmp_path / f"{name}.{fmt}"
+            corpus.write_bytes(prefix + text.encode("utf-8"))
+            out = tmp_path / name
+            assert self.extract(str(corpus), four_zone_geojson, out) == 0
+            products[name] = {
+                f: (out / f).read_bytes()
+                for f in ("displacements.csv", "rejects.csv", "users.csv", "report.json")
+            }
+        assert products["bom"] == products["plain"]
+        assert json.loads(products["bom"]["report.json"])["rejected_lines"] == 1
+
+    def test_default_thresholds_are_filter_configs(
+        self, tmp_path, hand_corpus, four_zone_geojson, monkeypatch
+    ):
+        """The threshold flags and `SynthConfig`'s mirrored fields default to
+        `FilterConfig`'s values."""
+        configs = []
+
+        def spy(timelines, zones, cfg, fh):
+            configs.append(cfg)
+            return extract_to_csv(timelines, zones, cfg, fh)
+
+        monkeypatch.setattr("geotrips.cli.extract_to_csv", spy)
+        argv = ["extract", "--input", hand_corpus, "--zones", four_zone_geojson]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert configs == [FilterConfig()]
+        mirrored = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
+        for f in dataclasses.fields(FilterConfig):
+            assert mirrored[f.name] == f.default, f.name
 
     @pytest.mark.parametrize(
         "target", ["geotrips.displacement.RunReport.validate", "geotrips.zones.ZoneSet.label_point"]
@@ -406,6 +471,22 @@ class TestAnalyzeCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {users}:3: {reason}\n"
 
+    def test_bom_users_file_gives_the_same_products(self, tmp_path, extracted):
+        users = tmp_path / "users.csv"
+        users.write_bytes(codecs.BOM_UTF8 + (extracted / "users.csv").read_bytes())
+        products = {}
+        for name, users_path in (("plain", extracted / "users.csv"), ("bom", users)):
+            out = tmp_path / name
+            assert main([
+                "analyze", "--displacements", str(extracted / "displacements.csv"),
+                "--users", str(users_path), "--out", str(out), "--focal-zone", "alpha",
+            ]) == 0
+            products[name] = {
+                f: (out / f).read_bytes() for f in os.listdir(out) if f != "timings.json"
+            }
+        assert products["bom"] == products["plain"]
+        assert len(products["bom"]) == 6
+
     def test_repeated_user_names_its_line(self, tmp_path, extracted, capsys):
         """A user listed twice would be ranked, and written to groups.csv, twice."""
         users = tmp_path / "users.csv"
@@ -554,6 +635,19 @@ class TestCompareCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["l1_distance"] == 0.0
         assert payload["pearson_r"] == pytest.approx(1.0)
+
+    def test_bom_series_reads_as_the_plain_one(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self.write_series(a, [0.1, 0.4, 0.3, 0.2])
+        b.write_bytes(codecs.BOM_UTF8 + a.read_bytes())
+        c = tmp_path / "c.csv"
+        self.write_series(c, [0.25, 0.25, 0.25, 0.25])
+        assert main(["compare", str(a), str(c)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["compare", str(b), str(c)]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(["compare", str(b), str(a)]) == 0
+        assert json.loads(capsys.readouterr().out)["l1_distance"] == 0.0
 
     def test_one_hot_pair_l1_two(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -836,15 +930,19 @@ class TestBadConfiguration:
     @pytest.mark.parametrize(
         "name, body, reason",
         [
-            ("pipeline.cfg", b"tz = Europe/Z\xfcrich\n", "byte 0xfc: invalid start byte"),
+            (
+                "pipeline.cfg",
+                b"# the timezone\ntz = Europe/Z\xfcrich\n",
+                "byte 0xfc: invalid start byte",
+            ),
             (
                 "synth.json",
-                b'{"zones": "zones.geojson", "tz": "Europe/Z\xfcrich"}',
+                b'{"zones": "zones.geojson",\n "tz": "Europe/Z\xfcrich"}',
                 "byte 0xfc: invalid start byte",
             ),
             (
                 "bad.geojson",
-                b'{"type": "FeatureCollection", "name": "caf\xe9", "features": []}',
+                b'{"type": "FeatureCollection",\n "name": "caf\xe9", "features": []}',
                 "byte 0xe9: invalid continuation byte",
             ),
         ],
@@ -859,7 +957,7 @@ class TestBadConfiguration:
             "bad.geojson": inputs["extract"] + ["--zones", str(path)],
         }[name]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == f"error: {path} is not UTF-8: {reason}\n"
+        assert capsys.readouterr().err == f"error: {path}:2: not UTF-8: {reason}\n"
 
     def test_nan_max_speed_is_rejected(self, tmp_path, inputs, capsys):
         argv = inputs["extract"] + ["--max-speed-mph", "nan", "--out", str(tmp_path / "out")]
@@ -870,6 +968,7 @@ class TestBadConfiguration:
         "doc, message",
         [
             ('{"type": "FeatureCollection",\n "features": [}', "{path}:2:15: Expecting value"),
+            ('{"type": "FeatureCollection",\r "features": [}', "{path}:2:15: Expecting value"),
             ("[]", "{path}: not a GeoJSON FeatureCollection"),
             ('{"type": "FeatureCollection", "features": 3}', "{path}: 'features' is not a list"),
             ('{"type": "FeatureCollection", "features": [7]}', "{path}: feature #0 is not a JSON object"),
@@ -904,7 +1003,8 @@ class TestBadConfiguration:
             ),
         ],
         ids=[
-            "syntax", "not-an-object", "features-not-a-list", "feature-not-an-object",
+            "syntax", "syntax-cr-line-ends", "not-an-object", "features-not-a-list",
+            "feature-not-an-object",
             "properties-not-an-object", "geometry-not-an-object", "polygon-number",
             "polygon-object", "multipolygon-number", "multipolygon-member",
         ],

@@ -1,4 +1,5 @@
 import ast
+import codecs
 import gc
 import io
 import json
@@ -777,23 +778,40 @@ class TestReadTable:
 
     def test_undecodable_bytes_are_validation_error(self):
         bad = io.BytesIO(b"name,count\n\xff,1\n")
-        with pytest.raises(ValidationError, match="^counts CSV:2: 'utf-8' codec"):
+        with pytest.raises(ValidationError) as exc:
             list(read_table(bad, self.COLUMNS, tuple, "counts CSV"))
+        assert str(exc.value) == "counts CSV:2: not UTF-8: byte 0xff: invalid start byte"
 
-    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
-    def test_undecodable_byte_names_its_line(self, tmp_path, newline):
+    @pytest.mark.parametrize(
+        "bom, newline",
+        [(b"", b"\n"), (b"", b"\r\n"), (b"", b"\r"), (codecs.BOM_UTF8, b"\n")],
+        ids=["\n", "\r\n", "\r", "bom"],
+    )
+    def test_undecodable_byte_names_its_line(self, tmp_path, bom, newline):
         """The line of the bad byte, not of the row the reader stopped at: the
         decoder runs a chunk ahead of the reader.  A handle is read again from
-        where it stood, not from its first byte."""
-        body = newline.join([b"name,count"] + [b"a,1"] * 1000 + [b"caf\xe9,2", b"b,3", b""])
+        where it stood, not from its first byte.  A BOM is not a line."""
+        body = bom + newline.join([b"name,count"] + [b"a,1"] * 1000 + [b"caf\xe9,2", b"b,3", b""])
         path = tmp_path / "counts.csv"
         path.write_bytes(body)
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:1002: 'utf-8' codec"):
+        reason = "not UTF-8: byte 0xe9: invalid continuation byte"
+        with pytest.raises(ValidationError) as exc:
             list(read_table(str(path), self.COLUMNS, tuple, "counts CSV"))
+        assert str(exc.value) == f"{path}:1002: {reason}"
         handle = io.BytesIO(b"skipped\n" + body)
         handle.readline()
-        with pytest.raises(ValidationError, match="^counts CSV:1002: 'utf-8' codec"):
+        with pytest.raises(ValidationError) as exc:
             list(read_table(handle, self.COLUMNS, tuple, "counts CSV"))
+        assert str(exc.value) == f"counts CSV:1002: {reason}"
+
+    def test_undecodable_byte_in_a_callers_text_handle_names_the_file(self, tmp_path):
+        """A text handle decodes as its caller opened it, so its bytes cannot
+        be read again to find the line."""
+        path = tmp_path / "counts.csv"
+        path.write_bytes(b"name,count\ncaf\xe9,2\n")
+        with open(path, encoding="utf-8") as fh, pytest.raises(ValidationError) as exc:
+            list(read_table(fh, self.COLUMNS, tuple, "counts CSV"))
+        assert str(exc.value) == f"{path}: not UTF-8: byte 0xe9: invalid continuation byte"
 
 
 class TestWriteTable:
@@ -817,6 +835,33 @@ class TestWriteTable:
                 if any(m.split(".")[0] == "csv" for m in modules):
                     importers.add(path.stem)
         assert importers == {"records"}
+
+    def test_only_records_decodes_input(self):
+        """Input bytes become text in `records._open_lines` alone: no other
+        module opens a file for reading or names `UnicodeDecodeError`."""
+        offenders = set()
+        for path in sorted(Path(geotrips.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and _opens_for_reading(node):
+                    offenders.add((path.stem, "open", node.lineno))
+                elif getattr(node, "id", getattr(node, "attr", None)) == "UnicodeDecodeError":
+                    offenders.add((path.stem, "UnicodeDecodeError", node.lineno))
+        assert {stem for stem, _, _ in offenders} == {"records"}, sorted(offenders)
+
+
+def _opens_for_reading(call: ast.Call) -> bool:
+    """Whether `call` is an `open(...)` (or `x.open(...)`) whose mode may read:
+    no mode, a mode with ``r`` or ``+``, or a mode that is not a literal."""
+    func = call.func
+    if getattr(func, "id", getattr(func, "attr", None)) != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else None
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), mode)
+    if mode is None:
+        return True
+    if not isinstance(mode, ast.Constant) or not isinstance(mode.value, str):
+        return True
+    return "r" in mode.value or "+" in mode.value
 
 
 utc_instants = st.datetimes(
@@ -876,13 +921,17 @@ CORPORA = {
 
 
 def _handle(text: str, kind: str):
-    return io.StringIO(text) if kind == "text" else io.BytesIO(text.encode("utf-8"))
+    """`text` as a text handle, a binary handle, or a binary handle that
+    starts with a UTF-8 BOM."""
+    if kind == "text":
+        return io.StringIO(text)
+    return io.BytesIO((codecs.BOM_UTF8 if kind == "bom" else b"") + text.encode("utf-8"))
 
 
 class TestCallerHandlesStayOpen:
     """A reader closes only what it opened itself."""
 
-    @pytest.mark.parametrize("kind", ["text", "binary"])
+    @pytest.mark.parametrize("kind", ["text", "binary", "bom"])
     @pytest.mark.parametrize("reader", sorted(TABLE_READERS))
     def test_table_readers(self, reader, kind):
         read, text = TABLE_READERS[reader]
@@ -919,7 +968,7 @@ class TestCallerHandlesStayOpen:
         handle.seek(0)
         assert handle.read() == text.encode()
 
-    @pytest.mark.parametrize("kind", ["text", "binary"])
+    @pytest.mark.parametrize("kind", ["text", "binary", "bom"])
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
     @pytest.mark.parametrize("reader", sorted(CORPUS_READERS))
     def test_corpus_readers(self, reader, corpus, kind):

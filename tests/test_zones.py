@@ -1,3 +1,4 @@
+import codecs
 import io
 import json
 import math
@@ -103,6 +104,28 @@ class TestLoadZones:
         path = tmp_path / "zones.geojson"
         path.write_text(json.dumps(feature_collection(*features)))
         return str(path)
+
+    @pytest.mark.parametrize("kind", ["path", "binary-handle"])
+    def test_bom_map_loads_as_the_plain_one(self, tmp_path, kind):
+        """A map that starts with a UTF-8 BOM, as spreadsheet and GIS tools
+        may write it, gives the zones of the same map without one."""
+        fc = feature_collection(
+            square_feature("alpha", 40.0, -74.0), square_feature("beta", 41.0, -74.0)
+        )
+        path = tmp_path / "zones.geojson"
+        path.write_bytes(codecs.BOM_UTF8 + json.dumps(fc).encode("utf-8"))
+        if kind == "path":
+            zs = load_zones(str(path))
+        else:
+            with open(path, "rb") as fh:
+                zs = load_zones(fh)
+        def rings(zone_set):
+            return [
+                (z.zone_id, [(p.outer.lats, p.outer.lons) for p in z.polygons])
+                for z in zone_set.zones
+            ]
+
+        assert rings(zs) == rings(load_zones(fc))
 
     def test_empty_collection_is_fatal(self, tmp_path):
         path = self.write_map(tmp_path)
