@@ -9,7 +9,7 @@ import statistics
 from dataclasses import dataclass, field
 from datetime import tzinfo
 from operator import attrgetter
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 from .displacement import Displacement, ODRow
 from .errors import EmptyODError, ValidationError
@@ -177,10 +177,6 @@ def od_matrix(pair_counts: dict[tuple[str, str], int]) -> ODMatrix:
     return ODMatrix(zone_ids=ids, counts=counts)
 
 
-def _od_rows(displacements: Iterable[Displacement]) -> Iterator[ODRow]:
-    return map(_OD_FIELDS, displacements)
-
-
 def time_of_day_histogram(
     displacements: Iterable[Displacement],
     tz: tzinfo,
@@ -194,7 +190,7 @@ def time_of_day_histogram(
     are excluded unless `include_intra` is set (see `aggregate`).
     """
     _, (hist,), _ = aggregate(
-        _od_rows(displacements), tz, [(origin, destination)], include_intra=include_intra
+        map(_OD_FIELDS, displacements), tz, [(origin, destination)], include_intra=include_intra
     )
     return hist
 
@@ -211,7 +207,7 @@ def aggregate_od(
     normalized over the included cells only.
     """
     pair_counts, _, _ = aggregate(
-        _od_rows(displacements), None, (), include_intra, include_external
+        map(_OD_FIELDS, displacements), None, (), include_intra, include_external
     )
     return od_matrix(pair_counts)
 

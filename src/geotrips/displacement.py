@@ -260,84 +260,67 @@ def label_displacement(d: Displacement, zs: ZoneSet) -> Displacement:
     )
 
 
-def _scan_user(
-    tl: UserTimeline, zs: ZoneSet, cfg: FilterConfig, report: RunReport
+def _scan(
+    timelines: dict[str, UserTimeline], zs: ZoneSet, cfg: FilterConfig, report: RunReport
 ) -> Iterator[DisplacementFields]:
-    """One pass over a non-empty timeline: speed filter, pairing and labeling.
+    """Every displacement of the retained users, in one scan of each timeline.
 
-    The scan keeps the previous survivor.  Each row is tested against it
-    with the rule of `remove_speed_violations`; a kept row forms with it
-    exactly the consecutive pair `extract_displacements` sees next, so the
-    same gap and distance decide the window and distance tests, and each
-    displacement's fields are yielded once, labeled as `label_displacement`
-    labels them.  The three times stay epoch microseconds: the crossing is
-    the datetime arithmetic of `label_displacement` done on the integers.
-    The rows removed are added to `report.speed_removed_records` once the
-    user is done.
+    Users come in sorted order and each user's displacements in time order,
+    so the sequence is canonical.  The scan keeps the previous survivor.
+    Each row is tested against it with the rule of
+    `remove_speed_violations`; a kept row forms with it exactly the
+    consecutive pair `extract_displacements` sees next, so the same gap and
+    distance decide the window and distance tests, and each displacement's
+    fields are yielded once, labeled as `label_displacement` labels them.
+    The three times stay epoch microseconds: the crossing is the datetime
+    arithmetic of `label_displacement` done on the integers.  `report`'s
+    user, record, speed-removal and displacement counts are set once the
+    iterator is exhausted.
     """
-    uid = tl.user_id
+    active = filter_active_users(timelines, cfg)
     label = zs.label_point
     max_speed = cfg.max_speed
     window = cfg.time_window
     min_dist = cfg.min_displacement_distance
-    removed = 0
-    rows = zip(tl.times, tl.lats, tl.lons)
-    p_t, p_lat, p_lon = next(rows)
-    for t, lat, lon in rows:
-        dt = (t - p_t) / 1_000_000
-        dist = haversine_m(p_lat, p_lon, lat, lon)
-        if dt <= 0.0:
-            violates = dist > min_dist
-        else:
-            violates = dist / dt > max_speed
-        if violates:
-            removed += 1
-            continue
-        if 0.0 < dt <= window and dist >= min_dist:
-            origin_zone = label(GeoPoint(p_lat, p_lon))
-            dest_zone = label(GeoPoint(lat, lon))
-            if origin_zone != dest_zone:
-                crossing = p_t + timedelta(seconds=dt / 2.0) // _MICROSECOND
-            else:
-                crossing = p_t
-            yield (
-                uid, p_lat, p_lon, lat, lon, p_t, t, dt, dist,
-                origin_zone, dest_zone, crossing,
-            )
-        p_t, p_lat, p_lon = t, lat, lon
-    report.speed_removed_records += removed
-
-
-def _scan(
-    timelines: dict[str, UserTimeline], zs: ZoneSet, cfg: FilterConfig, report: RunReport
-) -> Iterator[DisplacementFields]:
-    """Every displacement of the retained users, scanned once each.
-
-    Users come in sorted order and each user's displacements in time order,
-    so the sequence is canonical.  The walk fills `report`'s user and record
-    counts and tallies the displacements (total, inter-zone,
-    `EXTERNAL`-touching, travelers) as it yields them; the report is
-    complete once the iterator is exhausted.
-    """
-    report.users_total = len(timelines)
-    active = filter_active_users(timelines, cfg)
-    report.users_retained = len(active)
-    report.users_dropped = report.users_total - report.users_retained
-    report.records_in_retained_timelines = sum(len(tl) for tl in active.values())
-
-    total = inter = external = travelers = 0
+    total = inter = external = travelers = removed = 0
     for uid in sorted(active):
         before = total
-        for fields in _scan_user(active[uid], zs, cfg, report):
-            total += 1
-            origin_zone, dest_zone = fields[9], fields[10]
-            if origin_zone != dest_zone:
-                inter += 1
-            if EXTERNAL in (origin_zone, dest_zone):
-                external += 1
-            yield fields
+        tl = active[uid]
+        rows = zip(tl.times, tl.lats, tl.lons)
+        p_t, p_lat, p_lon = next(rows)
+        for t, lat, lon in rows:
+            dt = (t - p_t) / 1_000_000
+            dist = haversine_m(p_lat, p_lon, lat, lon)
+            if dt <= 0.0:
+                violates = dist > min_dist
+            else:
+                violates = dist / dt > max_speed
+            if violates:
+                removed += 1
+                continue
+            if 0.0 < dt <= window and dist >= min_dist:
+                origin_zone = label(GeoPoint(p_lat, p_lon))
+                dest_zone = label(GeoPoint(lat, lon))
+                total += 1
+                if origin_zone != dest_zone:
+                    inter += 1
+                    crossing = p_t + timedelta(seconds=dt / 2.0) // _MICROSECOND
+                else:
+                    crossing = p_t
+                if EXTERNAL in (origin_zone, dest_zone):
+                    external += 1
+                yield (
+                    uid, p_lat, p_lon, lat, lon, p_t, t, dt, dist,
+                    origin_zone, dest_zone, crossing,
+                )
+            p_t, p_lat, p_lon = t, lat, lon
         if total > before:
             travelers += 1
+    report.users_total = len(timelines)
+    report.users_retained = len(active)
+    report.users_dropped = len(timelines) - len(active)
+    report.records_in_retained_timelines = sum(map(len, active.values()))
+    report.speed_removed_records = removed
     report.displacements_total = total
     report.displacements_inter_zone = inter
     report.displacements_intra_zone = total - inter
@@ -351,14 +334,14 @@ def run_extraction(
     cfg: FilterConfig,
     workers: int = 1,
 ) -> tuple[list[Displacement], RunReport]:
-    """Run the per-user pipeline over all timelines.
+    """Run the per-user pipeline over all timelines: `Displacement`s of the
+    rows `_scan` yields, and the report it fills.
 
-    Each retained user's timeline is scanned once; the result equals
-    `label_displacement` over `extract_displacements` over
+    The result equals `label_displacement` over `extract_displacements` over
     `remove_speed_violations`, user by user, with users in sorted order and
     each user's displacements in time order.  `extract_to_csv` writes the
-    same displacements as rows without building them.  `workers` is accepted
-    and ignored: extraction is serial.
+    same scan's rows without building them.  `workers` is accepted and
+    ignored: extraction is serial.
     """
     report = RunReport()
     displacements = [Displacement.from_fields(f) for f in _scan(timelines, zs, cfg, report)]
@@ -368,8 +351,8 @@ def run_extraction(
 def extract_to_csv(
     timelines: dict[str, UserTimeline], zs: ZoneSet, cfg: FilterConfig, fh: IO[str]
 ) -> RunReport:
-    """`run_extraction`, writing each displacement to `fh` as a CSV row as soon
-    as the scan finds it; returns the report.
+    """`run_extraction`, writing each row of the one `_scan` to `fh` as a CSV
+    row as soon as the scan finds it; returns the report.
 
     No `Displacement` is built or held: what is written equals
     `write_displacements_csv(run_extraction(...)[0], fh)` byte for byte.

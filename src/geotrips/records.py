@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
 from functools import lru_cache
+from operator import itemgetter
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .errors import ConfigError, FormatMismatchError, ValidationError
@@ -505,12 +506,12 @@ def load_timelines(
     Each valid record goes straight onto its user's three columns: the
     timestamp as epoch microseconds (the parsed datetime is then dropped),
     the latitude and the longitude.  No `TweetRecord` is built and `text`
-    is not kept.  Then, one user at a time, the rows are stable-sorted by
-    time, and inside each run of equal times only the first row per
-    `(lat, lon)` in input order is kept; the kept rows go into fresh
-    arrays.  Timelines, rejects and counts are those of
-    `build_timelines(dedupe_records(parse_records(...).records)[0])`, since a
-    duplicate shares the user and instant of the record it repeats.
+    is not kept.  Then, one user at a time, the rule of `dedupe_records`
+    and `build_timelines` is applied to the `(time, lat, lon)` rows: the
+    first of each exact row in input order is kept (``0.0 == -0.0``, so the
+    first one read stands) and the kept rows are stable-sorted by time into
+    fresh arrays.  Timelines, rejects and counts are those of
+    `build_timelines(dedupe_records(parse_records(...).records)[0])`.
     """
     rejects: list[RejectedLine] = []
     columns: dict[str, tuple[array, array, array]] = {}
@@ -528,25 +529,15 @@ def load_timelines(
     # Popping each user's raw columns frees them once their kept rows are copied.
     for uid in list(columns):
         times, lats, lons = columns.pop(uid)
+        rows = sorted(dict.fromkeys(zip(times, lats, lons)), key=itemgetter(0))
         parsed += len(times)
-        kept = []
-        run_t = None
-        run_coords = None  # (lat, lon) pairs of the run, built once it has two rows
-        for i in sorted(range(len(times)), key=times.__getitem__):
-            t = times[i]
-            if t != run_t:
-                run_t = t
-                run_coords = None
-                kept.append(i)
-                continue
-            coord = (lats[i], lons[i])
-            if run_coords is None:
-                first = kept[-1]
-                run_coords = {(lats[first], lons[first])}
-            if coord in run_coords:
-                duplicates += 1
-            else:
-                run_coords.add(coord)
-                kept.append(i)
-        timelines[uid] = UserTimeline(uid, times, lats, lons).take(kept)
+        duplicates += len(times) - len(rows)
+        # From a list, not an iterator, an array is allocated at its exact size.
+        timelines[uid] = UserTimeline(
+            uid,
+            array("q", [row[0] for row in rows]),
+            array("d", [row[1] for row in rows]),
+            array("d", [row[2] for row in rows]),
+        )
+        del rows  # not held while the next user's rows are built
     return Ingest(timelines, rejects, parsed + len(rejects), parsed, duplicates)

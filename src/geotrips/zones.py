@@ -76,6 +76,8 @@ def _ring_from_coords(coords, feature_label: str) -> PolygonRing:
         if not isinstance(pos, (list, tuple)) or len(pos) < 2:
             raise InvalidGeometryError(f"{feature_label}: malformed coordinate position")
         try:
+            if isinstance(pos[0], bool) or isinstance(pos[1], bool):  # float(True) is 1.0
+                raise TypeError
             lon, lat = float(pos[0]), float(pos[1])
         except (TypeError, ValueError):
             raise InvalidGeometryError(
@@ -107,8 +109,9 @@ def load_zones(source: str | IO | dict) -> ZoneSet:
     path or handle for `records.read_json`.
 
     Each feature must be a Polygon or MultiPolygon with a ``zone_id``
-    property; other properties, such as ``name``, are ignored.  Coordinates
-    are [lon, lat] per RFC 7946.
+    property: a non-empty string, or an integer (not a boolean), which
+    becomes its digits.  Other properties, such as ``name``, are ignored.
+    Coordinates are [lon, lat] per RFC 7946; a boolean is not a number.
     """
     name = source_name(source, "zones document")
     doc = source if isinstance(source, dict) else read_json(source, name)
@@ -123,8 +126,15 @@ def load_zones(source: str | IO | dict) -> ZoneSet:
             raise ConfigError(f"{name}: feature #{fi} is not a JSON object")
         props = feature.get("properties") or {}
         zone_id = props.get("zone_id") if isinstance(props, dict) else None
-        if not zone_id:
+        if type(zone_id) is int:  # not a boolean; its digits, as a JSONL user_id
+            zone_id = str(zone_id)
+        elif zone_id is None or zone_id == "":
             raise ConfigError(f"{name}: feature #{fi} has no zone_id property")
+        elif type(zone_id) is not str:
+            raise ConfigError(
+                f"{name}: feature #{fi} has a zone_id that is not a string or an integer:"
+                f" {zone_id!r}"
+            )
         label = f"feature {zone_id!r}"
         geom = feature.get("geometry") or {}
         if not isinstance(geom, dict):
@@ -138,7 +148,7 @@ def load_zones(source: str | IO | dict) -> ZoneSet:
         if not isinstance(coords, list):
             raise InvalidGeometryError(f"{label}: multipolygon coordinates are not a list")
         polys = tuple(_polygon_from_rings(rings, label) for rings in coords)
-        zones.append(Zone(str(zone_id), polys))
+        zones.append(Zone(zone_id, polys))
     try:
         return ZoneSet(zones)
     except ConfigError as exc:

@@ -14,7 +14,7 @@ from geotrips.displacement import (
     Displacement,
     FilterConfig,
     RunReport,
-    _scan_user,
+    _scan,
     extract_displacements,
     extract_to_csv,
     filter_active_users,
@@ -382,7 +382,7 @@ class TestScanTimes:
 
     def scan(self, start: int, end: int, dest: tuple[float, float]):
         tl = self.timeline(start, end, dest)
-        return list(_scan_user(tl, FUSED_ZONES, self.CFG, RunReport()))
+        return list(_scan({"u1": tl}, FUSED_ZONES, self.CFG, RunReport()))
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(

@@ -565,6 +565,32 @@ class TestLoadTimelines:
         assert got.rejects[0].reason.startswith("maximum recursion depth exceeded")
         assert len(got.records) == 2
 
+    def test_line_endings_give_the_same_ingest(self, tmp_path):
+        """A CSV corpus whose lines end in ``\\n``, ``\\r\\n`` or a lone ``\\r``
+        loads to the same timelines, counts and reject line numbers; a
+        quoted ``\\n`` inside a field stays part of its record."""
+        lines = [
+            HEADER.rstrip("\n"),
+            "u1,40.5,-73.9,2014-08-02T21:58:00Z,plain",
+            'u1,40.6,-73.9,2014-08-02T22:58:00Z,"two\nlines"',
+            "u1,40.7,-73.9,not-a-time,",
+            "u2,40.5,-73.9,2014-08-02T21:58:00Z,",
+            "u2,40.5,-73.9,2014-08-02T21:58:00Z,again",
+            "u1,95.0,-73.9,2014-08-02T23:00:00Z,",
+            'u1,40.8,-73.9,2014-08-01T21:58:00Z,"a, ""quoted"" text"',
+        ]
+        ingests = []
+        for name, ending in [("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")]:
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes("".join(line + ending for line in lines).encode("utf-8"))
+            ingests.append(load_timelines(str(path), format="csv"))
+        assert ingests[1] == ingests[0] and ingests[2] == ingests[0]
+        got = ingests[0]
+        assert [r.line_number for r in got.rejects] == [5, 8]
+        assert (got.lines_read, got.parsed_records, got.duplicates) == (7, 5, 1)
+        assert {uid: len(tl) for uid, tl in got.timelines.items()} == {"u1": 3, "u2": 1}
+        assert list(got.timelines["u1"].lats) == [40.8, 40.5, 40.6]
+
     def test_empty_and_header_only_input(self):
         for text in ("", HEADER):
             got = load_timelines(io.StringIO(text), format="csv")
@@ -847,6 +873,36 @@ class TestWriteTable:
                 elif getattr(node, "id", getattr(node, "attr", None)) == "UnicodeDecodeError":
                     offenders.add((path.stem, "UnicodeDecodeError", node.lineno))
         assert {stem for stem, _, _ in offenders} == {"records"}, sorted(offenders)
+
+    def test_every_private_name_is_used_in_the_package(self):
+        """A private module-level name (``_x``, not ``__x__``) is read
+        somewhere in the package outside the statement that defines it:
+        code kept only for tests or the bench belongs there, not here."""
+        defined: dict[str, str] = {}
+        used: set[str] = set()
+        for path in sorted(Path(geotrips.__file__).parent.glob("*.py")):
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    names = {stmt.name}
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    names = {t.id for t in targets if isinstance(t, ast.Name)}
+                else:
+                    names = set()
+                for name in names:
+                    if name.startswith("_") and not name.endswith("__"):
+                        defined[name] = path.stem
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        ref = node.id
+                    elif isinstance(node, ast.Attribute):
+                        ref = node.attr
+                    else:
+                        continue
+                    if ref not in names:
+                        used.add(ref)
+        assert len(defined) > 30  # the walk found the package's private names
+        assert sorted(f"{m}.{n}" for n, m in defined.items() if n not in used) == []
 
 
 def _opens_for_reading(call: ast.Call) -> bool:

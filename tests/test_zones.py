@@ -167,6 +167,36 @@ class TestLoadZones:
             load_zones(path)
         assert str(exc.value) == f"{path}: feature #1 has a carriage return in zone_id 'a\\rb'"
 
+    def zone_id_map(self, tmp_path, zone_id):
+        """A two-zone map whose feature #1 has `zone_id`."""
+        feature = square_feature("z", 41.0, -74.0)
+        feature["properties"]["zone_id"] = zone_id
+        return self.write_map(tmp_path, square_feature("alpha", 40.0, -74.0), feature)
+
+    @pytest.mark.parametrize("zone_id, digits", [(0, "0"), (7, "7"), (-12, "-12")])
+    def test_integer_zone_id_reads_as_its_digits(self, tmp_path, zone_id, digits):
+        """The rule JSONL applies to `user_id`: an integer is its digits."""
+        assert load_zones(self.zone_id_map(tmp_path, zone_id)).zone_ids == ["alpha", digits]
+
+    @pytest.mark.parametrize(
+        "zone_id, reason",
+        [
+            (None, "has no zone_id property"),
+            ("", "has no zone_id property"),
+            (True, "has a zone_id that is not a string or an integer: True"),
+            (False, "has a zone_id that is not a string or an integer: False"),
+            (1.5, "has a zone_id that is not a string or an integer: 1.5"),
+            (["a"], "has a zone_id that is not a string or an integer: ['a']"),
+            ({"x": 1}, "has a zone_id that is not a string or an integer: {'x': 1}"),
+        ],
+        ids=["null", "empty", "true", "false", "float", "list", "object"],
+    )
+    def test_zone_id_of_another_type_names_the_feature(self, tmp_path, zone_id, reason):
+        path = self.zone_id_map(tmp_path, zone_id)
+        with pytest.raises(ConfigError) as exc:
+            load_zones(path)
+        assert str(exc.value) == f"{path}: feature #1 {reason}"
+
     def test_multipolygon_becomes_one_zone_with_two_parts(self):
         fc = feature_collection(
             {
@@ -220,8 +250,10 @@ class TestLoadZones:
             ["abc", 40.1],
             [-73.9, None],
             [-73.9, 95.0],
+            [True, 40.1],  # float(True) is 1.0, but the corpus refuses a boolean too
+            [-73.9, False],
         ],
-        ids=["nan", "infinity", "string", "null", "latitude-95"],
+        ids=["nan", "infinity", "string", "null", "latitude-95", "boolean-lon", "boolean-lat"],
     )
     def test_bad_coordinate_names_the_feature(self, position):
         ring = square_ring(40.0, -74.0, 0.2)
