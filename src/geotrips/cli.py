@@ -9,14 +9,12 @@ import json
 import os
 import sys
 import time
-from datetime import datetime, timezone
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .displacement import FilterConfig, MPH_TO_MPS, RunReport, extract_to_csv, read_od_rows
 from .errors import ConfigError, GeotripsError, ValidationError
 from .records import (
-    _open_lines, load_timelines, read_json, read_table, write_records_csv, write_rejects_csv,
-    write_table,
+    _open_lines, load_timelines, read_table, write_records_csv, write_rejects_csv, write_table,
 )
 from .zones import load_zones
 
@@ -290,70 +288,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _synth_value(path: str, key: str, value, default):
-    """`value` of the synth config `key` as `SynthConfig` takes it, if it has
-    the type of `default` (an int passes for a float).  Values pass unchanged
-    except schedules (lists become tuples of floats) and ISO 8601 timestamps
-    (UTC where they name no offset)."""
-    kind = type(default)
-    try:
-        if kind is datetime and isinstance(value, str):
-            dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
-            return dt if dt.tzinfo is not None else dt.replace(tzinfo=timezone.utc)
-        if kind is tuple and isinstance(value, list):
-            if all(type(x) in (int, float) for x in value):
-                return tuple(float(x) for x in value)
-        elif type(value) is kind or (kind is float and type(value) is int):
-            if key == "tz":
-                _timezone(value)
-            return value
-    except (ValueError, ConfigError):
-        pass
-    name = "timezone" if key == "tz" else kind.__name__
-    raise ConfigError(f"{path}: {key} = {value!r} is not a valid {name}")
-
-
-def _parse_synth_config(path: str) -> synthgen.SynthConfig:
-    from . import synthgen
-
-    doc = read_json(path, path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: synth config is not a JSON object")
-    fields = [f for f in dataclasses.fields(synthgen.SynthConfig) if f.name != "zone_map"]
-    known = {"zones", *(f.name for f in fields)}
-    unknown = next((key for key in doc if key not in known), None)
-    if unknown is not None:
-        raise ConfigError(f"{path}: unknown key {unknown!r}")
-    zones_path = doc.get("zones")
-    if not zones_path:
-        raise ConfigError(f"{path}: synth config needs a 'zones' GeoJSON path")
-    zones_path = _synth_value(path, "zones", zones_path, "")
-    if not os.path.isabs(zones_path):
-        zones_path = os.path.join(os.path.dirname(os.path.abspath(path)), zones_path)
-    if not os.path.exists(zones_path):
-        raise ConfigError(f"zones file not found: {zones_path}")
-    zs = load_zones(zones_path)
-    od_raw = _synth_value(path, "od_weights", doc.get("od_weights") or {}, {})
-    od_weights = {
-        (origin, dest): float(_synth_value(path, f"od_weights.{origin}.{dest}", w, 0.0))
-        for origin, dests in od_raw.items()
-        for dest, w in _synth_value(path, f"od_weights.{origin}", dests, {}).items()
-    }
-    kwargs = {
-        f.name: _synth_value(path, f.name, doc[f.name], f.default)
-        for f in fields
-        if f.name in doc and f.name != "od_weights"
-    }
-    try:
-        return synthgen.SynthConfig(zone_map=zs, od_weights=od_weights, **kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     from . import synthgen
 
-    cfg = _parse_synth_config(args.config)
+    cfg = synthgen.load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     out_dir = args.out

@@ -43,7 +43,10 @@ class FilterConfig:
 
     def __post_init__(self):
         for name in ("min_tweets", "max_speed", "time_window", "min_displacement_distance"):
-            if not getattr(self, name) > 0:  # also rejects NaN
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValidationError(f"FilterConfig.{name} must be a number")
+            if not value > 0:  # also rejects NaN
                 raise ValidationError(f"FilterConfig.{name} must be strictly positive")
 
 

@@ -198,17 +198,18 @@ def source_name(source, what: str) -> str:
 @contextmanager
 def _open_lines(source, what: str) -> Iterator[Iterable[str]]:
     """Give the text lines of a path, a text or binary handle, or an iterable
-    of lines.  Here alone bytes become text: UTF-8, less a leading BOM.  A
-    byte that is not UTF-8 raises `ValidationError("<file>:<line>: not UTF-8:
-    byte 0x..: <reason>")`, `what` naming a handle that has no name.  A file
-    opened here is closed on every exit, a caller's handle never."""
+    of lines.  Here alone bytes become text: a path is opened as a binary
+    handle, and each binary handle is read as UTF-8 less a leading BOM.  A byte
+    that is not UTF-8 raises `ValidationError("<file>:<line>: not UTF-8: byte
+    0x..: <reason>")`, `what` naming a nameless handle; it closes only what it opens."""
+    if isinstance(source, str):
+        with open(source, "rb") as fh, _open_lines(fh, what) as lines:
+            yield lines
+        return
     binary = hasattr(source, "read") and isinstance(source.read(0), bytes)
     start = source.tell() if binary and source.seekable() else None
     try:
-        if isinstance(source, str):
-            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-                yield fh
-        elif binary:
+        if binary:
             text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
             try:
                 yield text
@@ -277,18 +278,14 @@ def write_table(fh: IO[str], columns: Iterable[str], rows: Iterable[Iterable]) -
     writer.writerows(rows)
 
 
-def _undecodable_line(source, start: int | None) -> int | None:
-    """Number of the first line of `source` that is not UTF-8, reading its
-    bytes again: a path is re-opened and a seekable binary handle is rewound
-    to `start`.  Lines end where the text reader ends them (at ``\n``, ``\r``
-    or ``\r\n``).  None for any other source."""
-    if isinstance(source, str):
-        with open(source, "rb") as fh:
-            return _undecodable_line(fh, 0)
+def _undecodable_line(fh, start: int | None) -> int | None:
+    """Number of the first line of the binary handle `fh` that is not UTF-8,
+    read again from offset `start` and ended where the text reader ends lines
+    (``\n``, ``\r``, ``\r\n``).  None if `start` is None: no seekable handle."""
     if start is None:
         return None
-    source.seek(start)
-    lines = (line for chunk in source for line in chunk.splitlines())
+    fh.seek(start)
+    lines = (line for chunk in fh for line in chunk.splitlines())
     for lineno, line in enumerate(lines, start=1):
         try:
             line.decode("utf-8")

@@ -11,18 +11,21 @@ separated by far more than the time window.
 from __future__ import annotations
 
 import math
+import os
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from typing import IO
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .displacement import FilterConfig
 from .errors import ConfigError
 from .geometry import GeoPoint, haversine_m
-from .records import TweetRecord, format_timestamp, parse_timestamp, read_table, write_table
-from .zones import ZoneSet
+from .records import (
+    TweetRecord, format_timestamp, parse_timestamp, read_json, read_table, write_table,
+)
+from .zones import ZoneSet, load_zones
 
 _UTC = timezone.utc
 _DEG_PER_M_LAT = 1.0 / 111_320.0
@@ -70,6 +73,10 @@ class SynthConfig:
     min_displacement_distance: float = FilterConfig.min_displacement_distance
 
     def __post_init__(self):
+        try:
+            ZoneInfo(self.tz)
+        except (ZoneInfoNotFoundError, ValueError, TypeError):
+            raise ConfigError(f"tz = {self.tz!r} is not a valid timezone") from None
         if self.zone_map is None:
             raise ConfigError("SynthConfig.zone_map is required")
         if len(self.zone_map.zones) < 2:
@@ -96,6 +103,64 @@ class SynthConfig:
             raise ConfigError("trip schedules must have 24 hourly weights")
         if self.period_end <= self.period_start:
             raise ConfigError("period_end must be after period_start")
+
+
+def _config_value(path: str, key: str, value, default):
+    """`value` of the synth config `key` as `SynthConfig` takes it, if it has
+    the type of `default` (an int passes for a float).  Values pass unchanged
+    except schedules (lists become tuples of floats) and ISO 8601 timestamps
+    (UTC where they name no offset)."""
+    kind = type(default)
+    try:
+        if kind is datetime and isinstance(value, str):
+            dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
+            return dt if dt.tzinfo is not None else dt.replace(tzinfo=_UTC)
+        if kind is tuple and isinstance(value, list):
+            if all(type(x) in (int, float) for x in value):
+                return tuple(float(x) for x in value)
+        elif type(value) is kind or (kind is float and type(value) is int):
+            return value
+    except ValueError:
+        pass
+    name = "timezone" if key == "tz" else kind.__name__
+    raise ConfigError(f"{path}: {key} = {value!r} is not a valid {name}")
+
+
+def load_config(path: str) -> SynthConfig:
+    """The `SynthConfig` in the JSON object at `path`, whose ``zones`` path is
+    relative to its directory.  A bad key or value is a `ConfigError` naming it."""
+    doc = read_json(path, path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: synth config is not a JSON object")
+    settings = [f for f in fields(SynthConfig) if f.name != "zone_map"]
+    known = {"zones", *(f.name for f in settings)}
+    unknown = next((key for key in doc if key not in known), None)
+    if unknown is not None:
+        raise ConfigError(f"{path}: unknown key {unknown!r}")
+    zones_path = doc.get("zones")
+    if not zones_path:
+        raise ConfigError(f"{path}: synth config needs a 'zones' GeoJSON path")
+    zones_path = _config_value(path, "zones", zones_path, "")
+    if not os.path.isabs(zones_path):
+        zones_path = os.path.join(os.path.dirname(os.path.abspath(path)), zones_path)
+    if not os.path.exists(zones_path):
+        raise ConfigError(f"zones file not found: {zones_path}")
+    zs = load_zones(zones_path)
+    od_raw = _config_value(path, "od_weights", doc.get("od_weights") or {}, {})
+    od_weights = {
+        (origin, dest): float(_config_value(path, f"od_weights.{origin}.{dest}", w, 0.0))
+        for origin, dests in od_raw.items()
+        for dest, w in _config_value(path, f"od_weights.{origin}", dests, {}).items()
+    }
+    kwargs = {
+        f.name: _config_value(path, f.name, doc[f.name], f.default)
+        for f in settings
+        if f.name in doc and f.name != "od_weights"
+    }
+    try:
+        return SynthConfig(zone_map=zs, od_weights=od_weights, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,10 @@ class ZoneSet:
     polygon count; each ring's latitude-slab index keeps the point-in-polygon
     test short.
 
-    An empty list, a repeated `zone_id`, a zone named `EXTERNAL` and a
-    `zone_id` holding a carriage return are a `ConfigError`; zone ``#i`` is
-    feature ``#i`` of the map `load_zones` reads.
+    An empty list, a `zone_id` that is not a non-empty string, a repeated
+    `zone_id`, a zone named `EXTERNAL` and a `zone_id` holding a carriage
+    return are a `ConfigError`; zone ``#i`` is feature ``#i`` of the map
+    `load_zones` reads.
     """
 
     def __init__(self, zones: list[Zone]):
@@ -40,6 +41,10 @@ class ZoneSet:
         seen: set[str] = set()
         for i, zone in enumerate(self.zones):
             zid = zone.zone_id
+            if not isinstance(zid, str) or not zid:
+                raise ConfigError(
+                    f"feature #{i} has a zone_id that is not a non-empty string: {zid!r}"
+                )
             if zid == EXTERNAL:  # the label of points in no zone
                 raise ConfigError(f"feature #{i} has the reserved zone_id {zid!r}")
             if zid in seen:

@@ -76,6 +76,22 @@ class TestFilterConfig:
         with pytest.raises(ValidationError):
             FilterConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"min_tweets": "5"},
+            {"time_window": None},
+            {"max_speed": True},
+            {"min_displacement_distance": False},
+        ],
+    )
+    def test_non_number_fields_rejected(self, kwargs):
+        """A bool is not a number here, though `True > 0`."""
+        (name,) = kwargs
+        with pytest.raises(ValidationError) as exc:
+            FilterConfig(**kwargs)
+        assert str(exc.value) == f"FilterConfig.{name} must be a number"
+
 
 class TestFilterActiveUsers:
     def _timelines(self, counts):

@@ -862,6 +862,22 @@ class TestWriteTable:
                     importers.add(path.stem)
         assert importers == {"records"}
 
+    def test_cli_reads_neither_json_nor_timestamps(self):
+        """The synth JSON and its timestamps are `synthgen`'s to read: `cli`
+        imports neither `read_json` nor anything from `datetime`."""
+        path = Path(geotrips.__file__).parent / "cli.py"
+        offenders = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                offenders += [a.name for a in node.names if a.name.split(".")[0] == "datetime"]
+            elif isinstance(node, ast.ImportFrom):
+                from_datetime = node.level == 0 and node.module.split(".")[0] == "datetime"
+                offenders += [
+                    f"{node.module}.{a.name}" for a in node.names
+                    if from_datetime or a.name == "read_json"
+                ]
+        assert offenders == []
+
     def test_only_records_decodes_input(self):
         """Input bytes become text in `records._open_lines` alone: no other
         module opens a file for reading or names `UnicodeDecodeError`."""

@@ -51,6 +51,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown zone"):
             small_cfg(four_zone_map, od_weights={("alpha", "nowhere"): 1.0})
 
+    @pytest.mark.parametrize("tz", ["Mars/Base", "", 5, None])
+    def test_bad_timezone_is_checked_first(self, tz):
+        """Before the zone map, so the config reader needs no check of its own."""
+        with pytest.raises(ConfigError) as exc:
+            SynthConfig(tz=tz)
+        assert str(exc.value) == f"tz = {tz!r} is not a valid timezone"
+
 
 class TestZoneInteriorPoint:
     """The anchor comes from the outer ring's tight bounds, not its padded

@@ -318,8 +318,11 @@ class TestZoneSet:
             (("alpha", "beta", "alpha"), "feature #2 repeats zone_id 'alpha'"),
             (("alpha", EXTERNAL), "feature #1 has the reserved zone_id 'EXTERNAL'"),
             (("a\rb",), "feature #0 has a carriage return in zone_id 'a\\rb'"),
+            ((5,), "feature #0 has a zone_id that is not a non-empty string: 5"),
+            (("alpha", None), "feature #1 has a zone_id that is not a non-empty string: None"),
+            (("",), "feature #0 has a zone_id that is not a non-empty string: ''"),
         ],
-        ids=["empty", "repeated", "external", "carriage-return"],
+        ids=["empty", "repeated", "external", "carriage-return", "integer", "none", "empty-id"],
     )
     def test_bad_zone_list_is_refused(self, ids, message):
         (square,) = load_zones(feature_collection(square_feature("z", 40.0, -74.0))).zones
