@@ -3,7 +3,7 @@ aggregated travel-behavior products (OD matrices, time-of-day histograms,
 user-group partitions)."""
 
 from .displacement import Displacement, FilterConfig, RunReport, run_extraction
-from .records import TweetRecord, UserTimeline, build_timelines, load_timelines, parse_records
+from .records import TweetRecord, UserTimeline, load_timelines
 from .zones import EXTERNAL, ZoneSet, load_zones
 
 __version__ = "0.1.0"
@@ -15,9 +15,7 @@ __all__ = [
     "run_extraction",
     "TweetRecord",
     "UserTimeline",
-    "build_timelines",
     "load_timelines",
-    "parse_records",
     "EXTERNAL",
     "ZoneSet",
     "load_zones",

@@ -9,12 +9,12 @@ import json
 import os
 import sys
 import time
-from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .displacement import FilterConfig, MPH_TO_MPS, RunReport, extract_to_csv, read_od_rows
 from .errors import ConfigError, GeotripsError, ValidationError
 from .records import (
-    _open_lines, load_timelines, read_table, write_records_csv, write_rejects_csv, write_table,
+    _open_lines, load_timelines, read_table, resolve_tz, write_records_csv, write_rejects_csv,
+    write_table,
 )
 from .zones import load_zones
 
@@ -57,13 +57,6 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
             raise ConfigError(f"{path}: {key} = {raw!r} is not one of {', '.join(action.choices)}")
         out[key] = value
     return out
-
-
-def _timezone(name: str) -> ZoneInfo:
-    try:
-        return ZoneInfo(name)
-    except (ZoneInfoNotFoundError, ValueError):
-        raise ConfigError(f"unknown timezone {name!r}") from None
 
 
 def _default_tz() -> str:
@@ -112,7 +105,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         time_window=args.time_window_h * 3600.0,
         min_displacement_distance=args.min_displacement_m,
     )
-    tz = _timezone(args.tz)
+    tz = resolve_tz(args.tz)
     fmt = _infer_format(input_path, args.format)
     legacy_tz = tz if args.legacy_timestamps else None
 
@@ -211,7 +204,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError(f"displacement file not found: {disp_path}")
     if users_path is None:
         users_path = os.path.join(os.path.dirname(disp_path), "users.csv")
-    tz = _timezone(args.tz)
+    tz = resolve_tz(args.tz)
     if not os.path.exists(users_path):
         raise ConfigError(
             f"users file not found: {users_path} (written by 'extract'; pass --users)"

@@ -141,6 +141,15 @@ def parse_timestamp(raw: str, legacy_tz: tzinfo | None = None) -> datetime:
         raise ValueError(f"timestamp {text!r} is out of range in UTC") from None
 
 
+def resolve_tz(name) -> tzinfo:
+    """The IANA time zone `name`, else `ConfigError("tz = <name!r> is not a valid timezone")`."""
+    from zoneinfo import ZoneInfo, ZoneInfoNotFoundError  # not loaded by `import geotrips`
+    try:
+        return ZoneInfo(name)
+    except (ZoneInfoNotFoundError, ValueError, TypeError):
+        raise ConfigError(f"tz = {name!r} is not a valid timezone") from None
+
+
 def format_timestamp(dt: datetime) -> str:
     """Canonical serialization: ISO 8601 in UTC with a Z suffix."""
     if dt.tzinfo is not timezone.utc:
@@ -254,6 +263,7 @@ def read_table(
     closed; a handle the caller passed in stays open.
     """
     name = source_name(source, what)
+    reader = None  # until `_open_lines` gives lines: a closed handle fails at line 1
     try:
         with _open_lines(source, what) as lines:
             reader = csv.reader(lines)
@@ -266,7 +276,7 @@ def read_table(
                 elif row:
                     raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
     except (ValueError, csv.Error) as exc:
-        raise ValidationError(f"{name}:{reader.line_num or 1}: {exc}") from None
+        raise ValidationError(f"{name}:{getattr(reader, 'line_num', 0) or 1}: {exc}") from None
 
 
 def write_table(fh: IO[str], columns: Iterable[str], rows: Iterable[Iterable]) -> None:

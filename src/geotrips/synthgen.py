@@ -10,6 +10,7 @@ separated by far more than the time window.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import random
@@ -17,13 +18,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from typing import IO
-from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .displacement import FilterConfig
 from .errors import ConfigError
 from .geometry import GeoPoint, haversine_m
 from .records import (
-    TweetRecord, format_timestamp, parse_timestamp, read_json, read_table, write_table,
+    TweetRecord, format_timestamp, parse_timestamp, read_json, read_table, resolve_tz, write_table,
 )
 from .zones import ZoneSet, load_zones
 
@@ -44,6 +44,13 @@ _RANGES = (
     (("gps_noise_sigma",), lambda v: 0 <= v < math.inf, "finite and >= 0"),
     (("trip_fraction", "anomaly_rate"), lambda v: 0 <= v <= 1, "in [0, 1]"),
 )
+
+
+def _is_a(value, kind: type) -> bool:
+    """Whether a setting's `value` is a `kind`: an int passes for a float, a bool for neither."""
+    if kind is tuple:  # of numbers
+        return type(value) is tuple and all(_is_a(x, float) for x in value)
+    return type(value) is kind or (kind is float and type(value) is int)
 
 
 @dataclass(frozen=True)
@@ -73,10 +80,11 @@ class SynthConfig:
     min_displacement_distance: float = FilterConfig.min_displacement_distance
 
     def __post_init__(self):
-        try:
-            ZoneInfo(self.tz)
-        except (ZoneInfoNotFoundError, ValueError, TypeError):
-            raise ConfigError(f"tz = {self.tz!r} is not a valid timezone") from None
+        resolve_tz(self.tz)
+        for f in fields(self):  # zone_map and od_weights, default None, are checked below
+            value, kind = getattr(self, f.name), type(f.default)
+            if f.default is not None and not _is_a(value, kind):
+                raise ConfigError(f"{f.name} = {value!r} is not a valid {kind.__name__}")
         if self.zone_map is None:
             raise ConfigError("SynthConfig.zone_map is required")
         if len(self.zone_map.zones) < 2:
@@ -85,6 +93,8 @@ class SynthConfig:
             raise ConfigError("SynthConfig.od_weights is required")
         ids = set(self.zone_map.zone_ids)
         for (o, d), w in self.od_weights.items():
+            if not _is_a(w, float):
+                raise ConfigError(f"od_weights.{o}.{d} = {w!r} is not a valid float")
             if o not in ids or d not in ids:
                 raise ConfigError(f"od_weights references unknown zone in ({o}, {d})")
             if o == d:
@@ -106,24 +116,18 @@ class SynthConfig:
 
 
 def _config_value(path: str, key: str, value, default):
-    """`value` of the synth config `key` as `SynthConfig` takes it, if it has
-    the type of `default` (an int passes for a float).  Values pass unchanged
-    except schedules (lists become tuples of floats) and ISO 8601 timestamps
-    (UTC where they name no offset)."""
+    """`value` of the synth config `key` as `SynthConfig` takes and checks it: by the type
+    of `default`, a list as a tuple, text as a datetime (`parse_timestamp`, UTC if naive).
+    Only what `SynthConfig` does not hold, the `zones` path and `od_weights` tables, is checked."""
     kind = type(default)
-    try:
-        if kind is datetime and isinstance(value, str):
-            dt = datetime.fromisoformat(value.replace("Z", "+00:00"))
-            return dt if dt.tzinfo is not None else dt.replace(tzinfo=_UTC)
-        if kind is tuple and isinstance(value, list):
-            if all(type(x) in (int, float) for x in value):
-                return tuple(float(x) for x in value)
-        elif type(value) is kind or (kind is float and type(value) is int):
-            return value
-    except ValueError:
-        pass
-    name = "timezone" if key == "tz" else kind.__name__
-    raise ConfigError(f"{path}: {key} = {value!r} is not a valid {name}")
+    if kind is tuple and type(value) is list:
+        value = tuple(value)
+    elif kind is datetime and type(value) is str:
+        with contextlib.suppress(ValueError):  # else `SynthConfig` refuses the text
+            value = parse_timestamp(value, _UTC)
+    elif type(value) is not kind and (kind is dict or key == "zones"):
+        raise ConfigError(f"{path}: {key} = {value!r} is not a valid {kind.__name__}")
+    return value
 
 
 def load_config(path: str) -> SynthConfig:
@@ -132,9 +136,8 @@ def load_config(path: str) -> SynthConfig:
     doc = read_json(path, path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: synth config is not a JSON object")
-    settings = [f for f in fields(SynthConfig) if f.name != "zone_map"]
-    known = {"zones", *(f.name for f in settings)}
-    unknown = next((key for key in doc if key not in known), None)
+    settings = {f.name: f.default for f in fields(SynthConfig) if f.default is not None}
+    unknown = next((key for key in doc if key not in {"zones", "od_weights", *settings}), None)
     if unknown is not None:
         raise ConfigError(f"{path}: unknown key {unknown!r}")
     zones_path = doc.get("zones")
@@ -148,14 +151,12 @@ def load_config(path: str) -> SynthConfig:
     zs = load_zones(zones_path)
     od_raw = _config_value(path, "od_weights", doc.get("od_weights") or {}, {})
     od_weights = {
-        (origin, dest): float(_config_value(path, f"od_weights.{origin}.{dest}", w, 0.0))
-        for origin, dests in od_raw.items()
+        (origin, dest): w for origin, dests in od_raw.items()
         for dest, w in _config_value(path, f"od_weights.{origin}", dests, {}).items()
     }
     kwargs = {
-        f.name: _config_value(path, f.name, doc[f.name], f.default)
-        for f in settings
-        if f.name in doc and f.name != "od_weights"
+        key: _config_value(path, key, doc[key], default)
+        for key, default in settings.items() if key in doc
     }
     try:
         return SynthConfig(zone_map=zs, od_weights=od_weights, **kwargs)
@@ -219,7 +220,7 @@ def generate(cfg: SynthConfig) -> tuple[list[TweetRecord], list[GroundTruthTrip]
     threshold, with both flanking tweets consecutive inside the window.
     """
     zs = cfg.zone_map
-    tz = ZoneInfo(cfg.tz)
+    tz = resolve_tz(cfg.tz)
     anchor_rng = random.Random(cfg.seed * 7919 + 13)
     zone_anchor = {zid: _zone_interior_point(zs, zid, anchor_rng) for zid in zs.zone_ids}
     mean_lat = sum(p.lat for p in zone_anchor.values()) / len(zone_anchor)

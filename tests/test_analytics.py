@@ -366,6 +366,33 @@ class TestCompareDistributions:
         )
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: classify_groups([UserProfile("u1", 5, 1)], cutoff=0.0),
+         ValidationError, "cutoff must lie in (0, 1)"),
+        (lambda: classify_groups([UserProfile("u1", 5, 1)], cutoff=1.0),
+         ValidationError, "cutoff must lie in (0, 1)"),
+        (lambda: classify_groups([UserProfile("u1", 5, 1)], cutoff=math.nan),
+         ValidationError, "cutoff must lie in (0, 1)"),
+        (lambda: compare_distributions([1.0], [1.0]),
+         ValidationError, "series must have at least 2 bins"),
+        (lambda: normalize([0.0, 0.0]),
+         ValidationError, "cannot normalize a series with non-positive sum"),
+        (lambda: normalize([0.5, -1.0]),
+         ValidationError, "cannot normalize a series with non-positive sum"),
+        (lambda: write_od_csv(aggregate_od([disp("a", "b", at(4, 9))]), io.StringIO(), "share"),
+         ValueError, "unknown OD export kind 'share'"),
+    ],
+    ids=["cutoff-zero", "cutoff-one", "cutoff-nan", "one-bin", "zero-sum", "negative-sum",
+         "od-kind"],
+)
+def test_bad_argument_is_refused(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestCsvIO:
     def test_od_csv_layout(self):
         m = aggregate_od([disp("alpha", "beta", at(4, 9))] * 3 + [disp("beta", "alpha", at(4, 9))])

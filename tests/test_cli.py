@@ -62,6 +62,40 @@ class TestSynthCommand:
         for name in ("corpus.csv", "ground_truth.csv"):
             assert (bom / name).read_bytes() == (plain / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "spelling",
+        [
+            {
+                "od_weights": {"alpha": {"beta": 1}, "beta": {"alpha": 0}},
+                "weekday_schedule": [0] * 7 + [3] * 10 + [1] * 7,
+                "weekend_schedule": [2] * 24,
+                "gps_noise_sigma": 30,
+            },
+            {"period_start": "2014-03-01T00:00:00"},
+            {"period_start": "3/1/2014 00:00"},
+            {"period_start": " 2014-03-01T01:00:00+01:00"},
+        ],
+        ids=["integers", "naive", "legacy", "offset"],
+    )
+    def test_spellings_of_one_config_give_one_corpus(self, tmp_path, four_zone_geojson, spelling):
+        """JSON integers are the numbers their float spellings are, and the
+        period is read by `parse_timestamp`, UTC where the text names no offset."""
+        config = {
+            "zones": four_zone_geojson, "seed": 4, "n_agents": 12,
+            "od_weights": {"alpha": {"beta": 1.0}, "beta": {"alpha": 0.0}},
+            "weekday_schedule": [0.0] * 7 + [3.0] * 10 + [1.0] * 7,
+            "weekend_schedule": [2.0] * 24,
+            "gps_noise_sigma": 30.0,
+            "period_start": "2014-03-01T00:00:00Z",
+        }
+        (tmp_path / "float.json").write_text(json.dumps(config))
+        (tmp_path / "other.json").write_text(json.dumps({**config, **spelling}))
+        a = run_synth(tmp_path, str(tmp_path / "float.json"), "float")
+        b = run_synth(tmp_path, str(tmp_path / "other.json"), "other")
+        for name in ("corpus.csv", "ground_truth.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert len((a / "ground_truth.csv").read_text().splitlines()) > 1
+
     def test_seed_override_changes_output(self, tmp_path, synth_config):
         d1 = run_synth(tmp_path, synth_config, "d1")
         out2 = tmp_path / "d2"
@@ -775,6 +809,20 @@ class TestEnvironment:
         ) == "geotrips.analytics"
 
 
+def test_zone_loading_imports_no_zoneinfo(four_zone_geojson):
+    """What `bench/run.py` times as set-up: only a time-zone lookup, in
+    `records.resolve_tz`, loads `zoneinfo`."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, geotrips; geotrips.load_zones(sys.argv[1]); "
+        "assert 'zoneinfo' not in sys.modules, 'zoneinfo'"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code, four_zone_geojson], env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+
+
 def config_options(command):
     """(key, option) for every option of `command` that a config file may set."""
     parser = parse_args([command]).parser
@@ -834,6 +882,11 @@ class TestConfigKeysAreOptions:
             assert getattr(parse_args(argv), key) == expected
 
 
+# A zone map whose one feature, 'a', has the geometry spliced in.
+ZONE_A = (
+    '{"type": "FeatureCollection", "features": [{"properties": {"zone_id": "a"}, "geometry": %s}]}'
+)
+
 # A synth config whose only fault is the key spliced in after its OD weights.
 VALID_SYNTH = '{"zones": "zones.geojson", "od_weights": {"alpha": {"beta": 1}}, %s}'
 
@@ -851,19 +904,58 @@ class TestBadConfiguration:
         }
 
     @pytest.mark.parametrize("command", ["extract", "analyze"])
-    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
     def test_unknown_timezone_is_config_error(
         self, tmp_path, inputs, command, source, monkeypatch, capsys
     ):
+        """The message of every config value's refusal, whichever way the name comes in."""
         from geotrips.cli import TZ_ENV_VAR
 
         argv = inputs[command] + ["--out", str(tmp_path / "out")]
         if source == "flag":
             argv += ["--tz", "Not/AZone"]
-        else:
+        elif source == "env":
             monkeypatch.setenv(TZ_ENV_VAR, "Not/AZone")
+        else:
+            cfg = tmp_path / "pipeline.cfg"
+            cfg.write_text("tz = Not/AZone\n")
+            argv += ["--config", str(cfg)]
         assert main(argv) == 1
-        assert "unknown timezone 'Not/AZone'" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: tz = 'Not/AZone' is not a valid timezone\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["extract", "--zones", "{zones}"], "no input file given (--input or config 'input')"),
+            (["extract", "--input", "{corpus}"], "no zones file given (--zones or config 'zones')"),
+            (
+                ["extract", "--input", "{tmp}/none.csv", "--zones", "{zones}"],
+                "input file not found: {tmp}/none.csv",
+            ),
+            (["analyze"], "no displacement CSV given"),
+            (
+                ["analyze", "--displacements", "{tmp}/none.csv"],
+                "displacement file not found: {tmp}/none.csv",
+            ),
+            (
+                ["extract", "--config", "{tmp}/pipeline.cfg"],
+                "{tmp}/pipeline.cfg:2: expected 'key = value'",
+            ),
+        ],
+        ids=["no-input", "no-zones", "input-missing", "no-displacements", "displacements-missing",
+             "config-line"],
+    )
+    def test_missing_input_is_config_error(
+        self, tmp_path, four_zone_geojson, argv, message, capsys
+    ):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("user_id,lat,lon,timestamp,text\n")
+        (tmp_path / "pipeline.cfg").write_text("tz = UTC\nmin_tweets 3\n")
+        names = dict(tmp=tmp_path, zones=four_zone_geojson, corpus=corpus)
+        out = tmp_path / "out"
+        assert main([a.format(**names) for a in argv] + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(**names)}\n"
+        assert not out.exists()
 
     def test_non_numeric_config_value_is_config_error(self, tmp_path, inputs, capsys):
         cfg = tmp_path / "pipeline.cfg"
@@ -1001,12 +1093,29 @@ class TestBadConfiguration:
                 '"geometry": {"type": "MultiPolygon", "coordinates": [5]}}]}',
                 "feature 'a': polygon coordinates are not a list",
             ),
+            (
+                ZONE_A % '{"type": "Polygon", "coordinates": [[[0, 0], [1, 1]]]}',
+                "feature 'a': ring with fewer than 3 positions",
+            ),
+            (
+                ZONE_A % '{"type": "Polygon", "coordinates": [[[0, 0], [1], [1, 1], [0, 1]]]}',
+                "feature 'a': malformed coordinate position",
+            ),
+            (
+                ZONE_A % '{"type": "Polygon", "coordinates": []}',
+                "feature 'a': polygon with no rings",
+            ),
+            (
+                ZONE_A % '{"type": "Point", "coordinates": [0, 0]}',
+                "feature 'a': unsupported geometry type 'Point'",
+            ),
         ],
         ids=[
             "syntax", "syntax-cr-line-ends", "not-an-object", "features-not-a-list",
             "feature-not-an-object",
             "properties-not-an-object", "geometry-not-an-object", "polygon-number",
             "polygon-object", "multipolygon-number", "multipolygon-member",
+            "two-positions", "one-number-position", "no-rings", "point",
         ],
     )
     def test_malformed_zones_json_is_named_error(self, tmp_path, inputs, doc, message, capsys):
@@ -1050,6 +1159,15 @@ class TestBadConfiguration:
                 '{"zones": "zones.geojson", "tz": "Mars/Base"}',
                 "{path}: tz = 'Mars/Base' is not a valid timezone",
             ),
+            ('{"zones": "zones.geojson", "tz": 5}', "{path}: tz = 5 is not a valid timezone"),
+            (
+                VALID_SYNTH % '"weekday_schedule": [1, "a"]',
+                "{path}: weekday_schedule = (1, 'a') is not a valid tuple",
+            ),
+            (
+                '{"zones": "zones.geojson", "od_weights": {"alpha": {"beta": [1]}}}',
+                "{path}: od_weights.alpha.beta = [1] is not a valid float",
+            ),
             # right type, out of range
             (
                 VALID_SYNTH % '"tweet_alpha": 0',
@@ -1074,6 +1192,19 @@ class TestBadConfiguration:
                 "{path}: max_speed = inf is out of range: must be finite and > 0",
             ),
             (VALID_SYNTH % '"tweet_floor": -1', "{path}: tweet_floor = -1 is out of range: must be >= 0"),
+            ('{"zones": "zones.geojson"}', "{path}: SynthConfig.od_weights is required"),
+            (
+                '{"zones": "zones.geojson", "od_weights": {"alpha": {"beta": 1.5, "gamma": -0.5}}}',
+                "{path}: od_weights must be non-negative",
+            ),
+            (
+                VALID_SYNTH % '"weekend_schedule": [1, 2]',
+                "{path}: trip schedules must have 24 hourly weights",
+            ),
+            (
+                VALID_SYNTH % '"period_end": "2014-03-01T00:00:00Z"',
+                "{path}: period_end must be after period_start",
+            ),
             (
                 VALID_SYNTH % '"gps_noise_sigma": Infinity',
                 "{path}: gps_noise_sigma = inf is out of range: must be finite and >= 0",
@@ -1095,9 +1226,11 @@ class TestBadConfiguration:
         ids=[
             "syntax", "not-an-object", "zones-number", "n-agents-string", "seed-string",
             "seed-bool", "noise-string", "period-garbage", "od-weight-string", "od-weights-list",
-            "schedule-number", "unknown-tz", "alpha-zero", "noise-nan", "agents-negative",
+            "schedule-number", "unknown-tz", "tz-number", "schedule-string", "od-weight-list",
+            "alpha-zero", "noise-nan", "agents-negative",
             "cap-zero", "trip-fraction-two", "window-negative", "speed-infinite", "floor-negative",
-            "noise-infinite", "no-zones", "od-weights-sum", "od-weights-unknown-zone",
+            "noise-infinite", "no-od-weights", "negative-weight", "short-schedule", "empty-period",
+            "no-zones", "od-weights-sum", "od-weights-unknown-zone",
             "unknown-key", "zone-map-key", "unknown-key-before-zones",
         ],
     )

@@ -130,6 +130,24 @@ class TestParseRecords:
         assert res.rejects == [RejectedLine(3, reason)]
         assert [r.user_id for r in res.records] == ["7", "7"]  # an integer id is its digits
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("u1,nan,-73.9,2014-08-02T22:58:00Z,x", "non-finite coordinates"),
+            ("u1,40.9,-inf,2014-08-02T22:58:00Z,x", "non-finite coordinates"),
+            ("u1,40.9,180.5,2014-08-02T22:58:00Z,x", "longitude out of range"),
+            ("u1,40.9,-73.9,8/2/2014 25:58,x", "unparseable timestamp '8/2/2014 25:58'"),
+            ("u1,40.9,-73.9,2014-08-02 22h58,x", "unparseable timestamp '2014-08-02 22h58'"),
+        ],
+        ids=["lat-nan", "lon-infinite", "lon-range", "legacy-hour", "legacy-neither"],
+    )
+    def test_bad_csv_value_is_rejected_under_a_legacy_tz(self, line, reason):
+        res = parse_csv(
+            f"u1,40.9,-73.9,8/2/2014 21:58,a\n{line}\n", legacy_tz=ZoneInfo("America/New_York")
+        )
+        assert res.rejects == [RejectedLine(3, reason)]
+        assert len(res.records) == 1
+
     def test_csv_user_id_with_carriage_return_is_rejected(self):
         res = parse_csv(
             'u1,40.9,-73.9,2014-08-02T21:58:00Z,a\n'
@@ -802,6 +820,14 @@ class TestReadTable:
             list(read_table(fh, self.COLUMNS, lambda row: int(row[1]), "counts CSV"))
         assert str(exc.value).startswith(f"{path}:2: ")
 
+    @pytest.mark.parametrize("handle", [io.StringIO, io.BytesIO], ids=["text", "binary"])
+    def test_closed_handle_is_validation_error_at_line_1(self, handle):
+        closed = handle()
+        closed.close()
+        with pytest.raises(ValidationError) as exc:
+            list(read_table(closed, self.COLUMNS, tuple, "counts CSV"))
+        assert str(exc.value).rstrip(".") == "counts CSV:1: I/O operation on closed file"
+
     def test_undecodable_bytes_are_validation_error(self):
         bad = io.BytesIO(b"name,count\n\xff,1\n")
         with pytest.raises(ValidationError) as exc:
@@ -846,9 +872,11 @@ class TestWriteTable:
         write_table(buf, ("name", "count"), [("a", 1), ['b, "c"', 2.5], ("", None)])
         assert buf.getvalue() == 'name,count\na,1\n"b, ""c""",2.5\n,\n'
 
-    def test_only_records_imports_csv(self):
+    @pytest.mark.parametrize("module", ["csv", "zoneinfo"])
+    def test_only_records_imports(self, module):
         """The CSV dialect lives in `read_table`, `write_table` and the corpus
-        parser, all in `records`: no other module imports `csv`."""
+        parser, and the time-zone rule in `resolve_tz`, all in `records`: no
+        other module imports `csv` or `zoneinfo`."""
         importers = set()
         for path in sorted(Path(geotrips.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -858,7 +886,7 @@ class TestWriteTable:
                     modules = [node.module]
                 else:
                     continue
-                if any(m.split(".")[0] == "csv" for m in modules):
+                if any(m.split(".")[0] == module for m in modules):
                     importers.add(path.stem)
         assert importers == {"records"}
 

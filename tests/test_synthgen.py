@@ -51,6 +51,40 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown zone"):
             small_cfg(four_zone_map, od_weights={("alpha", "nowhere"): 1.0})
 
+    @pytest.mark.parametrize(
+        "name, value, kind",
+        [
+            ("n_agents", "5", "int"),
+            ("n_agents", True, "int"),
+            ("tweet_scale", False, "float"),
+            ("weekday_schedule", None, "tuple"),
+            ("weekend_schedule", [1.0] * 24, "tuple"),
+            ("weekday_schedule", ("a",) * 24, "tuple"),
+            ("weekday_schedule", (1,) * 23 + (True,), "tuple"),
+            ("period_start", "2014-01-01", "datetime"),
+        ],
+        ids=[
+            "agents-string", "agents-bool", "scale-bool", "schedule-none", "schedule-list",
+            "schedule-strings", "schedule-bool", "period-string",
+        ],
+    )
+    def test_setting_of_the_wrong_type_is_config_error(self, four_zone_map, name, value, kind):
+        """A library caller gets the check the synth config's reader gets."""
+        with pytest.raises(ConfigError) as exc:
+            small_cfg(four_zone_map, **{name: value})
+        assert str(exc.value) == f"{name} = {value!r} is not a valid {kind}"
+
+    @pytest.mark.parametrize("weight", ["1", True, None])
+    def test_od_weight_of_the_wrong_type_is_config_error(self, four_zone_map, weight):
+        with pytest.raises(ConfigError) as exc:
+            small_cfg(four_zone_map, od_weights={("beta", "alpha"): 0.0, ("alpha", "beta"): weight})
+        assert str(exc.value) == f"od_weights.alpha.beta = {weight!r} is not a valid float"
+
+    def test_zone_map_is_required(self):
+        with pytest.raises(ConfigError) as exc:
+            SynthConfig()
+        assert str(exc.value) == "SynthConfig.zone_map is required"
+
     @pytest.mark.parametrize("tz", ["Mars/Base", "", 5, None])
     def test_bad_timezone_is_checked_first(self, tz):
         """Before the zone map, so the config reader needs no check of its own."""
