@@ -13,7 +13,7 @@ from typing import IO, Iterable, Sequence
 
 from .displacement import Displacement, ODRow
 from .errors import EmptyODError, ValidationError
-from .records import read_table, write_table
+from .records import as_float, read_table, write_table
 from .zones import EXTERNAL
 
 #: Wildcard for direction filters: matches any zone.
@@ -280,7 +280,7 @@ def write_groups_csv(
 
 
 def _series_point(row: list[str]) -> tuple[str, float]:
-    value = float(row[1])
+    value = as_float(row[1])
     if not math.isfinite(value):
         raise ValueError(f"value {row[1]!r} is not finite")
     return row[0], value

@@ -11,6 +11,7 @@ estimated as the interval midpoint.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from operator import itemgetter
@@ -23,6 +24,7 @@ from .records import (
     UserTimeline,
     _MICROSECOND,
     _parse_utc,
+    as_float,
     format_us,
     from_epoch_us,
     read_table,
@@ -44,10 +46,12 @@ class FilterConfig:
     def __post_init__(self):
         for name in ("min_tweets", "max_speed", "time_window", "min_displacement_distance"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(f"FilterConfig.{name} must be a number")
-            if not value > 0:  # also rejects NaN
-                raise ValidationError(f"FilterConfig.{name} must be strictly positive")
+            try:  # text is no setting's number
+                number = as_float(value if isinstance(value, (int, float)) else None)
+            except ValueError:
+                raise ValidationError(f"FilterConfig.{name} must be a number") from None
+            if not 0 < number < math.inf:  # also refuses NaN
+                raise ValidationError(f"FilterConfig.{name} must be strictly positive and finite")
 
 
 #: A displacement's values in `DISPLACEMENT_COLUMNS` order, unformatted:
@@ -406,8 +410,8 @@ def _parse_fields(row: list[str]) -> tuple:
     parsed, in column order, so the first bad value in a row names the
     error."""
     return (
-        row[0], float(row[1]), float(row[2]), float(row[3]), float(row[4]),
-        _parse_utc(row[5]), _parse_utc(row[6]), float(row[7]), float(row[8]),
+        row[0], as_float(row[1]), as_float(row[2]), as_float(row[3]), as_float(row[4]),
+        _parse_utc(row[5]), _parse_utc(row[6]), as_float(row[7]), as_float(row[8]),
         row[9] or None, row[10] or None, _parse_utc(row[11]) if row[11] else None,
     )
 

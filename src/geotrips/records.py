@@ -141,6 +141,18 @@ def parse_timestamp(raw: str, legacy_tz: tzinfo | None = None) -> datetime:
         raise ValueError(f"timestamp {text!r} is out of range in UTC") from None
 
 
+def as_float(value) -> float:
+    """`float(value)`: the one rule for a number read from outside, except that a
+    bool or an int too large for a float is no number.  What is no number raises
+    `ValueError` (text, with `float`'s message); each reader checks the range."""
+    if value.__class__ is bool:  # float(True) is 1.0
+        raise ValueError("a bool is not a number")
+    try:
+        return float(value)
+    except (TypeError, OverflowError) as exc:  # e.g. None; an int of 400 digits
+        raise ValueError(str(exc)) from None
+
+
 def resolve_tz(name) -> tzinfo:
     """The IANA time zone `name`, else `ConfigError("tz = <name!r> is not a valid timezone")`."""
     from zoneinfo import ZoneInfo, ZoneInfoNotFoundError  # not loaded by `import geotrips`
@@ -237,15 +249,17 @@ def _open_lines(source, what: str) -> Iterator[Iterable[str]]:
 
 def read_json(source, what: str):
     """The JSON document in `source`, read by `_open_lines` with line ends
-    made ``\n`` (`json` counts lines by ``\n``); bad JSON is a `ConfigError`
-    naming the file, line and column."""
+    made ``\n`` (`json` counts lines by ``\n``); JSON it cannot read is a
+    `ConfigError` naming the file and, for bad syntax, the line and column."""
+    name = source_name(source, what)
     try:
         with _open_lines(source, what) as fh:
             text = fh.read().replace("\r\n", "\n").replace("\r", "\n")
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        name = source_name(source, what)
         raise ConfigError(f"{name}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def read_table(
@@ -315,8 +329,8 @@ def _raw_rows(lines: Iterable[str], format: str, rejects: list[RejectedLine]) ->
     line of the right shape: a 5-field CSV row or a JSON object.  A line of
     the wrong shape or CSV syntax goes to `rejects`; blank lines are skipped.
     `user_id` is a string.  In a JSON object, a `user_id` that is not a string
-    or an integer (which becomes its digits) and a boolean `lat` or `lon` are
-    the wrong shape too; the other values are as decoded."""
+    or an integer (which becomes its digits) is the wrong shape too; the other
+    values are as decoded."""
     if format == "csv":
         reader = csv.reader(lines)
         try:
@@ -369,9 +383,6 @@ def _raw_rows(lines: Iterable[str], format: str, rejects: list[RejectedLine]) ->
                     continue
                 user_id = str(user_id)
             lat, lon = obj.get("lat"), obj.get("lon")
-            if lat.__class__ is bool or lon.__class__ is bool:  # float(True) is 1.0
-                rejects.append(RejectedLine(lineno, "non-numeric coordinates"))
-                continue
             yield lineno, user_id, lat, lon, obj.get("timestamp", ""), obj.get("text", "")
     else:
         raise ValueError(f"unknown format {format!r}")
@@ -398,9 +409,9 @@ def _valid_rows(
             if "\r" in user_id:  # a CSV writer would leave it unquoted
                 raise ValueError("user_id holds a carriage return")
             try:
-                lat = float(lat_raw)
-                lon = float(lon_raw)
-            except (TypeError, ValueError):
+                lat = as_float(lat_raw)
+                lon = as_float(lon_raw)
+            except ValueError:
                 raise ValueError("non-numeric coordinates")
             if not (math.isfinite(lat) and math.isfinite(lon)):
                 raise ValueError("non-finite coordinates")

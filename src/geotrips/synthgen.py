@@ -23,7 +23,8 @@ from .displacement import FilterConfig
 from .errors import ConfigError
 from .geometry import GeoPoint, haversine_m
 from .records import (
-    TweetRecord, format_timestamp, parse_timestamp, read_json, read_table, resolve_tz, write_table,
+    TweetRecord, as_float, format_timestamp, parse_timestamp, read_json, read_table, resolve_tz,
+    write_table,
 )
 from .zones import ZoneSet, load_zones
 
@@ -47,10 +48,16 @@ _RANGES = (
 
 
 def _is_a(value, kind: type) -> bool:
-    """Whether a setting's `value` is a `kind`: an int passes for a float, a bool for neither."""
+    """Whether a setting's `value` is a `kind`: an int that `as_float` takes
+    passes for a float, a bool for neither."""
     if kind is tuple:  # of numbers
         return type(value) is tuple and all(_is_a(x, float) for x in value)
-    return type(value) is kind or (kind is float and type(value) is int)
+    if kind is float and type(value) is int:
+        try:
+            return math.isfinite(as_float(value))
+        except ValueError:  # too large for a float
+            return False
+    return type(value) is kind
 
 
 @dataclass(frozen=True)
@@ -91,17 +98,20 @@ class SynthConfig:
             raise ConfigError("zone_map needs at least 2 zones for inter-zone trips")
         if not self.od_weights:
             raise ConfigError("SynthConfig.od_weights is required")
+        od = self.od_weights
+        if not (isinstance(od, dict) and all(type(k) is tuple and len(k) == 2 for k in od)):
+            raise ConfigError(f"od_weights = {od!r} is not a dict keyed by (origin, destination)")
         ids = set(self.zone_map.zone_ids)
-        for (o, d), w in self.od_weights.items():
+        for (o, d), w in od.items():
             if not _is_a(w, float):
                 raise ConfigError(f"od_weights.{o}.{d} = {w!r} is not a valid float")
             if o not in ids or d not in ids:
                 raise ConfigError(f"od_weights references unknown zone in ({o}, {d})")
             if o == d:
                 raise ConfigError("od_weights must be inter-zone (origin != destination)")
-            if w < 0:
-                raise ConfigError("od_weights must be non-negative")
-        total = sum(self.od_weights.values())
+            if not 0 <= w < math.inf:  # also refuses NaN
+                raise ConfigError(f"od_weights.{o}.{d} = {w!r} is out of range: must be finite and >= 0")
+        total = sum(map(as_float, od.values()))  # ints may sum past a float
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"od_weights must sum to 1, got {total}")
         for names, in_range, rule in _RANGES:
@@ -111,6 +121,13 @@ class SynthConfig:
                     raise ConfigError(f"{name} = {value!r} is out of range: must be {rule}")
         if len(self.weekday_schedule) != 24 or len(self.weekend_schedule) != 24:
             raise ConfigError("trip schedules must have 24 hourly weights")
+        for name in ("weekday_schedule", "weekend_schedule"):
+            sched = getattr(self, name)  # summed as `random.choices` sums it, as floats
+            if not (all(w >= 0 for w in sched) and 0 < sum(map(as_float, sched)) < math.inf):
+                raise ConfigError(f"{name} = {sched!r} is out of range: must be >= 0 with a finite sum > 0")
+        for name in ("period_start", "period_end"):
+            if getattr(self, name).utcoffset() is None:
+                raise ConfigError(f"{name} = {getattr(self, name)!r} lacks a UTC offset")
         if self.period_end <= self.period_start:
             raise ConfigError("period_end must be after period_start")
 
@@ -246,16 +263,18 @@ def generate(cfg: SynthConfig) -> tuple[list[TweetRecord], list[GroundTruthTrip]
     # worst-case truncated-noise jitter between stationary tweets can never
     # exceed the speed limit.
     noise_reach = 6.0 * cfg.gps_noise_sigma * math.sqrt(2.0)
-    slot_s = max(10, int(math.ceil(1.25 * noise_reach / cfg.max_speed)))
+    reach_s = 1.25 * noise_reach / cfg.max_speed  # inf past the float range: one slot
+    slot_s = max(10, math.ceil(reach_s)) if reach_s < math.inf else math.inf
 
     for ai in range(cfg.n_agents):
         rng = random.Random(cfg.seed * 1_000_003 + ai)
         uid = f"agent{ai:05d}"
         u = rng.random()
-        n_tweets = min(
-            cfg.tweet_cap,
-            cfg.tweet_floor + int(cfg.tweet_scale * ((1.0 - u) ** (-1.0 / cfg.tweet_alpha) - 1.0)),
-        )
+        try:
+            extra = int(cfg.tweet_scale * ((1.0 - u) ** (-1.0 / cfg.tweet_alpha) - 1.0))
+        except OverflowError:  # a draw past the float range is past the cap
+            extra = cfg.tweet_cap
+        n_tweets = min(cfg.tweet_cap, cfg.tweet_floor + extra)
         n_trips_target = int(n_tweets * cfg.trip_fraction)
 
         # Per-agent anchors: zone interior plus a small fixed jitter.

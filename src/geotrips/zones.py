@@ -7,7 +7,7 @@ from typing import IO
 
 from .errors import ConfigError, InvalidGeometryError
 from .geometry import GeoPoint, PolygonRing, ZonePolygon, point_in_polygon
-from .records import read_json, source_name
+from .records import as_float, read_json, source_name
 
 #: Sentinel label for points lying in no configured zone.
 EXTERNAL = "EXTERNAL"
@@ -81,10 +81,8 @@ def _ring_from_coords(coords, feature_label: str) -> PolygonRing:
         if not isinstance(pos, (list, tuple)) or len(pos) < 2:
             raise InvalidGeometryError(f"{feature_label}: malformed coordinate position")
         try:
-            if isinstance(pos[0], bool) or isinstance(pos[1], bool):  # float(True) is 1.0
-                raise TypeError
-            lon, lat = float(pos[0]), float(pos[1])
-        except (TypeError, ValueError):
+            lon, lat = as_float(pos[0]), as_float(pos[1])
+        except ValueError:
             raise InvalidGeometryError(
                 f"{feature_label}: non-numeric coordinate position {pos!r}"
             ) from None
@@ -116,7 +114,7 @@ def load_zones(source: str | IO | dict) -> ZoneSet:
     Each feature must be a Polygon or MultiPolygon with a ``zone_id``
     property: a non-empty string, or an integer (not a boolean), which
     becomes its digits.  Other properties, such as ``name``, are ignored.
-    Coordinates are [lon, lat] per RFC 7946; a boolean is not a number.
+    Coordinates are [lon, lat] per RFC 7946, numbers by `records.as_float`.
     """
     name = source_name(source, "zones document")
     doc = source if isinstance(source, dict) else read_json(source, name)

@@ -1195,7 +1195,7 @@ class TestBadConfiguration:
             ('{"zones": "zones.geojson"}', "{path}: SynthConfig.od_weights is required"),
             (
                 '{"zones": "zones.geojson", "od_weights": {"alpha": {"beta": 1.5, "gamma": -0.5}}}',
-                "{path}: od_weights must be non-negative",
+                "{path}: od_weights.alpha.gamma = -0.5 is out of range: must be finite and >= 0",
             ),
             (
                 VALID_SYNTH % '"weekend_schedule": [1, 2]',

@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import Iterator
 from zoneinfo import ZoneInfo
 
 import pytest
@@ -661,14 +662,13 @@ def raw_rows_by_json_loads(lines):
         if not isinstance(obj, dict):
             rejects.append(RejectedLine(lineno, "line is not a JSON object"))
             continue
-        user_id, lat, lon = obj.get("user_id", ""), obj.get("lat"), obj.get("lon")
+        user_id = obj.get("user_id", "")
         if type(user_id) not in (str, int):
             rejects.append(RejectedLine(lineno, "user_id is not a string or an integer"))
-        elif bool in (type(lat), type(lon)):
-            rejects.append(RejectedLine(lineno, "non-numeric coordinates"))
         else:
             rows.append((
-                lineno, str(user_id), lat, lon, obj.get("timestamp", ""), obj.get("text", ""),
+                lineno, str(user_id), obj.get("lat"), obj.get("lon"),
+                obj.get("timestamp", ""), obj.get("text", ""),
             ))
     return rows, rejects
 
@@ -918,6 +918,16 @@ class TestWriteTable:
                     offenders.add((path.stem, "UnicodeDecodeError", node.lineno))
         assert {stem for stem, _, _ in offenders} == {"records"}, sorted(offenders)
 
+    def test_only_records_decides_what_a_number_is(self):
+        """`records.as_float` is the one number rule: no other function in the
+        package calls the builtin `float` or tests a value's class against
+        `bool`."""
+        offenders = set()
+        for path in sorted(Path(geotrips.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            offenders |= {(path.stem, where) for where in _number_tests(tree, "")}
+        assert offenders == {("records", "as_float")}, sorted(offenders)
+
     def test_every_private_name_is_used_in_the_package(self):
         """A private module-level name (``_x``, not ``__x__``) is read
         somewhere in the package outside the statement that defines it:
@@ -947,6 +957,38 @@ class TestWriteTable:
                         used.add(ref)
         assert len(defined) > 30  # the walk found the package's private names
         assert sorted(f"{m}.{n}" for n, m in defined.items() if n not in used) == []
+
+
+def _number_tests(node: ast.AST, where: str) -> Iterator[str]:
+    """The dotted name of the function or class around each call of the
+    builtin `float` and each test of a value's class against `bool` (by
+    `isinstance`, `issubclass`, `type(x)` or `x.__class__`) under `node`."""
+    for child in ast.iter_child_nodes(node):
+        func = getattr(child.func, "id", None) if isinstance(child, ast.Call) else None
+        if func == "float":
+            yield where
+        elif func in ("isinstance", "issubclass") and len(child.args) == 2:
+            if any(getattr(e, "id", None) == "bool" for e in _elements(child.args[1])):
+                yield where
+        elif isinstance(child, ast.Compare):
+            operands = [e for op in (child.left, *child.comparators) for e in _elements(op)]
+            if any(map(_is_class_of, operands)) and any(
+                getattr(e, "id", None) == "bool" for e in operands
+            ):
+                yield where
+        scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _number_tests(child, f"{where}.{child.name}".lstrip(".") if scope else where)
+
+
+def _elements(node: ast.AST) -> list[ast.AST]:
+    return list(node.elts) if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+
+
+def _is_class_of(node: ast.AST) -> bool:
+    """Whether `node` is ``type(x)`` or ``x.__class__``."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) == "type" and len(node.args) == 1
+    return isinstance(node, ast.Attribute) and node.attr == "__class__"
 
 
 def _opens_for_reading(call: ast.Call) -> bool:
