@@ -19,6 +19,8 @@ from .zones import EXTERNAL
 #: Wildcard for direction filters: matches any zone.
 ANY = None
 
+_SUM_TOL = 1e-9  # how far from 1 a series `compare_distributions` takes may sum
+
 _OD_FIELDS = attrgetter("user_id", "origin_zone", "destination_zone", "crossing_time_estimate")
 
 
@@ -216,15 +218,15 @@ def compare_distributions(
     a: Sequence[float],
     b: Sequence[float],
     labels: Sequence[str] | None = None,
-    tol: float = 1e-9,
 ) -> DistributionComparison:
-    """L1 distance and Pearson correlation between two normalized series."""
+    """L1 distance and Pearson correlation between two series, each summing
+    to 1 within `_SUM_TOL`."""
     if len(a) != len(b):
         raise ValidationError(f"series length mismatch: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise ValidationError("series must have at least 2 bins")
     for name, series in (("a", a), ("b", b)):
-        if not abs(sum(series) - 1.0) <= tol:  # also a NaN sum
+        if not abs(sum(series) - 1.0) <= _SUM_TOL:  # also a NaN sum
             raise ValidationError(f"series {name} is not normalized (sum={sum(series)!r})")
     l1 = sum(abs(x - y) for x, y in zip(a, b))
     try:

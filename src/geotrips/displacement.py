@@ -13,9 +13,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from operator import itemgetter
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
 from .geometry import GeoPoint, haversine_m
@@ -54,28 +54,44 @@ class FilterConfig:
                 raise ValidationError(f"FilterConfig.{name} must be strictly positive and finite")
 
 
-#: A displacement's values in `DISPLACEMENT_COLUMNS` order, unformatted:
-#: ``(user_id, origin_lat, origin_lon, dest_lat, dest_lon, start, end,
-#: duration_s, distance_m, origin_zone, dest_zone, crossing)``, with the
-#: three times as UTC epoch microseconds (see `records.to_epoch_us`).
-DisplacementFields = tuple[
-    str, float, float, float, float, int, int, float, float,
-    str | None, str | None, int | None,
-]
+class Displacement(NamedTuple):
+    """One displacement as its row: the `DISPLACEMENT_COLUMNS` values in
+    order, unformatted, with the three times as UTC epoch microseconds (see
+    `records.to_epoch_us`).  The properties view the row as `GeoPoint`s and
+    `timezone.utc` datetimes."""
 
-
-@dataclass(frozen=True)
-class Displacement:
     user_id: str
-    origin: GeoPoint
-    destination: GeoPoint
-    start_time: datetime
-    end_time: datetime
+    origin_lat: float
+    origin_lon: float
+    dest_lat: float
+    dest_lon: float
+    start: int
+    end: int
     duration: float  # s
     distance: float  # m
     origin_zone: str | None = None
     destination_zone: str | None = None
-    crossing_time_estimate: datetime | None = None
+    crossing: int | None = None
+
+    @property
+    def origin(self) -> GeoPoint:
+        return GeoPoint(self.origin_lat, self.origin_lon)
+
+    @property
+    def destination(self) -> GeoPoint:
+        return GeoPoint(self.dest_lat, self.dest_lon)
+
+    @property
+    def start_time(self) -> datetime:
+        return from_epoch_us(self.start)
+
+    @property
+    def end_time(self) -> datetime:
+        return from_epoch_us(self.end)
+
+    @property
+    def crossing_time_estimate(self) -> datetime | None:
+        return None if self.crossing is None else from_epoch_us(self.crossing)
 
     @property
     def is_inter_zone(self) -> bool:
@@ -88,31 +104,6 @@ class Displacement:
     @property
     def touches_external(self) -> bool:
         return EXTERNAL in (self.origin_zone, self.destination_zone)
-
-    def fields(self) -> DisplacementFields:
-        crossing = self.crossing_time_estimate
-        return (
-            self.user_id, self.origin.lat, self.origin.lon,
-            self.destination.lat, self.destination.lon,
-            _epoch_us(self.start_time), _epoch_us(self.end_time),
-            self.duration, self.distance, self.origin_zone, self.destination_zone,
-            None if crossing is None else _epoch_us(crossing),
-        )
-
-    @classmethod
-    def from_fields(cls, fields: DisplacementFields) -> Displacement:
-        (uid, origin_lat, origin_lon, dest_lat, dest_lon, start, end, duration, distance,
-         origin_zone, dest_zone, crossing) = fields
-        return cls(
-            uid, GeoPoint(origin_lat, origin_lon), GeoPoint(dest_lat, dest_lon),
-            from_epoch_us(start), from_epoch_us(end), duration, distance,
-            origin_zone, dest_zone, None if crossing is None else from_epoch_us(crossing),
-        )
-
-
-def _epoch_us(dt: datetime) -> int:
-    # A naive datetime is local time, as `format_timestamp` reads it.
-    return to_epoch_us(dt.astimezone(timezone.utc))
 
 
 @dataclass
@@ -233,15 +224,7 @@ def extract_displacements(tl: UserTimeline, cfg: FilterConfig) -> list[Displacem
         if dist < min_dist:
             continue
         out.append(
-            Displacement(
-                user_id=tl.user_id,
-                origin=GeoPoint(lats[a], lons[a]),
-                destination=GeoPoint(lats[b], lons[b]),
-                start_time=from_epoch_us(times[a]),
-                end_time=from_epoch_us(times[b]),
-                duration=dt,
-                distance=dist,
-            )
+            Displacement(tl.user_id, lats[a], lons[a], lats[b], lons[b], times[a], times[b], dt, dist)
         )
     return out
 
@@ -256,21 +239,17 @@ def label_displacement(d: Displacement, zs: ZoneSet) -> Displacement:
     origin_zone = zs.label_point(d.origin)
     dest_zone = zs.label_point(d.destination)
     if origin_zone != dest_zone:
-        crossing = d.start_time + timedelta(seconds=d.duration / 2.0)
+        crossing = to_epoch_us(d.start_time + timedelta(seconds=d.duration / 2.0))
     else:
-        crossing = d.start_time
-    return dataclasses.replace(
-        d,
-        origin_zone=origin_zone,
-        destination_zone=dest_zone,
-        crossing_time_estimate=crossing,
-    )
+        crossing = d.start
+    return d._replace(origin_zone=origin_zone, destination_zone=dest_zone, crossing=crossing)
 
 
 def _scan(
     timelines: dict[str, UserTimeline], zs: ZoneSet, cfg: FilterConfig, report: RunReport
-) -> Iterator[DisplacementFields]:
-    """Every displacement of the retained users, in one scan of each timeline.
+) -> Iterator[tuple]:
+    """Every displacement of the retained users as a plain tuple of the
+    `Displacement` fields, in one scan of each timeline.
 
     Users come in sorted order and each user's displacements in time order,
     so the sequence is canonical.  The scan keeps the previous survivor.
@@ -351,8 +330,7 @@ def run_extraction(
     ignored: extraction is serial.
     """
     report = RunReport()
-    displacements = [Displacement.from_fields(f) for f in _scan(timelines, zs, cfg, report)]
-    return displacements, report
+    return list(map(Displacement._make, _scan(timelines, zs, cfg, report))), report
 
 
 def extract_to_csv(
@@ -385,7 +363,7 @@ DISPLACEMENT_COLUMNS = (
 )
 
 
-def _format_fields(fields: DisplacementFields) -> tuple[str, ...]:
+def _format_fields(fields: tuple) -> tuple[str, ...]:
     (uid, origin_lat, origin_lon, dest_lat, dest_lon, start, end, duration, distance,
      origin_zone, dest_zone, crossing) = fields
     return (
@@ -417,14 +395,14 @@ def _parse_fields(row: list[str]) -> tuple:
 
 
 def write_displacements_csv(displacements: Iterable[Displacement], fh: IO[str]) -> None:
-    write_table(fh, DISPLACEMENT_COLUMNS, (_format_fields(d.fields()) for d in displacements))
+    write_table(fh, DISPLACEMENT_COLUMNS, map(_format_fields, displacements))
 
 
 def read_displacements_csv(source: str | IO[str]) -> list[Displacement]:
-    rows = read_table(source, DISPLACEMENT_COLUMNS, _parse_fields, "displacement CSV")
     return [
-        Displacement(uid, GeoPoint(origin_lat, origin_lon), GeoPoint(dest_lat, dest_lon), *rest)
-        for uid, origin_lat, origin_lon, dest_lat, dest_lon, *rest in rows
+        Displacement(*row[:5], to_epoch_us(row[5]), to_epoch_us(row[6]), *row[7:11],
+                     None if row[11] is None else to_epoch_us(row[11]))
+        for row in read_table(source, DISPLACEMENT_COLUMNS, _parse_fields, "displacement CSV")
     ]
 
 

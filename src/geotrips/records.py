@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
 from functools import lru_cache
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .errors import ConfigError, FormatMismatchError, ValidationError
@@ -296,8 +297,13 @@ def read_table(
 def write_table(fh: IO[str], columns: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write a CSV table to `fh`: the header `columns`, then each of `rows`,
     every line ended by ``\n``.  The mirror of `read_table`: every table the
-    package writes goes through it."""
-    writer = csv.writer(fh, lineterminator="\n")
+    package writes goes through it.  A field holding a ``\r`` is quoted as one
+    holding a ``\n`` is: the writer quotes a field holding a character of its
+    line ending, so it ends lines with ``\r\n``, and `fh` gets them with ``\n``."""
+    write = fh.write
+    writer = csv.writer(
+        SimpleNamespace(write=lambda line: write(line[:-2] + "\n")), lineterminator="\r\n"
+    )
     writer.writerow(columns)
     writer.writerows(rows)
 

@@ -235,6 +235,7 @@ def generate(cfg: SynthConfig) -> tuple[list[TweetRecord], list[GroundTruthTrip]
     The returned trips are exactly those the default pipeline recovers as
     inter-zone displacements: trips of agents that clear the activity
     threshold, with both flanking tweets consecutive inside the window.
+    A record that noise or an anomaly jump puts off the globe is a `ConfigError`.
     """
     zs = cfg.zone_map
     tz = resolve_tz(cfg.tz)
@@ -378,15 +379,13 @@ def generate(cfg: SynthConfig) -> tuple[list[TweetRecord], list[GroundTruthTrip]
                 if sigma > 0
                 else loc
             )
-            records.append(
-                TweetRecord(
-                    uid,
-                    round(noisy.lat, 6),
-                    round(noisy.lon, 6),
-                    datetime.fromtimestamp(ts, _UTC),
-                    "",
+            lat, lon = round(noisy.lat, 6), round(noisy.lon, 6)
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):  # a record extract rejects
+                raise ConfigError(
+                    f"{uid} gets a record off the globe, at ({lat!r}, {lon!r}), with "
+                    f"gps_noise_sigma = {sigma!r} and anomaly_rate = {cfg.anomaly_rate!r}"
                 )
-            )
+            records.append(TweetRecord(uid, lat, lon, datetime.fromtimestamp(ts, _UTC), ""))
 
         if len(agent_records) >= cfg.min_tweets:
             trips_out.extend(

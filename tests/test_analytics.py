@@ -23,7 +23,7 @@ from geotrips.analytics import (
 )
 from geotrips.displacement import Displacement
 from geotrips.errors import EmptyODError, ValidationError
-from geotrips.geometry import GeoPoint
+from geotrips.records import to_epoch_us
 
 UTC = timezone.utc
 
@@ -32,10 +32,9 @@ def disp(origin_zone, dest_zone, crossing, user="u1"):
     start = crossing - timedelta(minutes=30)
     end = crossing + timedelta(minutes=30)
     return Displacement(
-        user, GeoPoint(40.1, -73.9), GeoPoint(40.1, -73.6),
-        start, end, 3600.0, 25000.0,
+        user, 40.1, -73.9, 40.1, -73.6, to_epoch_us(start), to_epoch_us(end), 3600.0, 25000.0,
         origin_zone=origin_zone, destination_zone=dest_zone,
-        crossing_time_estimate=crossing if origin_zone != dest_zone else start,
+        crossing=to_epoch_us(crossing if origin_zone != dest_zone else start),
     )
 
 
@@ -242,8 +241,8 @@ TIMEZONES = st.sampled_from([UTC, ZoneInfo("America/New_York"), ZoneInfo("Austra
 def _displacement(user_id, origin_zone, dest_zone, crossing):
     start = crossing or datetime(2014, 8, 4, tzinfo=UTC)
     return Displacement(
-        user_id, GeoPoint(40.1, -73.9), GeoPoint(40.1, -73.6), start, start, 0.0, 0.0,
-        origin_zone, dest_zone, crossing,
+        user_id, 40.1, -73.9, 40.1, -73.6, to_epoch_us(start), to_epoch_us(start), 0.0, 0.0,
+        origin_zone, dest_zone, None if crossing is None else to_epoch_us(crossing),
     )
 
 

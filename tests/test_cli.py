@@ -1229,7 +1229,7 @@ class TestBadConfiguration:
             "schedule-number", "unknown-tz", "tz-number", "schedule-string", "od-weight-list",
             "alpha-zero", "noise-nan", "agents-negative",
             "cap-zero", "trip-fraction-two", "window-negative", "speed-infinite", "floor-negative",
-            "noise-infinite", "no-od-weights", "negative-weight", "short-schedule", "empty-period",
+            "no-od-weights", "negative-weight", "short-schedule", "empty-period", "noise-infinite",
             "no-zones", "od-weights-sum", "od-weights-unknown-zone",
             "unknown-key", "zone-map-key", "unknown-key-before-zones",
         ],

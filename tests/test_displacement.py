@@ -224,8 +224,8 @@ class TestLabelDisplacement:
         start = T0.replace(hour=start_h)
         end = T0.replace(hour=end_h)
         return Displacement(
-            "u1", origin, destination, start, end,
-            (end - start).total_seconds(), 5000.0,
+            "u1", origin.lat, origin.lon, destination.lat, destination.lon,
+            to_epoch_us(start), to_epoch_us(end), (end - start).total_seconds(), 5000.0,
         )
 
     def test_inter_zone_crossing_is_midpoint(self, four_zone_map):
@@ -318,6 +318,20 @@ site_st = st.integers(0, len(SITES) - 1)
 user_st = st.tuples(site_st, st.lists(st.tuples(st.sampled_from(GAPS_US), site_st), max_size=14))
 
 
+def drawn_timelines(users):
+    """Timelines of `user_st` draws, inserted out of sorted order."""
+    timelines = {}
+    for i, (first, steps) in enumerate(users):
+        uid = f"u{len(users) - i}"
+        t = T0
+        recs = [TweetRecord(uid, *SITES[first], t, "")]
+        for gap_us, site in steps:
+            t += timedelta(microseconds=gap_us)
+            recs.append(TweetRecord(uid, *SITES[site], t, ""))
+        timelines[uid] = UserTimeline.from_records(uid, recs)
+    return timelines
+
+
 def stage_composition(timelines, zs, cfg):
     """The reference: the public stages composed user by user."""
     out, removed = [], 0
@@ -356,15 +370,7 @@ class TestFusedScan:
         ]
     )
     def test_run_extraction_matches_stage_composition(self, users):
-        timelines = {}
-        for i, (first, steps) in enumerate(users):
-            uid = f"u{len(users) - i}"  # insertion order is not sorted order
-            t = T0
-            recs = [TweetRecord(uid, *SITES[first], t, "")]
-            for gap_us, site in steps:
-                t += timedelta(microseconds=gap_us)
-                recs.append(TweetRecord(uid, *SITES[site], t, ""))
-            timelines[uid] = UserTimeline.from_records(uid, recs)
+        timelines = drawn_timelines(users)
         got, report = run_extraction(timelines, FUSED_ZONES, FUSED_CFG)
         expected, removed = stage_composition(timelines, FUSED_ZONES, FUSED_CFG)
         assert got == expected
@@ -381,6 +387,30 @@ class TestFusedScan:
             len(got), sum(d.is_inter_zone for d in got),
             sum(d.touches_external for d in got), len({d.user_id for d in got}),
         )
+
+
+class TestDisplacementIsItsRow:
+    """A `Displacement` is the row the scan yields; its other attributes are
+    views of the row's fields."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(user_st, min_size=1, max_size=4))
+    def test_run_extraction_returns_the_scan_rows(self, users):
+        timelines = drawn_timelines(users)
+        got, _ = run_extraction(timelines, FUSED_ZONES, FUSED_CFG)
+        scanned = list(_scan(timelines, FUSED_ZONES, FUSED_CFG, RunReport()))
+        assert [tuple(d) for d in got] == scanned
+        unlabeled = [d for tl in timelines.values() for d in extract_displacements(tl, FUSED_CFG)]
+        for d in got + unlabeled:
+            assert isinstance(d, tuple) and type(d) is Displacement
+            assert d.origin == GeoPoint(d.origin_lat, d.origin_lon)
+            assert d.destination == GeoPoint(d.dest_lat, d.dest_lon)
+            assert d.start_time == from_epoch_us(d.start)
+            assert d.end_time == from_epoch_us(d.end)
+            crossing = None if d.crossing is None else from_epoch_us(d.crossing)
+            assert d.crossing_time_estimate == crossing
+        assert all(d.crossing is not None for d in got)
+        assert all(d.crossing is None for d in unlabeled)
 
 
 class TestScanTimes:
@@ -430,7 +460,7 @@ class TestScanTimes:
         ((*_, crossing),) = fields = self.scan(0, 600_000_000, self.ALPHA_TOO)
         assert crossing == 0
         written = io.StringIO(newline="")
-        write_displacements_csv(map(Displacement.from_fields, fields), written)
+        write_displacements_csv(map(Displacement._make, fields), written)
         (row,) = written.getvalue().splitlines()[1:]
         assert row.endswith(",alpha,alpha,1970-01-01T00:00:00Z")
         streamed = io.StringIO(newline="")
@@ -479,12 +509,11 @@ class TestStreamingAnalysis:
         rows = 6_000
         disps = []
         for i in range(rows):
-            start = T0 + timedelta(minutes=37 * i)
+            start = to_epoch_us(T0 + timedelta(minutes=37 * i))
             o, t = zones[i % 4], zones[i // 4 % 4]
             disps.append(Displacement(
-                f"u{i % 40}", GeoPoint(40.1, -73.9), GeoPoint(40.1, -73.6),
-                start, start + timedelta(minutes=30), 1800.0, 25_000.0, o, t,
-                start + timedelta(minutes=15) if o and t and o != t else None,
+                f"u{i % 40}", 40.1, -73.9, 40.1, -73.6, start, start + 1_800_000_000,
+                1800.0, 25_000.0, o, t, start + 900_000_000 if o and t and o != t else None,
             ))
         path = tmp_path / "displacements.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -554,7 +583,11 @@ class TestRunReport:
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
-utc_datetimes = st.datetimes(timezones=st.just(timezone.utc))
+# Every instant in `datetime`'s range, as epoch microseconds.
+utc_instants = st.integers(
+    to_epoch_us(datetime.min.replace(tzinfo=timezone.utc)),
+    to_epoch_us(datetime.max.replace(tzinfo=timezone.utc)),
+)
 zone_labels = st.none() | st.sampled_from(["alpha", "beta, west", EXTERNAL])
 
 
@@ -569,9 +602,10 @@ class TestReadDisplacementsCsv:
         ids=["non-numeric-coordinate", "bad-timestamp", "short-row"],
     )
     def test_malformed_row_names_its_line(self, tmp_path, field, value, reason):
+        t0 = to_epoch_us(T0)
         d = Displacement(
-            "u1", GeoPoint(40.1, -73.9), GeoPoint(40.1, -73.6),
-            T0, T0 + timedelta(hours=1), 3600.0, 25_000.0, "alpha", "beta", T0,
+            "u1", 40.1, -73.9, 40.1, -73.6, t0, t0 + 3_600_000_000, 3600.0, 25_000.0,
+            "alpha", "beta", t0,
         )
         path = tmp_path / "displacements.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -597,15 +631,17 @@ class TestReadDisplacementsCsv:
                 user_id=st.text(st.characters(blacklist_categories=("Cs",))) | st.sampled_from(
                     ["smith, j", 'say "hi"', "two\nlines", "cr\rlf\r\n"]
                 ),
-                origin=st.builds(GeoPoint, finite_floats, finite_floats),
-                destination=st.builds(GeoPoint, finite_floats, finite_floats),
-                start_time=utc_datetimes,
-                end_time=utc_datetimes,
+                origin_lat=finite_floats,
+                origin_lon=finite_floats,
+                dest_lat=finite_floats,
+                dest_lon=finite_floats,
+                start=utc_instants,
+                end=utc_instants,
                 duration=finite_floats,
                 distance=finite_floats,
                 origin_zone=zone_labels,
                 destination_zone=zone_labels,
-                crossing_time_estimate=st.none() | utc_datetimes,
+                crossing=st.none() | utc_instants,
             ),
             max_size=5,
         )

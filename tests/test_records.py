@@ -29,7 +29,6 @@ from geotrips.displacement import (
     write_displacements_csv,
 )
 from geotrips.errors import FormatMismatchError, ValidationError
-from geotrips.geometry import GeoPoint
 from geotrips.records import (
     RejectedLine,
     TweetRecord,
@@ -872,6 +871,16 @@ class TestWriteTable:
         write_table(buf, ("name", "count"), [("a", 1), ['b, "c"', 2.5], ("", None)])
         assert buf.getvalue() == 'name,count\na,1\n"b, ""c""",2.5\n,\n'
 
+    def test_a_carriage_return_is_quoted_and_reads_back(self, tmp_path):
+        """A lone ``\\r`` is quoted as a ``\\n`` is, so a reader does not split
+        its row there."""
+        rows = [("a\rb", "c\nd"), ("e\r\nf", "")]
+        path = tmp_path / "table.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_table(fh, ("x", "y"), rows)
+        assert path.read_bytes() == b'x,y\n"a\rb","c\nd"\n"e\r\nf",\n'
+        assert list(read_table(str(path), ("x", "y"), tuple, "table CSV")) == rows
+
     @pytest.mark.parametrize("module", ["csv", "zoneinfo"])
     def test_only_records_imports(self, module):
         """The CSV dialect lives in `read_table`, `write_table` and the corpus
@@ -1035,7 +1044,7 @@ def _users_reader(source):
 
 def _one_displacement_csv() -> str:
     t = datetime(2014, 8, 2, 21, 58, tzinfo=timezone.utc)
-    d = Displacement("u1", GeoPoint(40.1, -73.9), GeoPoint(40.1, -73.6), t, t, 0.0, 1.0)
+    d = Displacement("u1", 40.1, -73.9, 40.1, -73.6, to_epoch_us(t), to_epoch_us(t), 0.0, 1.0)
     buf = io.StringIO()
     write_displacements_csv([d], buf)
     return buf.getvalue()

@@ -178,6 +178,27 @@ class TestGenerate:
         # asserted against the generator's own counts, no fixed share assumed
         assert sum(top) > sum(counts) * len(top) / len(counts)
 
+    @pytest.mark.parametrize(
+        "near_pole, changes, found",
+        [
+            (False, {"gps_noise_sigma": 1e300}, r"\(-?[\d.]+e\+29\d, -?[\d.]+e\+29\d\), with "
+             r"gps_noise_sigma = 1e\+300 and anomaly_rate = 0\.0$"),
+            (True, {"anomaly_rate": 1.0}, r"\(90\.6\d*, [\d.]+\), with "
+             r"gps_noise_sigma = 0\.0 and anomaly_rate = 1\.0$"),  # ~88.6 + 2 degrees
+        ],
+        ids=["noise", "anomaly-jump-near-a-pole"],
+    )
+    def test_a_record_off_the_globe_is_config_error(self, four_zone_map, near_pole, changes, found):
+        """`extract` would reject the record, so `generate` refuses to write it."""
+        polar = load_zones(
+            feature_collection(square_feature("alpha", 88.5, 0.0), square_feature("beta", 88.5, 1.0))
+        )
+        zs = polar if near_pole else four_zone_map
+        cfg = dict(seed=0, n_agents=1, tweet_cap=30, gps_noise_sigma=0.0)
+        assert generate(small_cfg(zs, **cfg))[0]  # on the globe without the change
+        with pytest.raises(ConfigError, match="^agent00000 gets a record off the globe, at " + found):
+            generate(small_cfg(zs, **{**cfg, **changes}))
+
     def test_ground_truth_csv_round_trip(self, four_zone_map):
         _, trips = generate(small_cfg(four_zone_map))
         buf = io.StringIO()
