@@ -5,11 +5,10 @@ comparisons against external reference series."""
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from datetime import tzinfo
 from operator import attrgetter
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .displacement import Displacement, ODRow
 from .errors import EmptyODError, ValidationError
@@ -24,21 +23,20 @@ _SUM_TOL = 1e-9  # how far from 1 a series `compare_distributions` takes may sum
 _OD_FIELDS = attrgetter("user_id", "origin_zone", "destination_zone", "crossing_time_estimate")
 
 
-@dataclass(frozen=True)
-class UserProfile:
+class UserProfile(NamedTuple):
     user_id: str
     tweet_count: int
     displacement_count: int
 
 
-@dataclass
-class GroupPartition:
+class GroupPartition(NamedTuple):
     percentile_cutoff: float
     high_group: list[str]
     low_group: list[str]
     share_of_displacements_high: float
 
 
+# A dataclass, not a row: its counts default to fresh lists.
 @dataclass
 class TimeOfDayHistogram:
     direction: tuple[str | None, str | None]
@@ -64,8 +62,7 @@ class TimeOfDayHistogram:
         return sum(self.weekday_counts) + sum(self.weekend_counts)
 
 
-@dataclass
-class ODMatrix:
+class ODMatrix(NamedTuple):
     zone_ids: list[str]
     counts: list[list[int]]
 
@@ -79,8 +76,7 @@ class ODMatrix:
         return [[c / total for c in row] for row in self.counts]
 
 
-@dataclass
-class DistributionComparison:
+class DistributionComparison(NamedTuple):
     labels: list[str]
     series_a: list[float]
     series_b: list[float]
@@ -221,6 +217,7 @@ def compare_distributions(
 ) -> DistributionComparison:
     """L1 distance and Pearson correlation between two series, each summing
     to 1 within `_SUM_TOL`."""
+    import statistics  # only here: `analyze` does not load it
     if len(a) != len(b):
         raise ValidationError(f"series length mismatch: {len(a)} vs {len(b)}")
     if len(a) < 2:

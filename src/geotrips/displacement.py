@@ -36,6 +36,8 @@ from .zones import EXTERNAL, ZoneSet
 MPH_TO_MPS = 0.44704
 
 
+# A dataclass, not a row: it checks its fields on construction, and its class
+# attributes are the defaults `SynthConfig` mirrors.
 @dataclass(frozen=True)
 class FilterConfig:
     min_tweets: int = 100
@@ -44,12 +46,15 @@ class FilterConfig:
     min_displacement_distance: float = 100.0  # m
 
     def __post_init__(self):
+        if type(self.min_tweets) is not int:  # `SynthConfig`'s rule: a bool is no int
+            raise ValidationError("FilterConfig.min_tweets must be an int")
         for name in ("min_tweets", "max_speed", "time_window", "min_displacement_distance"):
-            value = getattr(self, name)
-            try:  # text is no setting's number
-                number = as_float(value if isinstance(value, (int, float)) else None)
-            except ValueError:
-                raise ValidationError(f"FilterConfig.{name} must be a number") from None
+            number = getattr(self, name)
+            if name != "min_tweets":  # an int of any size is a count
+                try:  # text is no setting's number
+                    number = as_float(number if isinstance(number, (int, float)) else None)
+                except ValueError:
+                    raise ValidationError(f"FilterConfig.{name} must be a number") from None
             if not 0 < number < math.inf:  # also refuses NaN
                 raise ValidationError(f"FilterConfig.{name} must be strictly positive and finite")
 
@@ -106,6 +111,7 @@ class Displacement(NamedTuple):
         return EXTERNAL in (self.origin_zone, self.destination_zone)
 
 
+# A dataclass, not a row: `cmd_extract` and `_scan` fill it in field by field.
 @dataclass
 class RunReport:
     """Stage-by-stage accounting for one pipeline run.
@@ -198,7 +204,7 @@ def remove_speed_violations(
         else:
             violates = dist / dt > max_speed
         if violates:
-            removed.append(TweetRecord(tl.user_id, lats[i], lons[i], from_epoch_us(times[i])))
+            removed.append(TweetRecord(tl.user_id, lats[i], lons[i], times[i]))
         else:
             kept.append(i)
     return tl.take(kept), removed

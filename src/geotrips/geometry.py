@@ -8,8 +8,7 @@ enough at county scale and keeps the ray-casting test exact and cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidGeometryError
 
@@ -27,8 +26,7 @@ EDGE_TOLERANCE_DEG = 1e-12
 SLAB_MARGIN_DEG = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class GeoPoint:
+class GeoPoint(NamedTuple):
     lat: float
     lon: float
 
@@ -99,8 +97,7 @@ class PolygonRing:
         return tuple(map(GeoPoint, self.lats[:-1], self.lons[:-1]))
 
 
-@dataclass(frozen=True)
-class ZonePolygon:
+class ZonePolygon(NamedTuple):
     outer: PolygonRing
     holes: tuple[PolygonRing, ...] = ()
 

@@ -18,9 +18,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
 from functools import lru_cache
+from itertools import repeat
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import IO, Callable, Iterable, Iterator, TypeVar
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import ConfigError, FormatMismatchError, ValidationError
 
@@ -33,17 +34,22 @@ _MICROSECOND = timedelta(microseconds=1)
 T = TypeVar("T")
 
 
-@dataclass(frozen=True, slots=True)
-class TweetRecord:
+class TweetRecord(NamedTuple):
+    """One record as its row, with `time` in UTC epoch microseconds (see
+    `to_epoch_us`); `timestamp` views it as a `timezone.utc` datetime."""
+
     user_id: str
     lat: float
     lon: float
-    timestamp: datetime  # timezone-aware, normalized to UTC
+    time: int
     text: str = ""
 
+    @property
+    def timestamp(self) -> datetime:
+        return from_epoch_us(self.time)
 
-@dataclass(frozen=True, slots=True)
-class RejectedLine:
+
+class RejectedLine(NamedTuple):
     line_number: int
     reason: str
 
@@ -58,6 +64,7 @@ def from_epoch_us(t: int) -> datetime:
     return EPOCH + timedelta(microseconds=t)
 
 
+# A dataclass, not a row: its `len` is its row count, which a tuple's `len` would contradict.
 @dataclass(frozen=True, slots=True)
 class UserTimeline:
     """One user's records in time order, as three parallel columns.
@@ -79,7 +86,7 @@ class UserTimeline:
         recs = list(records)
         return cls(
             user_id,
-            array("q", [to_epoch_us(r.timestamp) for r in recs]),
+            array("q", [r.time for r in recs]),
             array("d", [r.lat for r in recs]),
             array("d", [r.lon for r in recs]),
         )
@@ -100,15 +107,10 @@ class UserTimeline:
     def records(self) -> tuple[TweetRecord, ...]:
         """The rows as `TweetRecord`s with empty `text`, built on each access.
         A view for library callers; the pipeline reads the columns."""
-        uid = self.user_id
-        return tuple(
-            TweetRecord(uid, lat, lon, from_epoch_us(t))
-            for t, lat, lon in zip(self.times, self.lats, self.lons)
-        )
+        return tuple(map(TweetRecord, repeat(self.user_id), self.lats, self.lons, self.times))
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     records: list[TweetRecord]
     rejects: list[RejectedLine]
     lines_read: int  # data lines, header excluded
@@ -163,13 +165,6 @@ def resolve_tz(name) -> tzinfo:
         raise ConfigError(f"tz = {name!r} is not a valid timezone") from None
 
 
-def format_timestamp(dt: datetime) -> str:
-    """Canonical serialization: ISO 8601 in UTC with a Z suffix."""
-    if dt.tzinfo is not timezone.utc:
-        dt = dt.astimezone(timezone.utc)
-    return dt.isoformat().replace("+00:00", "Z")
-
-
 _TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))
 
 
@@ -180,7 +175,9 @@ def _date_prefix(day: int) -> str:
 
 
 def format_us(t: int) -> str:
-    """`format_timestamp(from_epoch_us(t))`, computed from the integer."""
+    """The canonical text of the instant `t` (epoch microseconds): ISO 8601 in
+    UTC with a ``Z`` suffix and the microseconds only when not zero, as
+    `datetime.isoformat` writes them."""
     day, us = divmod(t, 86_400_000_000)
     s, us = divmod(us, 1_000_000)
     m, s = divmod(s, 60)
@@ -397,13 +394,13 @@ def _raw_rows(lines: Iterable[str], format: str, rejects: list[RejectedLine]) ->
 def _valid_rows(
     lines: Iterable[str], format: str, legacy_tz: tzinfo | None, rejects: list[RejectedLine]
 ) -> Iterator[tuple]:
-    """The row validator: yield `(user_id, lat, lon, timestamp, text)` for
+    """The row validator: yield `(user_id, lat, lon, time, text)` for
     each valid record in input order, append a `RejectedLine` for each bad
     line, and raise `FormatMismatchError` at the end if more than half of
     the data lines were rejected.  `_open_lines` refuses bytes that are not
     UTF-8.
 
-    `timestamp` is an aware UTC datetime; `text` is as read (a JSON line's
+    `time` is in UTC epoch microseconds; `text` is as read (a JSON line's
     may be any value, or None).  Every data line either yields a row or is
     rejected, so the caller gets `lines_read` as rows yielded plus rejects.
     """
@@ -430,7 +427,7 @@ def _valid_rows(
             rejects.append(RejectedLine(lineno, str(exc)))
             continue
         parsed += 1
-        yield user_id, lat, lon, ts, text
+        yield user_id, lat, lon, to_epoch_us(ts), text
     lines_read = parsed + len(rejects)
     if lines_read > 0 and len(rejects) * 2 > lines_read:
         raise FormatMismatchError(
@@ -453,8 +450,8 @@ def parse_records(
     with _open_lines(source, "input") as lines:
         # User ids are interned: a user's records share one string.
         records = [
-            TweetRecord(sys.intern(uid), lat, lon, ts, "" if text is None else str(text))
-            for uid, lat, lon, ts, text in _valid_rows(lines, format, legacy_tz, rejects)
+            TweetRecord(sys.intern(uid), lat, lon, t, "" if text is None else str(text))
+            for uid, lat, lon, t, text in _valid_rows(lines, format, legacy_tz, rejects)
         ]
     return ParseResult(records, rejects, len(records) + len(rejects))
 
@@ -462,37 +459,32 @@ def parse_records(
 def write_records_csv(records: Iterable[TweetRecord], fh: IO[str]) -> None:
     """Serialize records in the canonical CSV layout (round-trip safe)."""
     write_table(fh, CSV_COLUMNS, (
-        (r.user_id, repr(r.lat), repr(r.lon), format_timestamp(r.timestamp), r.text)
-        for r in records
+        (r.user_id, repr(r.lat), repr(r.lon), format_us(r.time), r.text) for r in records
     ))
 
 
 def write_rejects_csv(rejects: Iterable[RejectedLine], fh: IO[str]) -> None:
-    write_table(fh, ("line_number", "reason"), ((r.line_number, r.reason) for r in rejects))
+    write_table(fh, ("line_number", "reason"), rejects)
 
 
 def dedupe_records(records: Iterable[TweetRecord]) -> tuple[list[TweetRecord], int]:
-    """Drop exact duplicates (same user, timestamp, coordinates).
+    """Drop exact duplicates (same user, coordinates and time: the row less `text`).
 
     Returns the surviving records in input order and the number dropped.
     Streaming collectors re-deliver posts; exact duplicates would otherwise
     surface as zero-length displacements.
     """
-    seen: set[tuple[str, datetime, float, float]] = set()
+    seen: set[tuple[str, float, float, int]] = set()
     kept: list[TweetRecord] = []
     dropped = 0
     for r in records:
-        key = (r.user_id, r.timestamp, r.lat, r.lon)
+        key = r[:4]
         if key in seen:
             dropped += 1
         else:
             seen.add(key)
             kept.append(r)
     return kept, dropped
-
-
-def _by_timestamp(r: TweetRecord) -> datetime:
-    return r.timestamp
 
 
 def build_timelines(records: Iterable[TweetRecord]) -> dict[str, UserTimeline]:
@@ -503,14 +495,14 @@ def build_timelines(records: Iterable[TweetRecord]) -> dict[str, UserTimeline]:
     by_user: dict[str, list[TweetRecord]] = {}
     for r in records:
         by_user.setdefault(r.user_id, []).append(r)
+    by_time = itemgetter(3)  # `TweetRecord.time`
     return {
-        uid: UserTimeline.from_records(uid, sorted(recs, key=_by_timestamp))
+        uid: UserTimeline.from_records(uid, sorted(recs, key=by_time))
         for uid, recs in by_user.items()
     }
 
 
-@dataclass
-class Ingest:
+class Ingest(NamedTuple):
     """Per-user timelines plus the counts and reject log of the input."""
 
     timelines: dict[str, UserTimeline]
@@ -528,23 +520,22 @@ def load_timelines(
     """Parse, deduplicate and build timelines in one pass over the input.
 
     Each valid record goes straight onto its user's three columns: the
-    timestamp as epoch microseconds (the parsed datetime is then dropped),
-    the latitude and the longitude.  No `TweetRecord` is built and `text`
-    is not kept.  Then, one user at a time, the rule of `dedupe_records`
-    and `build_timelines` is applied to the `(time, lat, lon)` rows: the
-    first of each exact row in input order is kept (``0.0 == -0.0``, so the
-    first one read stands) and the kept rows are stable-sorted by time into
-    fresh arrays.  Timelines, rejects and counts are those of
+    time in epoch microseconds, the latitude and the longitude.  No
+    `TweetRecord` is built and `text` is not kept.  Then, one user at a
+    time, the rule of `dedupe_records` and `build_timelines` is applied to
+    the `(time, lat, lon)` rows: the first of each exact row in input order
+    is kept (``0.0 == -0.0``, so the first one read stands) and the kept
+    rows are stable-sorted by time into fresh arrays.  Timelines, rejects and counts are those of
     `build_timelines(dedupe_records(parse_records(...).records)[0])`.
     """
     rejects: list[RejectedLine] = []
     columns: dict[str, tuple[array, array, array]] = {}
     with _open_lines(source, "input") as lines:
-        for uid, lat, lon, ts, _ in _valid_rows(lines, format, legacy_tz, rejects):
+        for uid, lat, lon, t, _ in _valid_rows(lines, format, legacy_tz, rejects):
             cols = columns.get(uid)
             if cols is None:
                 cols = columns[uid] = (array("q"), array("d"), array("d"))
-            cols[0].append(to_epoch_us(ts))
+            cols[0].append(t)
             cols[1].append(lat)
             cols[2].append(lon)
 

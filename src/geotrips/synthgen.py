@@ -17,14 +17,15 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
-from typing import IO
+from operator import itemgetter
+from typing import IO, NamedTuple
 
 from .displacement import FilterConfig
 from .errors import ConfigError
 from .geometry import GeoPoint, haversine_m
 from .records import (
-    TweetRecord, as_float, format_timestamp, parse_timestamp, read_json, read_table, resolve_tz,
-    write_table,
+    TweetRecord, as_float, format_us, from_epoch_us, parse_timestamp, read_json, read_table,
+    resolve_tz, to_epoch_us, write_table,
 )
 from .zones import ZoneSet, load_zones
 
@@ -60,6 +61,8 @@ def _is_a(value, kind: type) -> bool:
     return type(value) is kind
 
 
+# A dataclass, not a row: it checks its fields on construction, and callers
+# walk `dataclasses.fields` and `replace` on it.
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int = 0
@@ -181,12 +184,18 @@ def load_config(path: str) -> SynthConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class GroundTruthTrip:
+class GroundTruthTrip(NamedTuple):
+    """One planted trip as its row, with `crossing` in UTC epoch microseconds;
+    `true_crossing_time` views it as a `timezone.utc` datetime."""
+
     user_id: str
     origin_zone: str
     destination_zone: str
-    true_crossing_time: datetime
+    crossing: int
+
+    @property
+    def true_crossing_time(self) -> datetime:
+        return from_epoch_us(self.crossing)
 
 
 def _zone_interior_point(zs: ZoneSet, zone_id: str, rng: random.Random) -> GeoPoint:
@@ -219,8 +228,7 @@ def _tgauss(rng: random.Random, sigma: float) -> float:
     return max(-3.0 * sigma, min(3.0 * sigma, rng.gauss(0.0, sigma)))
 
 
-@dataclass
-class _Trip:
+class _Trip(NamedTuple):
     t_cross: float  # epoch seconds
     t1: int
     t2: int
@@ -385,17 +393,15 @@ def generate(cfg: SynthConfig) -> tuple[list[TweetRecord], list[GroundTruthTrip]
                     f"{uid} gets a record off the globe, at ({lat!r}, {lon!r}), with "
                     f"gps_noise_sigma = {sigma!r} and anomaly_rate = {cfg.anomaly_rate!r}"
                 )
-            records.append(TweetRecord(uid, lat, lon, datetime.fromtimestamp(ts, _UTC), ""))
+            records.append(TweetRecord(uid, lat, lon, ts * 1_000_000, ""))
 
         if len(agent_records) >= cfg.min_tweets:
             trips_out.extend(
-                GroundTruthTrip(
-                    uid, t.origin_zone, t.dest_zone, datetime.fromtimestamp(int(t.t_cross), _UTC)
-                )
+                GroundTruthTrip(uid, t.origin_zone, t.dest_zone, int(t.t_cross) * 1_000_000)
                 for t in trips
             )
 
-    records.sort(key=lambda r: (r.user_id, r.timestamp))
+    records.sort(key=itemgetter(0, 3))  # by user, then time
     return records, trips_out
 
 
@@ -404,13 +410,12 @@ GROUND_TRUTH_COLUMNS = ("user_id", "origin_zone", "dest_zone", "true_crossing_ti
 
 def write_ground_truth_csv(trips: list[GroundTruthTrip], fh: IO[str]) -> None:
     write_table(fh, GROUND_TRUTH_COLUMNS, (
-        (t.user_id, t.origin_zone, t.destination_zone, format_timestamp(t.true_crossing_time))
-        for t in trips
+        (t.user_id, t.origin_zone, t.destination_zone, format_us(t.crossing)) for t in trips
     ))
 
 
 def _trip_from_row(row: list[str]) -> GroundTruthTrip:
-    return GroundTruthTrip(row[0], row[1], row[2], parse_timestamp(row[3]))
+    return GroundTruthTrip(row[0], row[1], row[2], to_epoch_us(parse_timestamp(row[3])))
 
 
 def read_ground_truth_csv(source: str | IO[str]) -> list[GroundTruthTrip]:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import IO
+from typing import IO, NamedTuple
 
 from .errors import ConfigError, InvalidGeometryError
 from .geometry import GeoPoint, PolygonRing, ZonePolygon, point_in_polygon
@@ -13,8 +12,7 @@ from .records import as_float, read_json, source_name
 EXTERNAL = "EXTERNAL"
 
 
-@dataclass(frozen=True)
-class Zone:
+class Zone(NamedTuple):
     zone_id: str
     polygons: tuple[ZonePolygon, ...]
 

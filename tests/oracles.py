@@ -6,17 +6,18 @@ instead of the haversine formula.  The exceptions are
 `full_walk_point_in_polygon`, the unindexed two-pass walk over every edge
 that the indexed `point_in_polygon` must match bit for bit,
 `label_point_scan`, which labels a point by that walk over every polygon,
-and the per-product aggregations (`od_matrix_per_call`,
+the per-product aggregations (`od_matrix_per_call`,
 `histogram_per_call`, `displacements_per_user`), one walk over the
 displacements for each product, that the single walk of
-`analytics.aggregate` must match.
+`analytics.aggregate` must match, and `format_timestamp`, the datetime's
+own ISO 8601 text that `records.format_us` must match from the integer.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from datetime import tzinfo
+from datetime import datetime, timezone, tzinfo
 
 import numpy as np
 
@@ -181,3 +182,10 @@ def histogram_per_call(
 
 def displacements_per_user(displacements: list[Displacement]) -> dict[str, int]:
     return dict(Counter(d.user_id for d in displacements))
+
+
+def format_timestamp(dt: datetime) -> str:
+    """Canonical serialization: ISO 8601 in UTC with a Z suffix."""
+    if dt.tzinfo is not timezone.utc:
+        dt = dt.astimezone(timezone.utc)
+    return dt.isoformat().replace("+00:00", "Z")

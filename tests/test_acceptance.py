@@ -32,7 +32,9 @@ from geotrips.geometry import (
     ZonePolygon,
     haversine_m,
 )
-from geotrips.records import TweetRecord, UserTimeline, build_timelines, dedupe_records, parse_records
+from geotrips.records import (
+    TweetRecord, UserTimeline, build_timelines, dedupe_records, parse_records, to_epoch_us,
+)
 from geotrips.synthgen import SynthConfig, generate
 from geotrips.zones import Zone, ZoneSet, load_zones
 from oracles import min_edge_distance, random_simple_polygon, winding_number_inside
@@ -137,7 +139,7 @@ def test_criterion_04_displacement_pairing_oracle():
                 "u",
                 40.0 + rng.uniform(0, 0.5),
                 -74.0 + rng.uniform(0, 0.5),
-                T0 + timedelta(seconds=t),
+                to_epoch_us(T0 + timedelta(seconds=t)),
                 "",
             )
             for t in times

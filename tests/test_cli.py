@@ -303,7 +303,7 @@ class TestStreamingExtract:
             raise AssertionError("a timeline instant went through a datetime")
 
         monkeypatch.setattr("geotrips.displacement.from_epoch_us", refuse)
-        monkeypatch.setattr("geotrips.records.format_timestamp", refuse)
+        monkeypatch.setattr("geotrips.records.from_epoch_us", refuse)
         out = tmp_path / "out"
         assert self.extract(hand_corpus, four_zone_geojson, out) == 0
         assert (out / "displacements.csv").read_bytes() == expected_csv
@@ -781,14 +781,15 @@ class TestEnvironment:
 
     def test_each_command_imports_only_its_modules(self, tmp_path, four_zone_geojson):
         """`extract` loads neither `analytics` nor `synthgen`, and `analyze`
-        does not load `synthgen`: each process compiles what it imports."""
+        loads neither `synthgen` nor `statistics`: each process compiles what
+        it imports."""
         corpus = tmp_path / "corpus.csv"
         corpus.write_text(HAND_CORPUS)
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         code = (
             "import sys; from geotrips.cli import main; assert main(sys.argv[1:]) == 0; "
             "print(*sorted(m for m in sys.modules if m in "
-            "('geotrips.analytics', 'geotrips.synthgen')))"
+            "('geotrips.analytics', 'geotrips.synthgen', 'statistics')))"
         )
 
         def loaded(*argv):

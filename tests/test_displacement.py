@@ -25,7 +25,7 @@ from geotrips.displacement import (
     run_extraction,
     write_displacements_csv,
 )
-from geotrips.errors import ValidationError
+from geotrips.errors import ConfigError, ValidationError
 from geotrips.geometry import GeoPoint, haversine_m
 from geotrips.records import (
     TweetRecord,
@@ -43,7 +43,7 @@ T0 = datetime(2014, 8, 2, 12, 0, tzinfo=timezone.utc)
 
 
 def rec(minutes=0.0, lat=40.1, lon=-73.9, user="u1"):
-    return TweetRecord(user, lat, lon, T0 + timedelta(minutes=minutes), "")
+    return TweetRecord(user, lat, lon, to_epoch_us(T0 + timedelta(minutes=minutes)), "")
 
 
 def timeline(*records):
@@ -90,7 +90,21 @@ class TestFilterConfig:
         (name,) = kwargs
         with pytest.raises(ValidationError) as exc:
             FilterConfig(**kwargs)
-        assert str(exc.value) == f"FilterConfig.{name} must be a number"
+        kind = "an int" if name == "min_tweets" else "a number"
+        assert str(exc.value) == f"FilterConfig.{name} must be {kind}"
+
+    @pytest.mark.parametrize("value", [2.5, 0.5, 1.0, True], ids=["2.5", "0.5", "1.0", "bool"])
+    def test_min_tweets_that_is_no_int_rejected(self, value):
+        """`SynthConfig`'s rule: a count is an int, and a bool is none."""
+        with pytest.raises(ValidationError) as exc:
+            FilterConfig(min_tweets=value)
+        assert str(exc.value) == "FilterConfig.min_tweets must be an int"
+        with pytest.raises(ConfigError, match=r"^min_tweets = .* is not a valid int$"):
+            SynthConfig(min_tweets=value)
+
+    def test_min_tweets_past_the_float_range_accepted(self):
+        """An int too large for a float is still a count, as `SynthConfig` takes it."""
+        assert FilterConfig(min_tweets=10**400).min_tweets == 10**400
 
 
 class TestFilterActiveUsers:
@@ -256,7 +270,7 @@ class TestRunExtraction:
             for i in range(n_recs):
                 lat, lon = (40.1, -73.9) if i % 2 == 0 else (40.1, -73.6)
                 recs.append(
-                    TweetRecord(f"user{u}", lat, lon, T0 + timedelta(minutes=30 * i), "")
+                    TweetRecord(f"user{u}", lat, lon, to_epoch_us(T0 + timedelta(minutes=30 * i)), "")
                 )
         return build_timelines(recs)
 
@@ -324,10 +338,10 @@ def drawn_timelines(users):
     for i, (first, steps) in enumerate(users):
         uid = f"u{len(users) - i}"
         t = T0
-        recs = [TweetRecord(uid, *SITES[first], t, "")]
+        recs = [TweetRecord(uid, *SITES[first], to_epoch_us(t), "")]
         for gap_us, site in steps:
             t += timedelta(microseconds=gap_us)
-            recs.append(TweetRecord(uid, *SITES[site], t, ""))
+            recs.append(TweetRecord(uid, *SITES[site], to_epoch_us(t), ""))
         timelines[uid] = UserTimeline.from_records(uid, recs)
     return timelines
 

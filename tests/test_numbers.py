@@ -98,7 +98,7 @@ class TestRefusals:
         [
             ("max_speed", math.inf, "must be strictly positive and finite"),
             ("time_window", math.inf, "must be strictly positive and finite"),
-            ("min_tweets", math.inf, "must be strictly positive and finite"),
+            ("min_tweets", math.inf, "must be an int"),
             ("min_displacement_distance", BIG, "must be a number"),
         ],
         ids=["speed-inf", "window-inf", "tweets-inf", "distance-big"],
@@ -279,7 +279,10 @@ class TestEveryReader:
             FilterConfig(**{name: value})
         except GeotripsError:
             return
-        assert 0 < as_float(value) < math.inf
+        if name == "min_tweets":  # a count: an int of any size
+            assert type(value) is int and value > 0
+        else:
+            assert 0 < as_float(value) < math.inf
 
     @FUZZ
     @given(

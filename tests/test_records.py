@@ -36,7 +36,6 @@ from geotrips.records import (
     _raw_rows,
     build_timelines,
     dedupe_records,
-    format_timestamp,
     format_us,
     from_epoch_us,
     load_timelines,
@@ -47,7 +46,8 @@ from geotrips.records import (
     write_records_csv,
     write_table,
 )
-from geotrips.synthgen import SynthConfig, generate, read_ground_truth_csv
+from geotrips.synthgen import GroundTruthTrip, SynthConfig, generate, read_ground_truth_csv
+from oracles import format_timestamp
 
 HEADER = "user_id,lat,lon,timestamp,text\n"
 
@@ -188,7 +188,7 @@ class TestTimestamps:
 
     def test_format_converts_other_offsets_to_utc(self):
         dt = datetime(2014, 8, 2, 22, 58, 3, tzinfo=timezone(timedelta(hours=1)))
-        assert format_timestamp(dt) == "2014-08-02T21:58:03Z"
+        assert format_us(to_epoch_us(dt)) == "2014-08-02T21:58:03Z"
 
 
 def _outcome(parse, raw):
@@ -333,7 +333,7 @@ class TestEpochMicroseconds:
 
 
 def make_record(user="u1", lat=40.9, lon=-73.9, ts="2014-08-02T21:58:00Z", text=""):
-    return TweetRecord(user, lat, lon, parse_timestamp(ts), text)
+    return TweetRecord(user, lat, lon, to_epoch_us(parse_timestamp(ts)), text)
 
 
 class TestRoundTrip:
@@ -354,7 +354,7 @@ class TestRoundTrip:
     )
     def test_csv_round_trip(self, rows):
         records = [
-            TweetRecord(u, lat, lon, datetime.fromtimestamp(ts, timezone.utc), text)
+            TweetRecord(u, lat, lon, ts * 1_000_000, text)
             for u, lat, lon, ts, text in rows
         ]
         buf = io.StringIO()
@@ -419,7 +419,7 @@ class TestBuildTimelines:
     def test_bijective_partition(self, rows):
         # A timeline keeps no text, so each record's index is its longitude.
         recs = [
-            TweetRecord(u, 40.0, float(i), datetime.fromtimestamp(t, timezone.utc))
+            TweetRecord(u, 40.0, float(i), t * 1_000_000)
             for i, (u, t) in enumerate(rows)
         ]
         tls = build_timelines(recs)
@@ -1036,6 +1036,59 @@ class TestDisplacementRow:
             None if crossing is None else to_epoch_us(crossing),
         )
         assert _parse_fields(list(_format_fields(fields))) == row
+
+
+ROW_CLASSES = (
+    ("records", "TweetRecord"), ("records", "RejectedLine"), ("records", "ParseResult"),
+    ("records", "Ingest"), ("geometry", "GeoPoint"), ("geometry", "ZonePolygon"),
+    ("zones", "Zone"), ("analytics", "UserProfile"), ("analytics", "GroupPartition"),
+    ("analytics", "ODMatrix"), ("analytics", "DistributionComparison"),
+    ("synthgen", "GroundTruthTrip"), ("synthgen", "_Trip"), ("displacement", "Displacement"),
+)
+
+
+datetime_us = st.integers(to_epoch_us(DATETIME_MIN), to_epoch_us(DATETIME_MAX))
+
+
+class TestRecordIsItsRow:
+    """An immutable record is a `NamedTuple` of its fields, its times UTC
+    epoch microseconds; a datetime is only a view of one."""
+
+    @pytest.mark.parametrize("module, name", ROW_CLASSES, ids=[n for _, n in ROW_CLASSES])
+    def test_value_record_is_a_tuple(self, module, name):
+        cls = getattr(getattr(geotrips, module), name)
+        assert issubclass(cls, tuple) and cls._make(cls._fields) == cls._fields
+
+    @given(st.tuples(
+        st.text(min_size=1, max_size=6), finite, finite, datetime_us, st.text(max_size=6),
+    ))
+    def test_tweet_record(self, row):
+        rec = TweetRecord._make(row)
+        assert rec == row and rec.timestamp == from_epoch_us(row[3])
+
+    @given(st.tuples(*[st.text(max_size=6)] * 3, datetime_us))
+    def test_ground_truth_trip(self, row):
+        trip = GroundTruthTrip._make(row)
+        assert trip == row and trip.true_crossing_time == from_epoch_us(row[3])
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["u1", "u2"]), st.floats(-90, 90), st.floats(-180, 180), utc_instants,
+        st.integers(-(24 * 60 - 1), 24 * 60 - 1),
+    ), min_size=1, max_size=12))
+    def test_parsed_and_timeline_rows(self, rows):
+        """A parsed record holds `to_epoch_us` of the instant read, in any
+        offset; a timeline's `records` are its columns under its user id."""
+        res = parse_csv("".join(
+            f"{uid},{lat!r},{lon!r},{instant.astimezone(timezone(timedelta(minutes=offset)))},\n"
+            for uid, lat, lon, instant, offset in rows
+        ))
+        assert res.rejects == []
+        for rec, (uid, lat, lon, instant, _) in zip(res.records, rows, strict=True):
+            assert rec == (uid, lat, lon, to_epoch_us(instant), "")
+        for uid, tl in build_timelines(res.records).items():
+            expected = tuple((uid, lat, lon, t, "") for t, lat, lon in zip(tl.times, tl.lats, tl.lons))
+            assert tl.records == expected
+            assert all(type(r) is TweetRecord for r in tl.records)
 
 
 def _users_reader(source):

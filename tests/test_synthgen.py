@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 
@@ -198,6 +199,25 @@ class TestGenerate:
         assert generate(small_cfg(zs, **cfg))[0]  # on the globe without the change
         with pytest.raises(ConfigError, match="^agent00000 gets a record off the globe, at " + found):
             generate(small_cfg(zs, **{**cfg, **changes}))
+
+    def test_bytes_are_pinned(self):
+        """The files `synth` writes for a fixed config, pinned by digest: a
+        change to the generator or the writers that moves one byte fails here."""
+        zs = load_zones(
+            feature_collection(square_feature("alpha", 40.0, -74.0), square_feature("beta", 40.0, -73.7))
+        )
+        cfg = SynthConfig(seed=7, n_agents=3, zone_map=zs, od_weights=TWO_ZONE_OD, anomaly_rate=0.05)
+        records, trips = generate(cfg)
+        rec_buf, gt_buf = io.StringIO(), io.StringIO()
+        write_records_csv(records, rec_buf)
+        write_ground_truth_csv(trips, gt_buf)
+        assert (len(records), len(trips)) == (1489, 164)
+        assert hashlib.sha256(rec_buf.getvalue().encode()).hexdigest() == (
+            "c3421167b15e93ed8484d76a63859dccdf2d4e4ddfad0962fbff84e6fc094f65"
+        )
+        assert hashlib.sha256(gt_buf.getvalue().encode()).hexdigest() == (
+            "84dd3f29ea00a7ecc4ae9746a91fa97f16024996ea88eb1a3fc0380c711fefba"
+        )
 
     def test_ground_truth_csv_round_trip(self, four_zone_map):
         _, trips = generate(small_cfg(four_zone_map))
