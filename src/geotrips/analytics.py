@@ -5,14 +5,13 @@ comparisons against external reference series."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from datetime import tzinfo
 from operator import attrgetter
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .displacement import Displacement, ODRow
 from .errors import EmptyODError, ValidationError
-from .records import as_float, read_table, write_table
+from .records import Fields, as_float, read_table, write_table
 from .zones import EXTERNAL
 
 #: Wildcard for direction filters: matches any zone.
@@ -36,12 +35,13 @@ class GroupPartition(NamedTuple):
     share_of_displacements_high: float
 
 
-# A dataclass, not a row: its counts default to fresh lists.
-@dataclass
-class TimeOfDayHistogram:
-    direction: tuple[str | None, str | None]
-    weekday_counts: list[int] = field(default_factory=lambda: [0] * 24)
-    weekend_counts: list[int] = field(default_factory=lambda: [0] * 24)
+class TimeOfDayHistogram(Fields):
+    """Counts by local hour of one `(origin, destination)`; each list fresh unless given."""
+
+    _fields = ("direction", "weekday_counts", "weekend_counts")
+
+    def __init__(self, direction, weekday_counts=None, weekend_counts=None):
+        self._set(direction, weekday_counts or [0] * 24, weekend_counts or [0] * 24)
 
     def _normalized(self, counts: list[int]) -> list[float]:
         total = sum(counts)

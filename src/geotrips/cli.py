@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
+import errno
 import json
 import os
 import sys
@@ -80,6 +80,29 @@ def _write_json(path: str | None, doc) -> None:
         fh.write(text)
 
 
+@contextlib.contextmanager
+def _products(out_dir: str):
+    """`part(name)`, the path `<name>.tmp` in `out_dir` to write a product to.  Each
+    replaces `name` if the block ends normally; on a failure none does."""
+    paths: list[str] = []
+
+    def part(name: str) -> str:
+        path = os.path.join(out_dir, name)
+        if os.path.isdir(path):  # now, not at its rename, after others have replaced theirs
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        paths.append(path)
+        return path + ".tmp"
+
+    try:
+        yield part
+        for path in paths:
+            os.replace(path + ".tmp", path)
+    finally:
+        for path in paths:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path + ".tmp")
+
+
 def _print_report_table(report: RunReport) -> None:
     rows = report.to_dict()
     rows["average_displacements_per_traveler"] = report.formatted_average()
@@ -121,14 +144,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     zs = load_zones(zones_path)
     timings["zones"] = time.perf_counter() - t0
 
-    # The rows are written as the scan finds them, under a temporary name that
-    # replaces displacements.csv only once the report validates: a failed run
-    # leaves no new product.
-    disp_path = os.path.join(out_dir, "displacements.csv")
-    part_path = disp_path + ".tmp"
-    try:
+    # No product replaces an earlier one until the report validates and all are written.
+    with _products(out_dir) as part:
         t0 = time.perf_counter()
-        with open(part_path, "w", encoding="utf-8", newline="") as fh:
+        with open(part("displacements.csv"), "w", encoding="utf-8", newline="") as fh:
             report = extract_to_csv(timelines, zs, cfg, fh)
         timings["extraction"] = time.perf_counter() - t0
 
@@ -137,22 +156,18 @@ def cmd_extract(args: argparse.Namespace) -> int:
         report.parsed_records = ingest.parsed_records
         report.duplicates_removed = ingest.duplicates
         report.validate()
-        os.replace(part_path, disp_path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(part_path)
 
-    t0 = time.perf_counter()
-    with open(os.path.join(out_dir, "rejects.csv"), "w", encoding="utf-8", newline="") as fh:
-        write_rejects_csv(ingest.rejects, fh)
-    with open(os.path.join(out_dir, "users.csv"), "w", encoding="utf-8", newline="") as fh:
-        write_table(fh, USERS_COLUMNS, ((uid, len(timelines[uid])) for uid in sorted(timelines)))
-    timings["write"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        with open(part("rejects.csv"), "w", encoding="utf-8", newline="") as fh:
+            write_rejects_csv(ingest.rejects, fh)
+        with open(part("users.csv"), "w", encoding="utf-8", newline="") as fh:
+            write_table(fh, USERS_COLUMNS, ((uid, len(timelines[uid])) for uid in sorted(timelines)))
+        timings["write"] = time.perf_counter() - t0
 
-    # Timings go to a separate file so report.json stays byte-identical
-    # across runs and worker counts.
-    _write_json(os.path.join(out_dir, "report.json"), report.to_dict())
-    _write_json(os.path.join(out_dir, "timings.json"), timings)
+        # Timings go to a separate file so report.json stays byte-identical
+        # across runs and worker counts.
+        _write_json(part("report.json"), report.to_dict())
+        _write_json(part("timings.json"), timings)
 
     _print_report_table(report)
     return 0
@@ -227,21 +242,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     partition = analytics.classify_groups(profiles, cutoff=args.group_cutoff)
     timings["aggregate"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "od_counts.csv"), "w", encoding="utf-8", newline="") as fh:
-        analytics.write_od_csv(matrix, fh, kind="counts")
-    with open(os.path.join(out_dir, "od_proportions.csv"), "w", encoding="utf-8", newline="") as fh:
-        analytics.write_od_csv(matrix, fh, kind="proportions")
-    for suffix, hist in zip(directions, hists):
-        path = os.path.join(out_dir, f"histogram_{suffix}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            analytics.write_histogram_csv(hist, fh)
-    with open(os.path.join(out_dir, "groups.csv"), "w", encoding="utf-8", newline="") as fh:
-        analytics.write_groups_csv(partition, profiles, fh)
-    timings["write"] = time.perf_counter() - t0
-
-    _write_json(os.path.join(out_dir, "timings.json"), timings)
+    with _products(out_dir) as part:
+        t0 = time.perf_counter()
+        with open(part("od_counts.csv"), "w", encoding="utf-8", newline="") as fh:
+            analytics.write_od_csv(matrix, fh, kind="counts")
+        with open(part("od_proportions.csv"), "w", encoding="utf-8", newline="") as fh:
+            analytics.write_od_csv(matrix, fh, kind="proportions")
+        for suffix, hist in zip(directions, hists):
+            with open(part(f"histogram_{suffix}.csv"), "w", encoding="utf-8", newline="") as fh:
+                analytics.write_histogram_csv(hist, fh)
+        with open(part("groups.csv"), "w", encoding="utf-8", newline="") as fh:
+            analytics.write_groups_csv(partition, profiles, fh)
+        timings["write"] = time.perf_counter() - t0
+        _write_json(part("timings.json"), timings)
 
     print(f"od zones: {len(matrix.zone_ids)}; displacements in OD: {matrix.total}")
     print(f"histogram displacements: {hists[0].total}")
@@ -284,9 +298,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     from . import synthgen
 
-    cfg = synthgen.load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = synthgen.load_config(args.config, seed=args.seed)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     records, trips = synthgen.generate(cfg)

@@ -10,9 +10,7 @@ estimated as the interval midpoint.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -20,6 +18,8 @@ from typing import IO, Iterable, Iterator, NamedTuple
 from .errors import ValidationError
 from .geometry import GeoPoint, haversine_m
 from .records import (
+    Fields,
+    Frozen,
     TweetRecord,
     UserTimeline,
     _MICROSECOND,
@@ -36,19 +36,24 @@ from .zones import EXTERNAL, ZoneSet
 MPH_TO_MPS = 0.44704
 
 
-# A dataclass, not a row: it checks its fields on construction, and its class
-# attributes are the defaults `SynthConfig` mirrors.
-@dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(Frozen):
+    """The pipeline's thresholds, checked on construction; the class
+    attributes are the defaults `SynthConfig` mirrors."""
+
+    _fields = ("min_tweets", "max_speed", "time_window", "min_displacement_distance")
     min_tweets: int = 100
     max_speed: float = 100 * MPH_TO_MPS  # m/s
     time_window: float = 7200.0  # s
     min_displacement_distance: float = 100.0  # m
 
-    def __post_init__(self):
+    def __init__(
+        self, min_tweets=min_tweets, max_speed=max_speed, time_window=time_window,
+        min_displacement_distance=min_displacement_distance,
+    ):
+        self._set(min_tweets, max_speed, time_window, min_displacement_distance)
         if type(self.min_tweets) is not int:  # `SynthConfig`'s rule: a bool is no int
             raise ValidationError("FilterConfig.min_tweets must be an int")
-        for name in ("min_tweets", "max_speed", "time_window", "min_displacement_distance"):
+        for name in self._fields:
             number = getattr(self, name)
             if name != "min_tweets":  # an int of any size is a count
                 try:  # text is no setting's number
@@ -111,9 +116,7 @@ class Displacement(NamedTuple):
         return EXTERNAL in (self.origin_zone, self.destination_zone)
 
 
-# A dataclass, not a row: `cmd_extract` and `_scan` fill it in field by field.
-@dataclass
-class RunReport:
+class RunReport(Fields):
     """Stage-by-stage accounting for one pipeline run.
 
     All count fields must balance; `validate()` enforces the arithmetic.
@@ -133,6 +136,12 @@ class RunReport:
     displacements_intra_zone: int = 0
     displacements_external_touching: int = 0
     travelers: int = 0
+    _fields = tuple(__annotations__)  # the counts above, in order
+
+    def __init__(self, **counts: int):
+        self._set(*(counts.pop(name, 0) for name in self._fields))
+        if counts:
+            raise TypeError(f"RunReport() got an unexpected keyword argument {min(counts)!r}")
 
     @property
     def average_displacements_per_traveler(self) -> float:
@@ -164,7 +173,7 @@ class RunReport:
             raise ValidationError(f"inconsistent run report: {self}")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
+        d = dict(zip(self._fields, self._values()))
         d["average_displacements_per_traveler"] = self.average_displacements_per_traveler
         return d
 

@@ -15,7 +15,6 @@ import math
 import sys
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
 from functools import lru_cache
 from itertools import repeat
@@ -64,9 +63,44 @@ def from_epoch_us(t: int) -> datetime:
     return EPOCH + timedelta(microseconds=t)
 
 
-# A dataclass, not a row: its `len` is its row count, which a tuple's `len` would contradict.
-@dataclass(frozen=True, slots=True)
-class UserTimeline:
+class Fields:
+    """`==` and a `Name(field=value, ...)` repr over the attributes named in `_fields`."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({values})"
+
+
+class Frozen(Fields):
+    """`Fields` that refuse assignment once built and hash their values."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):  # pickle and copy rebuild through `__init__`
+        return type(self), self._values()
+
+
+class UserTimeline(Frozen):
     """One user's records in time order, as three parallel columns.
 
     `times` holds UTC epoch microseconds (`array('q')`), `lats` and `lons`
@@ -75,10 +109,10 @@ class UserTimeline:
     `timedelta.total_seconds()` of the two datetimes.  No text is kept.
     """
 
-    user_id: str
-    times: array
-    lats: array
-    lons: array
+    __slots__ = _fields = ("user_id", "times", "lats", "lons")
+
+    def __init__(self, user_id: str, times: array, lats: array, lons: array):
+        self._set(user_id, times, lats, lons)
 
     @classmethod
     def from_records(cls, user_id: str, records: Iterable[TweetRecord]) -> UserTimeline:

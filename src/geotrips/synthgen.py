@@ -15,7 +15,7 @@ import math
 import os
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from typing import IO, NamedTuple
@@ -150,9 +150,10 @@ def _config_value(path: str, key: str, value, default):
     return value
 
 
-def load_config(path: str) -> SynthConfig:
+def load_config(path: str, seed: int | None = None) -> SynthConfig:
     """The `SynthConfig` in the JSON object at `path`, whose ``zones`` path is
-    relative to its directory.  A bad key or value is a `ConfigError` naming it."""
+    relative to its directory, with `seed` in place of the file's if given.
+    A bad key or value is a `ConfigError` naming it."""
     doc = read_json(path, path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: synth config is not a JSON object")
@@ -179,7 +180,8 @@ def load_config(path: str) -> SynthConfig:
         for key, default in settings.items() if key in doc
     }
     try:
-        return SynthConfig(zone_map=zs, od_weights=od_weights, **kwargs)
+        cfg = SynthConfig(zone_map=zs, od_weights=od_weights, **kwargs)
+        return cfg if seed is None else replace(cfg, seed=seed)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -1,6 +1,7 @@
 import codecs
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -344,12 +345,16 @@ class TestStreamingExtract:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
         assert configs == [FilterConfig()]
         mirrored = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
-        for f in dataclasses.fields(FilterConfig):
-            assert mirrored[f.name] == f.default, f.name
+        for name in FilterConfig._fields:
+            assert mirrored[name] == getattr(FilterConfig, name), name
 
-    @pytest.mark.parametrize(
-        "target", ["geotrips.displacement.RunReport.validate", "geotrips.zones.ZoneSet.label_point"]
-    )
+    @pytest.mark.parametrize("target", [
+        "geotrips.displacement.RunReport.validate",
+        "geotrips.zones.ZoneSet.label_point",
+        "geotrips.cli.write_rejects_csv",
+        "geotrips.cli.write_table",  # users.csv
+        "geotrips.cli._write_json",  # report.json
+    ])
     def test_failed_run_leaves_the_earlier_product(
         self, tmp_path, hand_corpus, four_zone_geojson, target, monkeypatch, capsys
     ):
@@ -367,6 +372,27 @@ class TestStreamingExtract:
         assert self.extract(hand_corpus, four_zone_geojson, out) == 1
         assert capsys.readouterr().err == "error: failed on purpose\n"
         assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+    @pytest.mark.parametrize("product", ["users.csv", "timings.json"])
+    def test_directory_in_place_of_a_product_leaves_the_rest(
+        self, tmp_path, hand_corpus, four_zone_geojson, product, capsys
+    ):
+        out = tmp_path / "out"
+        assert self.extract(hand_corpus, four_zone_geojson, out, "--time-window-h", "0.1") == 0
+        (out / product).unlink()
+        (out / product).mkdir()
+
+        def files():
+            return {name: (out / name).read_bytes() for name in os.listdir(out) if name != product}
+
+        before = files()
+        capsys.readouterr()
+        assert self.extract(hand_corpus, four_zone_geojson, out) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{out / product}'\n"
+        )
+        assert files() == before
+        assert os.listdir(out / product) == []
 
 
 class TestAnalyzeCommand:
@@ -403,6 +429,39 @@ class TestAnalyzeCommand:
         assert sorted(os.listdir(an)) == sorted(names + ["timings.json"])
         timings = json.loads((an / "timings.json").read_text())
         assert sorted(timings) == ["aggregate", "write"]
+
+    @pytest.mark.parametrize("target", [
+        "geotrips.analytics.write_od_csv",
+        "geotrips.analytics.write_histogram_csv",
+        "geotrips.analytics.write_groups_csv",
+        "geotrips.cli._write_json",  # timings.json
+    ])
+    def test_failed_run_leaves_the_earlier_products(
+        self, tmp_path, extracted, target, monkeypatch, capsys
+    ):
+        an = tmp_path / "an"
+        argv = ["analyze", "--displacements", str(extracted / "displacements.csv"), "--out", str(an)]
+        # An earlier run whose every product differs from the default run's.
+        assert main(argv + ["--include-intra", "--focal-zone", "alpha", "--group-cutoff", "0.5"]) == 0
+        before = {name: (an / name).read_bytes() for name in os.listdir(an)}
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise ValidationError("failed on purpose")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(target, fail)
+            assert main(argv) == 1
+        assert capsys.readouterr().err == "error: failed on purpose\n"
+        assert {name: (an / name).read_bytes() for name in os.listdir(an)} == before
+        # The default run, had it not failed, changes every product the earlier run wrote,
+        # but leaves the focal zone's histograms, which it does not write.
+        assert main(argv) == 0
+        after = {name: (an / name).read_bytes() for name in os.listdir(an)}
+        assert after.keys() == before.keys()
+        assert sorted(n for n in before if after[n] == before[n]) == [
+            "histogram_from_alpha.csv", "histogram_to_alpha.csv"
+        ]
 
     def test_empty_displacements_fails_with_empty_od(self, tmp_path, extracted, capsys):
         empty = tmp_path / "empty.csv"
@@ -781,24 +840,26 @@ class TestEnvironment:
 
     def test_each_command_imports_only_its_modules(self, tmp_path, four_zone_geojson):
         """`extract` loads neither `analytics` nor `synthgen`, and `analyze`
-        loads neither `synthgen` nor `statistics`: each process compiles what
-        it imports."""
+        loads neither `synthgen` nor `statistics`; neither, nor a bare
+        `import geotrips`, loads `dataclasses` (and with it `inspect`): each
+        process compiles what it imports."""
         corpus = tmp_path / "corpus.csv"
         corpus.write_text(HAND_CORPUS)
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        code = (
-            "import sys; from geotrips.cli import main; assert main(sys.argv[1:]) == 0; "
-            "print(*sorted(m for m in sys.modules if m in "
-            "('geotrips.analytics', 'geotrips.synthgen', 'statistics')))"
+        report = (
+            "print(*sorted(m for m in sys.modules if m in ('geotrips.analytics', "
+            "'geotrips.synthgen', 'statistics', 'dataclasses', 'inspect')))"
         )
+        code = "import sys; from geotrips.cli import main; assert main(sys.argv[1:]) == 0; " + report
 
-        def loaded(*argv):
+        def loaded(*argv, code=code):
             done = subprocess.run(
                 [sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
                 check=True, capture_output=True, text=True,
             )
             return done.stdout.splitlines()[-1]
 
+        assert loaded(code="import sys, geotrips; " + report) == ""
         out = tmp_path / "out"
         assert loaded(
             "extract", "--input", str(corpus), "--zones", four_zone_geojson,

@@ -3,10 +3,12 @@ import codecs
 import gc
 import io
 import json
+import pickle
 import re
 import time
 import tracemalloc
 import warnings
+from array import array
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterator
@@ -16,11 +18,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import geotrips
-from geotrips.analytics import read_series_csv
+from geotrips.analytics import TimeOfDayHistogram, read_series_csv
 from geotrips.cli import _profiles_from
 from geotrips.displacement import (
     Displacement,
     FilterConfig,
+    RunReport,
     _format_fields,
     _parse_fields,
     read_displacements_csv,
@@ -32,6 +35,7 @@ from geotrips.errors import FormatMismatchError, ValidationError
 from geotrips.records import (
     RejectedLine,
     TweetRecord,
+    UserTimeline,
     _parse_utc,
     _raw_rows,
     build_timelines,
@@ -1089,6 +1093,101 @@ class TestRecordIsItsRow:
             expected = tuple((uid, lat, lon, t, "") for t, lat, lon in zip(tl.times, tl.lats, tl.lons))
             assert tl.records == expected
             assert all(type(r) is TweetRecord for r in tl.records)
+
+
+RUN_REPORT_FIELDS = [
+    "lines_read", "rejected_lines", "parsed_records", "duplicates_removed", "users_total",
+    "users_retained", "users_dropped", "records_in_retained_timelines", "speed_removed_records",
+    "displacements_total", "displacements_inter_zone", "displacements_intra_zone",
+    "displacements_external_touching", "travelers",
+]
+
+
+def _timeline(user_id="u1", t=1):
+    return UserTimeline(user_id, array("q", [t]), array("d", [40.5]), array("d", [-73.9]))
+
+
+class TestPlainClasses:
+    """The four mutable or checked classes that are not rows keep the
+    constructor, `==`, `repr`, hashing and assignment rules of the
+    dataclasses they replaced."""
+
+    def test_repr(self):
+        zeros = "[" + ", ".join(["0"] * 24) + "]"
+        assert repr(FilterConfig()) == (
+            "FilterConfig(min_tweets=100, max_speed=44.704, time_window=7200.0, "
+            "min_displacement_distance=100.0)"
+        )
+        assert repr(RunReport(lines_read=3, travelers=1)) == "RunReport(" + ", ".join(
+            f"{name}={ {'lines_read': 3, 'travelers': 1}.get(name, 0)}" for name in RUN_REPORT_FIELDS
+        ) + ")"
+        assert repr(TimeOfDayHistogram(direction=("a", None))) == (
+            f"TimeOfDayHistogram(direction=('a', None), weekday_counts={zeros}, "
+            f"weekend_counts={zeros})"
+        )
+        assert repr(_timeline()) == (
+            "UserTimeline(user_id='u1', times=array('q', [1]), lats=array('d', [40.5]), "
+            "lons=array('d', [-73.9]))"
+        )
+
+    def test_equality(self):
+        assert FilterConfig() == FilterConfig(100, 100 * 0.44704, 7200.0, 100.0)
+        assert FilterConfig() != FilterConfig(min_tweets=5)
+        assert RunReport(travelers=2) == RunReport(travelers=2) != RunReport(travelers=3)
+        assert TimeOfDayHistogram(("a", None)) == TimeOfDayHistogram(direction=("a", None))
+        assert TimeOfDayHistogram(("a", None)) != TimeOfDayHistogram(("b", None))
+        assert _timeline() == _timeline() != _timeline(t=2)
+        assert _timeline() != _timeline(user_id="u2")
+        # Another class, or a tuple of the same values, is never equal.
+        assert FilterConfig() != (100, 100 * 0.44704, 7200.0, 100.0)
+        assert RunReport() != TimeOfDayHistogram(None)
+
+    def test_hashing(self):
+        assert hash(FilterConfig()) == hash(FilterConfig())
+        assert len({FilterConfig(), FilterConfig(), FilterConfig(min_tweets=5)}) == 2
+        for unhashable in (RunReport(), TimeOfDayHistogram(("a", None))):
+            with pytest.raises(TypeError):
+                hash(unhashable)
+
+    def test_checked_classes_refuse_assignment(self):
+        cfg, tl = FilterConfig(), _timeline()
+        with pytest.raises(AttributeError):
+            cfg.min_tweets = 5
+        with pytest.raises(AttributeError):
+            tl.times = array("q")
+        assert cfg == FilterConfig() and tl == _timeline()
+        assert not hasattr(tl, "__dict__") and len(tl) == 1
+
+    def test_filled_in_classes_take_assignment(self):
+        report = RunReport()
+        report.travelers += 1
+        assert report == RunReport(travelers=1)
+        hist = TimeOfDayHistogram(("a", None))
+        hist.weekday_counts[3] += 1
+        assert hist.total == 1
+
+    def test_histograms_share_no_count_list(self):
+        a, b = TimeOfDayHistogram(("a", None)), TimeOfDayHistogram(("a", None))
+        a.weekday_counts[0] += 1
+        a.weekend_counts[1] += 2
+        assert b.weekday_counts == b.weekend_counts == [0] * 24
+        assert a.weekday_counts is not a.weekend_counts
+        assert TimeOfDayHistogram(None, [1] * 24).weekday_counts == [1] * 24
+
+    def test_run_report_takes_only_its_counts(self):
+        with pytest.raises(TypeError):
+            RunReport(bogus=1)
+        assert RunReport(**dict.fromkeys(RUN_REPORT_FIELDS, 2)).travelers == 2
+
+    def test_to_dict_key_order(self):
+        d = RunReport(displacements_total=10, travelers=4).to_dict()
+        assert list(d) == RUN_REPORT_FIELDS + ["average_displacements_per_traveler"]
+        assert d["average_displacements_per_traveler"] == 2.5
+
+    def test_pickle_round_trip(self):
+        for value in (FilterConfig(min_tweets=5), RunReport(travelers=1),
+                      TimeOfDayHistogram(("a", "b"), [1] * 24), _timeline()):
+            assert pickle.loads(pickle.dumps(value)) == value
 
 
 def _users_reader(source):
