@@ -302,10 +302,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     records, trips = synthgen.generate(cfg)
-    with open(os.path.join(out_dir, "corpus.csv"), "w", encoding="utf-8", newline="") as fh:
-        write_records_csv(records, fh)
-    with open(os.path.join(out_dir, "ground_truth.csv"), "w", encoding="utf-8", newline="") as fh:
-        synthgen.write_ground_truth_csv(trips, fh)
+    with _products(out_dir) as part:
+        with open(part("corpus.csv"), "w", encoding="utf-8", newline="") as fh:
+            write_records_csv(records, fh)
+        with open(part("ground_truth.csv"), "w", encoding="utf-8", newline="") as fh:
+            synthgen.write_ground_truth_csv(trips, fh)
     print(f"wrote {len(records)} records, {len(trips)} recoverable trips")
     return 0
 

@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .geometry import GeoPoint, haversine_m
 from .records import (
     Fields,
-    Frozen,
+    Settings,
     TweetRecord,
     UserTimeline,
     _MICROSECOND,
@@ -36,32 +36,20 @@ from .zones import EXTERNAL, ZoneSet
 MPH_TO_MPS = 0.44704
 
 
-class FilterConfig(Frozen):
-    """The pipeline's thresholds, checked on construction; the class
-    attributes are the defaults `SynthConfig` mirrors."""
+class FilterConfig(Settings):
+    """The pipeline's thresholds by the `Settings` rule: `SynthConfig` mirrors the
+    class attributes, the defaults, and takes their `_ranges`."""
 
-    _fields = ("min_tweets", "max_speed", "time_window", "min_displacement_distance")
     min_tweets: int = 100
     max_speed: float = 100 * MPH_TO_MPS  # m/s
     time_window: float = 7200.0  # s
     min_displacement_distance: float = 100.0  # m
-
-    def __init__(
-        self, min_tweets=min_tweets, max_speed=max_speed, time_window=time_window,
-        min_displacement_distance=min_displacement_distance,
-    ):
-        self._set(min_tweets, max_speed, time_window, min_displacement_distance)
-        if type(self.min_tweets) is not int:  # `SynthConfig`'s rule: a bool is no int
-            raise ValidationError("FilterConfig.min_tweets must be an int")
-        for name in self._fields:
-            number = getattr(self, name)
-            if name != "min_tweets":  # an int of any size is a count
-                try:  # text is no setting's number
-                    number = as_float(number if isinstance(number, (int, float)) else None)
-                except ValueError:
-                    raise ValidationError(f"FilterConfig.{name} must be a number") from None
-            if not 0 < number < math.inf:  # also refuses NaN
-                raise ValidationError(f"FilterConfig.{name} must be strictly positive and finite")
+    _fields = tuple(__annotations__)
+    _ranges = (
+        (("min_tweets",), lambda v: v >= 1, ">= 1"),
+        (("max_speed", "time_window", "min_displacement_distance"), lambda v: 0 < v < math.inf,
+         "finite and > 0"),
+    )
 
 
 class Displacement(NamedTuple):
@@ -137,11 +125,6 @@ class RunReport(Fields):
     displacements_external_touching: int = 0
     travelers: int = 0
     _fields = tuple(__annotations__)  # the counts above, in order
-
-    def __init__(self, **counts: int):
-        self._set(*(counts.pop(name, 0) for name in self._fields))
-        if counts:
-            raise TypeError(f"RunReport() got an unexpected keyword argument {min(counts)!r}")
 
     @property
     def average_displacements_per_traveler(self) -> float:

@@ -64,9 +64,26 @@ def from_epoch_us(t: int) -> datetime:
 
 
 class Fields:
-    """`==` and a `Name(field=value, ...)` repr over the attributes named in `_fields`."""
+    """`==`, a `Name(field=value, ...)` repr and a constructor over the attributes
+    named in `_fields`, whose class attributes are the defaults."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        """Each field from `values` in order or from `named`, else its default."""
+        if len(values) > len(self._fields):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(self._fields)} values, got {len(values)}")
+        given = dict(zip(self._fields, values))
+        for name, value in named.items():
+            if name in given or name not in self._fields:
+                raise TypeError(f"{type(self).__qualname__}() got a repeated or unknown argument {name!r}")
+            given[name] = value
+        for name in self._fields:
+            object.__setattr__(self, name, given.get(name, getattr(self, name)))
+        self._check()
+
+    def _check(self) -> None:
+        """What a class checks once built: nothing here."""
 
     def _set(self, *values) -> None:
         for name, value in zip(self._fields, values, strict=True):
@@ -98,6 +115,25 @@ class Frozen(Fields):
 
     def __reduce__(self):  # pickle and copy rebuild through `__init__`
         return type(self), self._values()
+
+
+class Settings(Frozen):
+    """The one rule for settings, checked once built: each value has the type of
+    its default by `has_type` (a default of None marks a setting the class checks
+    itself), then each setting in a `(names, test, rule)` row of `_ranges` passes
+    `test`; else `ConfigError("<name> = <value> is not a valid <type>")` or
+    `ConfigError("<name> = <value> is out of range: must be <rule>")`."""
+
+    def _check(self) -> None:
+        for name in self._fields:
+            value, default = getattr(self, name), getattr(type(self), name)
+            if default is not None and not has_type(value, type(default)):
+                raise ConfigError(f"{name} = {shown(value)} is not a valid {type(default).__name__}")
+        for names, in_range, rule in self._ranges:
+            for name in names:
+                value = getattr(self, name)
+                if not in_range(value):  # comparisons with NaN are false
+                    raise ConfigError(f"{name} = {shown(value)} is out of range: must be {rule}")
 
 
 class UserTimeline(Frozen):
@@ -190,13 +226,38 @@ def as_float(value) -> float:
         raise ValueError(str(exc)) from None
 
 
+def has_type(value, kind: type) -> bool:
+    """Whether a setting's `value` is a `kind`, by its exact type: an int that
+    `as_float` takes passes for a float, a bool for neither, and a tuple is of floats."""
+    if kind is tuple:
+        return type(value) is tuple and all(has_type(x, float) for x in value)
+    if kind is float and type(value) is int:
+        try:
+            return math.isfinite(as_float(value))
+        except ValueError:  # too large for a float
+            return False
+    return type(value) is kind
+
+
+def shown(value) -> str:
+    """`repr(value)` for a message, except that a value that is or holds an int past
+    Python's int-to-text limit, which `repr` refuses, shows as what it is."""
+    try:
+        return repr(value)
+    except ValueError:
+        big = f"int of over {sys.get_int_max_str_digits()} digits"
+        if isinstance(value, int):
+            return f"<{'negative ' * (value < 0)}{big}>"
+        return f"<{type(value).__name__} holding an {big}>"
+
+
 def resolve_tz(name) -> tzinfo:
     """The IANA time zone `name`, else `ConfigError("tz = <name!r> is not a valid timezone")`."""
     from zoneinfo import ZoneInfo, ZoneInfoNotFoundError  # not loaded by `import geotrips`
     try:
         return ZoneInfo(name)
     except (ZoneInfoNotFoundError, ValueError, TypeError):
-        raise ConfigError(f"tz = {name!r} is not a valid timezone") from None
+        raise ConfigError(f"tz = {shown(name)} is not a valid timezone") from None
 
 
 _TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))

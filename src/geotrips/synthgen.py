@@ -15,7 +15,6 @@ import math
 import os
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from typing import IO, NamedTuple
@@ -24,8 +23,8 @@ from .displacement import FilterConfig
 from .errors import ConfigError
 from .geometry import GeoPoint, haversine_m
 from .records import (
-    TweetRecord, as_float, format_us, from_epoch_us, parse_timestamp, read_json, read_table,
-    resolve_tz, to_epoch_us, write_table,
+    Settings, TweetRecord, as_float, format_us, from_epoch_us, has_type, parse_timestamp, read_json,
+    read_table, resolve_tz, shown, to_epoch_us, write_table,
 )
 from .zones import ZoneSet, load_zones
 
@@ -34,37 +33,11 @@ _DEG_PER_M_LAT = 1.0 / 111_320.0
 
 UNIFORM_SCHEDULE = tuple([1.0] * 24)
 
-#: `(fields, test, rule)`: the numeric `SynthConfig` fields each test accepts.
-_RANGES = (
-    (("n_agents", "tweet_cap", "min_tweets"), lambda v: v >= 1, ">= 1"),
-    (("tweet_floor",), lambda v: v >= 0, ">= 0"),
-    (
-        ("tweet_alpha", "tweet_scale", "time_window", "max_speed", "min_displacement_distance"),
-        lambda v: 0 < v < math.inf,
-        "finite and > 0",
-    ),
-    (("gps_noise_sigma",), lambda v: 0 <= v < math.inf, "finite and >= 0"),
-    (("trip_fraction", "anomaly_rate"), lambda v: 0 <= v <= 1, "in [0, 1]"),
-)
 
+class SynthConfig(Settings):
+    """The generator's settings, checked by the `Settings` rule after `tz`; then
+    the zones, `od_weights`, the schedules and the period."""
 
-def _is_a(value, kind: type) -> bool:
-    """Whether a setting's `value` is a `kind`: an int that `as_float` takes
-    passes for a float, a bool for neither."""
-    if kind is tuple:  # of numbers
-        return type(value) is tuple and all(_is_a(x, float) for x in value)
-    if kind is float and type(value) is int:
-        try:
-            return math.isfinite(as_float(value))
-        except ValueError:  # too large for a float
-            return False
-    return type(value) is kind
-
-
-# A dataclass, not a row: it checks its fields on construction, and callers
-# walk `dataclasses.fields` and `replace` on it.
-@dataclass(frozen=True)
-class SynthConfig:
     seed: int = 0
     n_agents: int = 50
     zone_map: ZoneSet = None  # required
@@ -88,46 +61,48 @@ class SynthConfig:
     max_speed: float = FilterConfig.max_speed
     min_tweets: int = FilterConfig.min_tweets
     min_displacement_distance: float = FilterConfig.min_displacement_distance
+    _fields = tuple(__annotations__)
+    _ranges = FilterConfig._ranges + (
+        (("n_agents", "tweet_cap"), lambda v: v >= 1, ">= 1"),
+        (("tweet_floor",), lambda v: v >= 0, ">= 0"),
+        (("tweet_alpha", "tweet_scale"), lambda v: 0 < v < math.inf, "finite and > 0"),
+        (("gps_noise_sigma",), lambda v: 0 <= v < math.inf, "finite and >= 0"),
+        (("trip_fraction", "anomaly_rate"), lambda v: 0 <= v <= 1, "in [0, 1]"),
+    )
 
-    def __post_init__(self):
+    def _check(self) -> None:
         resolve_tz(self.tz)
-        for f in fields(self):  # zone_map and od_weights, default None, are checked below
-            value, kind = getattr(self, f.name), type(f.default)
-            if f.default is not None and not _is_a(value, kind):
-                raise ConfigError(f"{f.name} = {value!r} is not a valid {kind.__name__}")
+        super()._check()
         if self.zone_map is None:
             raise ConfigError("SynthConfig.zone_map is required")
+        if not isinstance(self.zone_map, ZoneSet):
+            raise ConfigError(f"zone_map = {shown(self.zone_map)} is not a valid ZoneSet")
         if len(self.zone_map.zones) < 2:
             raise ConfigError("zone_map needs at least 2 zones for inter-zone trips")
         if not self.od_weights:
             raise ConfigError("SynthConfig.od_weights is required")
         od = self.od_weights
-        if not (isinstance(od, dict) and all(type(k) is tuple and len(k) == 2 for k in od)):
-            raise ConfigError(f"od_weights = {od!r} is not a dict keyed by (origin, destination)")
+        if not (isinstance(od, dict) and all(type(k) is tuple and [*map(type, k)] == [str, str] for k in od)):
+            raise ConfigError(f"od_weights = {shown(od)} is not a dict keyed by (origin, destination)")
         ids = set(self.zone_map.zone_ids)
         for (o, d), w in od.items():
-            if not _is_a(w, float):
-                raise ConfigError(f"od_weights.{o}.{d} = {w!r} is not a valid float")
+            if not has_type(w, float):
+                raise ConfigError(f"od_weights.{o}.{d} = {shown(w)} is not a valid float")
             if o not in ids or d not in ids:
                 raise ConfigError(f"od_weights references unknown zone in ({o}, {d})")
             if o == d:
                 raise ConfigError("od_weights must be inter-zone (origin != destination)")
             if not 0 <= w < math.inf:  # also refuses NaN
-                raise ConfigError(f"od_weights.{o}.{d} = {w!r} is out of range: must be finite and >= 0")
+                raise ConfigError(f"od_weights.{o}.{d} = {shown(w)} is out of range: must be finite and >= 0")
         total = sum(map(as_float, od.values()))  # ints may sum past a float
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"od_weights must sum to 1, got {total}")
-        for names, in_range, rule in _RANGES:
-            for name in names:
-                value = getattr(self, name)
-                if not in_range(value):  # comparisons with NaN are false
-                    raise ConfigError(f"{name} = {value!r} is out of range: must be {rule}")
         if len(self.weekday_schedule) != 24 or len(self.weekend_schedule) != 24:
             raise ConfigError("trip schedules must have 24 hourly weights")
         for name in ("weekday_schedule", "weekend_schedule"):
             sched = getattr(self, name)  # summed as `random.choices` sums it, as floats
             if not (all(w >= 0 for w in sched) and 0 < sum(map(as_float, sched)) < math.inf):
-                raise ConfigError(f"{name} = {sched!r} is out of range: must be >= 0 with a finite sum > 0")
+                raise ConfigError(f"{name} = {shown(sched)} is out of range: must be >= 0 with a finite sum > 0")
         for name in ("period_start", "period_end"):
             if getattr(self, name).utcoffset() is None:
                 raise ConfigError(f"{name} = {getattr(self, name)!r} lacks a UTC offset")
@@ -157,7 +132,7 @@ def load_config(path: str, seed: int | None = None) -> SynthConfig:
     doc = read_json(path, path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: synth config is not a JSON object")
-    settings = {f.name: f.default for f in fields(SynthConfig) if f.default is not None}
+    settings = {n: getattr(SynthConfig, n) for n in SynthConfig._fields if n not in ("zone_map", "od_weights")}
     unknown = next((key for key in doc if key not in {"zones", "od_weights", *settings}), None)
     if unknown is not None:
         raise ConfigError(f"{path}: unknown key {unknown!r}")
@@ -181,7 +156,7 @@ def load_config(path: str, seed: int | None = None) -> SynthConfig:
     }
     try:
         cfg = SynthConfig(zone_map=zs, od_weights=od_weights, **kwargs)
-        return cfg if seed is None else replace(cfg, seed=seed)
+        return cfg if seed is None else SynthConfig(seed, *cfg._values()[1:])  # seed is the first field
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

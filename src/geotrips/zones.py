@@ -6,7 +6,7 @@ from typing import IO, NamedTuple
 
 from .errors import ConfigError, InvalidGeometryError
 from .geometry import GeoPoint, PolygonRing, ZonePolygon, point_in_polygon
-from .records import as_float, read_json, source_name
+from .records import as_float, read_json, shown, source_name
 
 #: Sentinel label for points lying in no configured zone.
 EXTERNAL = "EXTERNAL"
@@ -41,7 +41,7 @@ class ZoneSet:
             zid = zone.zone_id
             if not isinstance(zid, str) or not zid:
                 raise ConfigError(
-                    f"feature #{i} has a zone_id that is not a non-empty string: {zid!r}"
+                    f"feature #{i} has a zone_id that is not a non-empty string: {shown(zid)}"
                 )
             if zid == EXTERNAL:  # the label of points in no zone
                 raise ConfigError(f"feature #{i} has the reserved zone_id {zid!r}")
@@ -82,7 +82,7 @@ def _ring_from_coords(coords, feature_label: str) -> PolygonRing:
             lon, lat = as_float(pos[0]), as_float(pos[1])
         except ValueError:
             raise InvalidGeometryError(
-                f"{feature_label}: non-numeric coordinate position {pos!r}"
+                f"{feature_label}: non-numeric coordinate position {shown(pos)}"
             ) from None
         lats.append(lat)
         lons.append(lon)
@@ -128,7 +128,12 @@ def load_zones(source: str | IO | dict) -> ZoneSet:
         props = feature.get("properties") or {}
         zone_id = props.get("zone_id") if isinstance(props, dict) else None
         if type(zone_id) is int:  # not a boolean; its digits, as a JSONL user_id
-            zone_id = str(zone_id)
+            try:
+                zone_id = str(zone_id)
+            except ValueError:  # past Python's int-to-text limit, which `json` does not read
+                raise ConfigError(
+                    f"{name}: feature #{fi} has a zone_id of too many digits: {shown(zone_id)}"
+                ) from None
         elif zone_id is None or zone_id == "":
             raise ConfigError(f"{name}: feature #{fi} has no zone_id property")
         elif type(zone_id) is not str:

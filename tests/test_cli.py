@@ -1,6 +1,5 @@
 import codecs
 import csv
-import dataclasses
 import errno
 import io
 import json
@@ -102,6 +101,33 @@ class TestSynthCommand:
         out2 = tmp_path / "d2"
         assert main(["synth", "--config", synth_config, "--seed", "99", "--out", str(out2)]) == 0
         assert (d1 / "corpus.csv").read_bytes() != (out2 / "corpus.csv").read_bytes()
+
+    @pytest.mark.parametrize("failure", ["ground-truth-writer", "ground-truth-directory"])
+    def test_failed_run_leaves_the_earlier_products(
+        self, tmp_path, synth_config, failure, monkeypatch, capsys
+    ):
+        """`synth` publishes its two files together: a failure while the ground
+        truth is written leaves the earlier run's corpus as it was."""
+        out = run_synth(tmp_path, synth_config)
+        if failure == "ground-truth-directory":
+            (out / "ground_truth.csv").unlink()
+            (out / "ground_truth.csv").mkdir()
+        before = {name: (out / name).read_bytes() for name in os.listdir(out) if (out / name).is_file()}
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise ValidationError("failed on purpose")
+
+        if failure == "ground-truth-writer":
+            monkeypatch.setattr("geotrips.synthgen.write_ground_truth_csv", fail)
+        argv = ["synth", "--config", synth_config, "--seed", "2", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: failed on purpose\n" if failure == "ground-truth-writer" else
+            f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{out / 'ground_truth.csv'}'\n"
+        )
+        assert sorted(os.listdir(out)) == ["corpus.csv", "ground_truth.csv"]
+        assert {name: (out / name).read_bytes() for name in before} == before
 
 
 class TestExtractCommand:
@@ -344,9 +370,8 @@ class TestStreamingExtract:
         argv = ["extract", "--input", hand_corpus, "--zones", four_zone_geojson]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
         assert configs == [FilterConfig()]
-        mirrored = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
         for name in FilterConfig._fields:
-            assert mirrored[name] == getattr(FilterConfig, name), name
+            assert getattr(SynthConfig, name) == getattr(FilterConfig, name), name
 
     @pytest.mark.parametrize("target", [
         "geotrips.displacement.RunReport.validate",
@@ -840,7 +865,7 @@ class TestEnvironment:
 
     def test_each_command_imports_only_its_modules(self, tmp_path, four_zone_geojson):
         """`extract` loads neither `analytics` nor `synthgen`, and `analyze`
-        loads neither `synthgen` nor `statistics`; neither, nor a bare
+        loads neither `synthgen` nor `statistics`; no command, nor a bare
         `import geotrips`, loads `dataclasses` (and with it `inspect`): each
         process compiles what it imports."""
         corpus = tmp_path / "corpus.csv"
@@ -869,6 +894,13 @@ class TestEnvironment:
             "analyze", "--displacements", str(out / "displacements.csv"),
             "--out", str(tmp_path / "products"),
         ) == "geotrips.analytics"
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({
+            "zones": four_zone_geojson, "n_agents": 2, "od_weights": {"alpha": {"beta": 1}},
+        }))
+        assert loaded("synth", "--config", str(config), "--out", str(tmp_path / "synth")) == (
+            "geotrips.synthgen"
+        )
 
 
 def test_zone_loading_imports_no_zoneinfo(four_zone_geojson):
@@ -1116,7 +1148,7 @@ class TestBadConfiguration:
     def test_nan_max_speed_is_rejected(self, tmp_path, inputs, capsys):
         argv = inputs["extract"] + ["--max-speed-mph", "nan", "--out", str(tmp_path / "out")]
         assert main(argv) == 1
-        assert "error: FilterConfig.max_speed must be strictly positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: max_speed = nan is out of range: must be finite and > 0\n"
 
     @pytest.mark.parametrize(
         "doc, message",

@@ -73,8 +73,16 @@ class TestFilterConfig:
         ],
     )
     def test_non_positive_fields_rejected(self, kwargs):
-        with pytest.raises(ValidationError):
+        """A NaN `min_tweets` is no int: the type is checked before the range."""
+        ((name, value),) = kwargs.items()
+        with pytest.raises(ConfigError) as exc:
             FilterConfig(**kwargs)
+        if name != "min_tweets":
+            assert str(exc.value) == f"{name} = {value!r} is out of range: must be finite and > 0"
+        elif type(value) is int:
+            assert str(exc.value) == f"{name} = {value!r} is out of range: must be >= 1"
+        else:
+            assert str(exc.value) == f"{name} = {value!r} is not a valid int"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -87,20 +95,21 @@ class TestFilterConfig:
     )
     def test_non_number_fields_rejected(self, kwargs):
         """A bool is not a number here, though `True > 0`."""
-        (name,) = kwargs
-        with pytest.raises(ValidationError) as exc:
+        ((name, value),) = kwargs.items()
+        with pytest.raises(ConfigError) as exc:
             FilterConfig(**kwargs)
-        kind = "an int" if name == "min_tweets" else "a number"
-        assert str(exc.value) == f"FilterConfig.{name} must be {kind}"
+        kind = "int" if name == "min_tweets" else "float"
+        assert str(exc.value) == f"{name} = {value!r} is not a valid {kind}"
 
     @pytest.mark.parametrize("value", [2.5, 0.5, 1.0, True], ids=["2.5", "0.5", "1.0", "bool"])
     def test_min_tweets_that_is_no_int_rejected(self, value):
-        """`SynthConfig`'s rule: a count is an int, and a bool is none."""
-        with pytest.raises(ValidationError) as exc:
+        """`SynthConfig`'s rule and text: a count is an int, and a bool is none."""
+        with pytest.raises(ConfigError) as exc:
             FilterConfig(min_tweets=value)
-        assert str(exc.value) == "FilterConfig.min_tweets must be an int"
-        with pytest.raises(ConfigError, match=r"^min_tweets = .* is not a valid int$"):
+        assert str(exc.value) == f"min_tweets = {value!r} is not a valid int"
+        with pytest.raises(ConfigError) as synth_exc:
             SynthConfig(min_tweets=value)
+        assert str(synth_exc.value) == str(exc.value)
 
     def test_min_tweets_past_the_float_range_accepted(self):
         """An int too large for a float is still a count, as `SynthConfig` takes it."""

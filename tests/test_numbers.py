@@ -15,13 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 from geotrips.analytics import read_series_csv
 from geotrips.cli import main
 from geotrips.displacement import DISPLACEMENT_COLUMNS, FilterConfig, read_od_rows
-from geotrips.errors import ConfigError, GeotripsError, InvalidGeometryError, ValidationError
+from geotrips.errors import ConfigError, GeotripsError, InvalidGeometryError
 from geotrips.records import RejectedLine, as_float, load_timelines
 from geotrips.synthgen import SynthConfig, generate
 from geotrips.zones import load_zones
 from conftest import feature_collection, square_feature, square_ring
 
 BIG = 10**400  # an integer too large for a float
+HUGE = 10**5000  # an integer past Python's int-to-text limit: `repr` refuses it
 TOO_LONG = "1" * 4301  # more digits than `json` converts to an int
 TWO_ZONES = load_zones(
     feature_collection(square_feature("alpha", 40.0, -74.0), square_feature("beta", 40.0, -73.7))
@@ -94,19 +95,38 @@ class TestRefusals:
         assert str(exc.value).startswith("feature 'beta': non-numeric coordinate position [")
 
     @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("lon", "feature 'beta': non-numeric coordinate position <list holding an int"),
+            ("lat", "feature 'beta': non-numeric coordinate position <list holding an int"),
+            ("zone_id", "zones document: feature #1 has a zone_id of too many digits: <int of"),
+        ],
+        ids=["lon", "lat", "zone-id"],
+    )
+    def test_zone_value_past_the_int_to_text_limit_names_the_feature(self, where, message):
+        beta = square_feature("beta", 40.0, -73.7)
+        if where == "zone_id":
+            beta["properties"]["zone_id"] = HUGE
+        else:
+            beta["geometry"]["coordinates"][0][2][{"lon": 0, "lat": 1}[where]] = HUGE
+        with pytest.raises(GeotripsError) as exc:
+            load_zones(feature_collection(square_feature("alpha", 40.0, -74.0), beta))
+        assert str(exc.value).startswith(message) and "over 4300 digits" in str(exc.value)
+
+    @pytest.mark.parametrize(
         "name, value, message",
         [
-            ("max_speed", math.inf, "must be strictly positive and finite"),
-            ("time_window", math.inf, "must be strictly positive and finite"),
-            ("min_tweets", math.inf, "must be an int"),
-            ("min_displacement_distance", BIG, "must be a number"),
+            ("max_speed", math.inf, "inf is out of range: must be finite and > 0"),
+            ("time_window", math.inf, "inf is out of range: must be finite and > 0"),
+            ("min_tweets", math.inf, "inf is not a valid int"),
+            ("min_displacement_distance", BIG, f"{BIG} is not a valid float"),
         ],
         ids=["speed-inf", "window-inf", "tweets-inf", "distance-big"],
     )
     def test_filter_threshold(self, name, value, message):
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(ConfigError) as exc:
             FilterConfig(**{name: value})
-        assert str(exc.value) == f"FilterConfig.{name} {message}"
+        assert str(exc.value) == f"{name} = {message}"
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -123,8 +143,15 @@ class TestRefusals:
                 {"od_weights": {("alpha", "beta"): 1.0, ("beta", "alpha"): math.inf}},
                 "od_weights.beta.alpha = inf is out of range: must be finite and >= 0",
             ),
+            (
+                {"od_weights": {("alpha", "beta"): HUGE}},
+                "od_weights.alpha.beta = <int of over 4300 digits> is not a valid float",
+            ),
             ({"gps_noise_sigma": BIG}, f"gps_noise_sigma = {BIG} is not a valid float"),
             ({"tweet_scale": -BIG}, f"tweet_scale = {-BIG} is not a valid float"),
+            ({"tweet_scale": HUGE}, "tweet_scale = <int of over 4300 digits> is not a valid float"),
+            ({"n_agents": -HUGE}, "n_agents = <negative int of over 4300 digits> is out of range"),
+            ({"weekday_schedule": (1,) * 23 + (HUGE,)}, "weekday_schedule = <tuple holding an int"),
             ({"weekday_schedule": (math.nan,) + (1.0,) * 23}, "weekday_schedule = {!r} is out"),
             ({"weekend_schedule": (1,) * 23 + (math.inf,)}, "weekend_schedule = {!r} is out"),
             ({"weekday_schedule": (0,) * 24}, "weekday_schedule = {!r} is out"),
@@ -139,7 +166,8 @@ class TestRefusals:
             ({"od_weights": {("alpha", "beta", "gamma"): 1}}, "od_weights = {!r} is not a dict keyed"),
         ],
         ids=[
-            "od-big", "od-nan", "od-inf", "noise-big", "scale-minus-big", "schedule-nan",
+            "od-big", "od-nan", "od-inf", "od-huge", "noise-big", "scale-minus-big", "scale-huge",
+            "agents-minus-huge", "schedule-huge", "schedule-nan",
             "schedule-inf", "schedule-zero", "schedule-negative", "schedule-sum-overflows",
             "schedule-big", "naive-start", "naive-end", "od-list", "od-key-not-a-pair",
             "od-key-two-letters", "od-key-triple",
@@ -195,7 +223,7 @@ TEXT_NUMBERS = st.sampled_from([
     " 7 ", "1_000", "0x10", "", "[1]", "north", "١٢",
 ]) | st.integers(-200, 200).map(str) | st.floats().map(repr)
 PY_NUMBERS = st.sampled_from([
-    BIG, -BIG, 2**1024, math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, True, False,
+    BIG, -BIG, HUGE, 2**1024, math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, True, False,
     None, "1.5", "nan", [1.0], {"a": 1.0},
 ]) | st.integers() | st.floats()
 
@@ -274,10 +302,22 @@ class TestEveryReader:
     )
     @example("max_speed", math.inf)
     @example("min_tweets", BIG)
+    @example("time_window", HUGE)
     def test_filter_config(self, name, value):
-        try:
-            FilterConfig(**{name: value})
-        except GeotripsError:
+        """`FilterConfig` and `SynthConfig` take a threshold by one rule: each
+        takes it, or both refuse it with the same `ConfigError` text."""
+        verdicts = []
+        for build in (FilterConfig, lambda **kw: SynthConfig(
+            zone_map=TWO_ZONES, od_weights={("alpha", "beta"): 1.0}, **kw
+        )):
+            try:
+                build(**{name: value})
+            except ConfigError as exc:
+                verdicts.append(str(exc))
+            else:
+                verdicts.append(None)
+        assert verdicts[0] == verdicts[1]
+        if verdicts[0] is not None:
             return
         if name == "min_tweets":  # a count: an int of any size
             assert type(value) is int and value > 0
@@ -295,12 +335,16 @@ class TestEveryReader:
         PY_NUMBERS,
     )
     @example("gps_noise_sigma", 0, BIG)
+    @example("tweet_scale", 0, HUGE)
+    @example("od", 0, -HUGE)
+    @example("weekday_schedule", 5, HUGE)
     @example("od", 0, math.nan)
     @example("weekday_schedule", 5, math.nan)
     @example("weekend_schedule", 0, -1)
     def test_synth_config(self, name, hour, value):
         """A float field, the weight of one OD pair or one hour of a schedule
-        set to `value`; a config that is taken generates a corpus."""
+        set to `value`; a config that is taken generates a corpus, unless its
+        noise puts a record off the globe, which `generate` refuses (README)."""
         kwargs = {
             "zone_map": TWO_ZONES, "n_agents": 1, "tweet_cap": 30,
             "od_weights": {("alpha", "beta"): 0.5, ("beta", "alpha"): 0.5},
@@ -316,7 +360,10 @@ class TestEveryReader:
             cfg = SynthConfig(**kwargs)
         except GeotripsError:
             return
-        generate(cfg)
+        try:
+            generate(cfg)
+        except ConfigError as exc:  # e.g. gps_noise_sigma = 4485524 (m)
+            assert str(exc).startswith("agent00000 gets a record off the globe, at ")
 
     @FUZZ
     @given(st.lists(TEXT_NUMBERS, max_size=4))

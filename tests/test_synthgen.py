@@ -86,6 +86,15 @@ class TestConfigValidation:
             SynthConfig()
         assert str(exc.value) == "SynthConfig.zone_map is required"
 
+    @pytest.mark.parametrize(
+        "zone_map", ["zones.geojson", 5, {"type": "FeatureCollection", "features": []}],
+        ids=["path", "int", "geojson-dict"],
+    )
+    def test_zone_map_that_is_no_zone_set_is_config_error(self, zone_map):
+        with pytest.raises(ConfigError) as exc:
+            SynthConfig(zone_map=zone_map, od_weights=TWO_ZONE_OD)
+        assert str(exc.value) == f"zone_map = {zone_map!r} is not a valid ZoneSet"
+
     @pytest.mark.parametrize("tz", ["Mars/Base", "", 5, None])
     def test_bad_timezone_is_checked_first(self, tz):
         """Before the zone map, so the config reader needs no check of its own."""
