@@ -41,7 +41,7 @@ class TimeOfDayHistogram(Fields):
     _fields = ("direction", "weekday_counts", "weekend_counts")
 
     def __init__(self, direction, weekday_counts=None, weekend_counts=None):
-        self._set(direction, weekday_counts or [0] * 24, weekend_counts or [0] * 24)
+        super().__init__(direction, weekday_counts or [0] * 24, weekend_counts or [0] * 24)
 
     def _normalized(self, counts: list[int]) -> list[float]:
         total = sum(counts)

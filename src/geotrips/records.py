@@ -71,23 +71,16 @@ class Fields:
 
     def __init__(self, *values, **named):
         """Each field from `values` in order or from `named`, else its default."""
-        if len(values) > len(self._fields):
-            raise TypeError(f"{type(self).__qualname__}() takes {len(self._fields)} values, got {len(values)}")
-        given = dict(zip(self._fields, values))
-        for name, value in named.items():
-            if name in given or name not in self._fields:
-                raise TypeError(f"{type(self).__qualname__}() got a repeated or unknown argument {name!r}")
-            given[name] = value
+        given = dict(zip(self._fields, values), **named)  # too many values, or a name twice, get lost
+        if len(given) < len(values) + len(named) or not given.keys() <= set(self._fields):
+            raise TypeError(f"{type(self).__qualname__}() takes one value for each of {self._fields} at most,"
+                            f" got {len(values)} values and the names {[*named]}")
         for name in self._fields:
-            object.__setattr__(self, name, given.get(name, getattr(self, name)))
+            object.__setattr__(self, name, given[name] if name in given else getattr(self, name))
         self._check()
 
     def _check(self) -> None:
         """What a class checks once built: nothing here."""
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -118,10 +111,9 @@ class Frozen(Fields):
 
 
 class Settings(Frozen):
-    """The one rule for settings, checked once built: each value has the type of
-    its default by `has_type` (a default of None marks a setting the class checks
-    itself), then each setting in a `(names, test, rule)` row of `_ranges` passes
-    `test`; else `ConfigError("<name> = <value> is not a valid <type>")` or
+    """The one rule for settings: each value has its default's type by `has_type` (a
+    default of None: the class checks it), then passes the test of its `(names, test, rule)`
+    row of `_ranges`, else `ConfigError("<name> = <value> is not a valid <type>")` or
     `ConfigError("<name> = <value> is out of range: must be <rule>")`."""
 
     def _check(self) -> None:
@@ -146,9 +138,6 @@ class UserTimeline(Frozen):
     """
 
     __slots__ = _fields = ("user_id", "times", "lats", "lons")
-
-    def __init__(self, user_id: str, times: array, lats: array, lons: array):
-        self._set(user_id, times, lats, lons)
 
     @classmethod
     def from_records(cls, user_id: str, records: Iterable[TweetRecord]) -> UserTimeline:

@@ -73,10 +73,9 @@ class SynthConfig(Settings):
     def _check(self) -> None:
         resolve_tz(self.tz)
         super()._check()
-        if self.zone_map is None:
-            raise ConfigError("SynthConfig.zone_map is required")
         if not isinstance(self.zone_map, ZoneSet):
-            raise ConfigError(f"zone_map = {shown(self.zone_map)} is not a valid ZoneSet")
+            raise ConfigError("SynthConfig.zone_map is required" if self.zone_map is None
+                              else f"zone_map = {shown(self.zone_map)} is not a valid ZoneSet")
         if len(self.zone_map.zones) < 2:
             raise ConfigError("zone_map needs at least 2 zones for inter-zone trips")
         if not self.od_weights:
@@ -108,6 +107,18 @@ class SynthConfig(Settings):
                 raise ConfigError(f"{name} = {getattr(self, name)!r} lacks a UTC offset")
         if self.period_end <= self.period_start:
             raise ConfigError("period_end must be after period_start")
+        # `generate` puts a record at a zone's point, jumps 2 degrees north for an anomaly, and adds
+        # noise of at most 3 sigma (`_tgauss`), in longitude over `cos_lat` of a latitude in the zones.
+        lats = [x for zone in self.zone_map.zones for poly in zone.polygons for x in poly.outer.lats]
+        lons = [x for zone in self.zone_map.zones for poly in zone.polygons for x in poly.outer.lons]
+        reach = 3.0 * self.gps_noise_sigma * _DEG_PER_M_LAT
+        cos_lat = max(0.05, min(math.cos(math.radians(min(lats))), math.cos(math.radians(max(lats)))))
+        if not (-90.0 <= min(lats) - reach and max(lats) + 2.0 * (self.anomaly_rate > 0) + reach <= 90.0
+                and -180.0 <= min(lons) - reach / cos_lat and max(lons) + reach / cos_lat <= 180.0):
+            raise ConfigError(
+                f"gps_noise_sigma = {self.gps_noise_sigma!r} with anomaly_rate = {self.anomaly_rate!r} can put"
+                " a record of zone_map off the globe, past latitude ±90 or longitude ±180"
+            )
 
 
 def _config_value(path: str, key: str, value, default):
@@ -220,7 +231,7 @@ def generate(cfg: SynthConfig) -> tuple[list[TweetRecord], list[GroundTruthTrip]
     The returned trips are exactly those the default pipeline recovers as
     inter-zone displacements: trips of agents that clear the activity
     threshold, with both flanking tweets consecutive inside the window.
-    A record that noise or an anomaly jump puts off the globe is a `ConfigError`.
+    Every record is on the globe, as `SynthConfig` checks.
     """
     zs = cfg.zone_map
     tz = resolve_tz(cfg.tz)
@@ -359,18 +370,9 @@ def generate(cfg: SynthConfig) -> tuple[list[TweetRecord], list[GroundTruthTrip]
         agent_records.sort(key=lambda r: r[0])
         sigma = cfg.gps_noise_sigma
         for ts, loc in agent_records:
-            noisy = (
-                _offset_m(loc, _tgauss(rng, sigma), _tgauss(rng, sigma), cos_lat)
-                if sigma > 0
-                else loc
-            )
-            lat, lon = round(noisy.lat, 6), round(noisy.lon, 6)
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):  # a record extract rejects
-                raise ConfigError(
-                    f"{uid} gets a record off the globe, at ({lat!r}, {lon!r}), with "
-                    f"gps_noise_sigma = {sigma!r} and anomaly_rate = {cfg.anomaly_rate!r}"
-                )
-            records.append(TweetRecord(uid, lat, lon, ts * 1_000_000, ""))
+            if sigma > 0:
+                loc = _offset_m(loc, _tgauss(rng, sigma), _tgauss(rng, sigma), cos_lat)
+            records.append(TweetRecord(uid, round(loc.lat, 6), round(loc.lon, 6), ts * 1_000_000, ""))
 
         if len(agent_records) >= cfg.min_tweets:
             trips_out.extend(

@@ -164,13 +164,14 @@ class TestRefusals:
             ({"od_weights": {"alpha": 1.0}}, "od_weights = {!r} is not a dict keyed"),
             ({"od_weights": {"ab": 1.0}}, "od_weights = {!r} is not a dict keyed"),
             ({"od_weights": {("alpha", "beta", "gamma"): 1}}, "od_weights = {!r} is not a dict keyed"),
+            ({"od_weights": {(1, 2): 1.0}}, "od_weights = {!r} is not a dict keyed"),
         ],
         ids=[
             "od-big", "od-nan", "od-inf", "od-huge", "noise-big", "scale-minus-big", "scale-huge",
             "agents-minus-huge", "schedule-huge", "schedule-nan",
             "schedule-inf", "schedule-zero", "schedule-negative", "schedule-sum-overflows",
             "schedule-big", "naive-start", "naive-end", "od-list", "od-key-not-a-pair",
-            "od-key-two-letters", "od-key-triple",
+            "od-key-two-letters", "od-key-triple", "od-key-ints",
         ],
     )
     def test_synth_setting(self, four_zone_map, kwargs, message):
@@ -335,6 +336,7 @@ class TestEveryReader:
         PY_NUMBERS,
     )
     @example("gps_noise_sigma", 0, BIG)
+    @example("gps_noise_sigma", 0, 4485524)  # m: 3 sigma reaches past the pole
     @example("tweet_scale", 0, HUGE)
     @example("od", 0, -HUGE)
     @example("weekday_schedule", 5, HUGE)
@@ -343,8 +345,7 @@ class TestEveryReader:
     @example("weekend_schedule", 0, -1)
     def test_synth_config(self, name, hour, value):
         """A float field, the weight of one OD pair or one hour of a schedule
-        set to `value`; a config that is taken generates a corpus, unless its
-        noise puts a record off the globe, which `generate` refuses (README)."""
+        set to `value`; a config that is taken generates a corpus on the globe."""
         kwargs = {
             "zone_map": TWO_ZONES, "n_agents": 1, "tweet_cap": 30,
             "od_weights": {("alpha", "beta"): 0.5, ("beta", "alpha"): 0.5},
@@ -360,10 +361,8 @@ class TestEveryReader:
             cfg = SynthConfig(**kwargs)
         except GeotripsError:
             return
-        try:
-            generate(cfg)
-        except ConfigError as exc:  # e.g. gps_noise_sigma = 4485524 (m)
-            assert str(exc).startswith("agent00000 gets a record off the globe, at ")
+        records, _ = generate(cfg)
+        assert all(-90 <= r.lat <= 90 and -180 <= r.lon <= 180 for r in records)
 
     @FUZZ
     @given(st.lists(TEXT_NUMBERS, max_size=4))
