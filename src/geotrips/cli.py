@@ -103,6 +103,23 @@ def _products(out_dir: str):
                 os.remove(path + ".tmp")
 
 
+def _stage(t0: float, items_in: dict[str, int], items_out: dict[str, int]) -> dict:
+    """One stage of a command's `timings.json`: its seconds since `t0`, and
+    the items it took in and gave out, counted from what the run holds."""
+    return {"s": time.perf_counter() - t0, "in": items_in, "out": items_out}
+
+
+def _peak_rss() -> dict[str, float]:
+    """`{"peak_rss_mb": <this process's peak RSS in MiB>}`, or `{}` where the
+    platform has no `resource` module."""
+    try:
+        import resource  # Unix only
+    except ImportError:
+        return {}
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
+    return {"peak_rss_mb": peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)}
+
+
 def _print_report_table(report: RunReport) -> None:
     rows = report.to_dict()
     rows["average_displacements_per_traveler"] = report.formatted_average()
@@ -133,23 +150,36 @@ def cmd_extract(args: argparse.Namespace) -> int:
     legacy_tz = tz if args.legacy_timestamps else None
 
     os.makedirs(out_dir, exist_ok=True)
-    timings: dict[str, float] = {}
+    ledger: dict = {}
 
     t0 = time.perf_counter()
     ingest = load_timelines(input_path, format=fmt, legacy_tz=legacy_tz)
     timelines = ingest.timelines
-    timings["ingest"] = time.perf_counter() - t0
+    ledger["ingest"] = _stage(t0, {"lines": ingest.lines_read}, {
+        "records": ingest.parsed_records, "rejects": len(ingest.rejects),
+        "duplicates": ingest.duplicates, "users": len(timelines),
+    })
 
     t0 = time.perf_counter()
     zs = load_zones(zones_path)
-    timings["zones"] = time.perf_counter() - t0
+    polygons = [p for z in zs.zones for p in z.polygons]
+    ledger["zones"] = _stage(t0, {"features": len(zs.zones)}, {
+        "polygons": len(polygons),
+        "vertices": sum(len(r.lats) - 1 for p in polygons for r in (p.outer, *p.holes)),
+    })
 
     # No product replaces an earlier one until the report validates and all are written.
     with _products(out_dir) as part:
         t0 = time.perf_counter()
         with open(part("displacements.csv"), "w", encoding="utf-8", newline="") as fh:
             report = extract_to_csv(timelines, zs, cfg, fh)
-        timings["extraction"] = time.perf_counter() - t0
+        ledger["scan_and_write"] = _stage(t0, {
+            "users": report.users_retained, "records": report.records_in_retained_timelines,
+        }, {
+            "speed_removals": report.speed_removed_records,
+            "label_calls": 2 * report.displacements_total,
+            "displacements": report.displacements_total,
+        })
 
         report.lines_read = ingest.lines_read
         report.rejected_lines = len(ingest.rejects)
@@ -162,12 +192,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
             write_rejects_csv(ingest.rejects, fh)
         with open(part("users.csv"), "w", encoding="utf-8", newline="") as fh:
             write_table(fh, USERS_COLUMNS, ((uid, len(timelines[uid])) for uid in sorted(timelines)))
-        timings["write"] = time.perf_counter() - t0
+        ledger["write"] = _stage(t0, {"rejects": len(ingest.rejects), "users": len(timelines)},
+                                 {"files": 2})
 
         # Timings go to a separate file so report.json stays byte-identical
         # across runs and worker counts.
         _write_json(part("report.json"), report.to_dict())
-        _write_json(part("timings.json"), timings)
+        _write_json(part("timings.json"), ledger | _peak_rss())
 
     _print_report_table(report)
     return 0
@@ -229,7 +260,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if focal:
         directions[f"from_{focal}"] = (focal, analytics.ANY)
         directions[f"to_{focal}"] = (analytics.ANY, focal)
-    timings: dict[str, float] = {}
+    ledger: dict = {}
 
     # The rows stream from the file into the walk: none is held once counted.
     t0 = time.perf_counter()
@@ -238,9 +269,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         args.include_intra, args.include_external,
     )
     matrix = analytics.od_matrix(pair_counts)
+    ledger["read_and_walk"] = _stage(t0, {"rows": sum(disp_counts.values())}, {
+        "od_displacements": matrix.total, "binned_crossings": sum(h.total for h in hists),
+    })
+
+    t0 = time.perf_counter()
     profiles = _profiles_from(disp_counts, users_path)
     partition = analytics.classify_groups(profiles, cutoff=args.group_cutoff)
-    timings["aggregate"] = time.perf_counter() - t0
+    ledger["groups"] = _stage(t0, {"users": len(profiles)}, {
+        "high": len(partition.high_group), "low": len(partition.low_group),
+    })
 
     os.makedirs(out_dir, exist_ok=True)
     with _products(out_dir) as part:
@@ -254,8 +292,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 analytics.write_histogram_csv(hist, fh)
         with open(part("groups.csv"), "w", encoding="utf-8", newline="") as fh:
             analytics.write_groups_csv(partition, profiles, fh)
-        timings["write"] = time.perf_counter() - t0
-        _write_json(part("timings.json"), timings)
+        ledger["write"] = _stage(t0, {
+            "zones": len(matrix.zone_ids), "histograms": len(hists), "users": len(profiles),
+        }, {"files": 3 + len(hists)})
+        _write_json(part("timings.json"), ledger | _peak_rss())
 
     print(f"od zones: {len(matrix.zone_ids)}; displacements in OD: {matrix.total}")
     print(f"histogram displacements: {hists[0].total}")

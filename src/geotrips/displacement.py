@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from datetime import datetime, timedelta
+from itertools import repeat
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
 from .geometry import GeoPoint, haversine_m
 from .records import (
+    CsvFields,
     Fields,
     Settings,
     TweetRecord,
@@ -29,7 +31,6 @@ from .records import (
     from_epoch_us,
     read_table,
     to_epoch_us,
-    write_table,
 )
 from .zones import EXTERNAL, ZoneSet
 
@@ -334,14 +335,11 @@ def run_extraction(
 def extract_to_csv(
     timelines: dict[str, UserTimeline], zs: ZoneSet, cfg: FilterConfig, fh: IO[str]
 ) -> RunReport:
-    """`run_extraction`, writing each row of the one `_scan` to `fh` as a CSV
-    row as soon as the scan finds it; returns the report.
-
-    No `Displacement` is built or held: what is written equals
-    `write_displacements_csv(run_extraction(...)[0], fh)` byte for byte.
-    """
+    """`run_extraction`, with `write_displacements_csv` writing each row of
+    the one `_scan` to `fh` as soon as the scan finds it; returns the report.
+    No `Displacement` is built or held."""
     report = RunReport()
-    write_table(fh, DISPLACEMENT_COLUMNS, map(_format_fields, _scan(timelines, zs, cfg, report)))
+    write_displacements_csv(_scan(timelines, zs, cfg, report), fh)
     return report
 
 
@@ -361,27 +359,23 @@ DISPLACEMENT_COLUMNS = (
 )
 
 
-def _format_fields(fields: tuple) -> tuple[str, ...]:
+def _format_row(row: tuple, ids: CsvFields) -> str:
+    """A `_scan` tuple or a `Displacement` as its whole `DISPLACEMENT_COLUMNS`
+    line, as `write_table` writes it: the floats by `repr`, the times by
+    `format_us`, no zone and no crossing as empty fields (a crossing of 0 is
+    the epoch) and the ids through `ids`."""
     (uid, origin_lat, origin_lon, dest_lat, dest_lon, start, end, duration, distance,
-     origin_zone, dest_zone, crossing) = fields
+     origin_zone, dest_zone, crossing) = row
     return (
-        uid,
-        repr(origin_lat),
-        repr(origin_lon),
-        repr(dest_lat),
-        repr(dest_lon),
-        format_us(start),
-        format_us(end),
-        repr(duration),
-        repr(distance),
-        origin_zone or "",
-        dest_zone or "",
-        "" if crossing is None else format_us(crossing),  # 0 is the epoch
+        f"{ids[uid]},{origin_lat!r},{origin_lon!r},{dest_lat!r},{dest_lon!r},"
+        f"{format_us(start)},{format_us(end)},{duration!r},{distance!r},"
+        f"{ids[origin_zone] if origin_zone else ''},{ids[dest_zone] if dest_zone else ''},"
+        f"{'' if crossing is None else format_us(crossing)}\n"
     )
 
 
 def _parse_fields(row: list[str]) -> tuple:
-    """The inverse of `_format_fields`, with the three times as `timezone.utc`
+    """The inverse of `_format_row` on a CSV row, with the three times as `timezone.utc`
     datetimes (`from_epoch_us` of the fields' integers).  Every column is
     parsed, in column order, so the first bad value in a row names the
     error."""
@@ -392,8 +386,11 @@ def _parse_fields(row: list[str]) -> tuple:
     )
 
 
-def write_displacements_csv(displacements: Iterable[Displacement], fh: IO[str]) -> None:
-    write_table(fh, DISPLACEMENT_COLUMNS, map(_format_fields, displacements))
+def write_displacements_csv(displacements: Iterable[Displacement | tuple], fh: IO[str]) -> None:
+    """The `DISPLACEMENT_COLUMNS` header, then `_format_row` of each
+    `Displacement` or `_scan` tuple."""
+    fh.write(",".join(DISPLACEMENT_COLUMNS) + "\n")
+    fh.writelines(map(_format_row, displacements, repeat(CsvFields())))
 
 
 def read_displacements_csv(source: str | IO[str]) -> list[Displacement]:

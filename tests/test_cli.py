@@ -1,6 +1,7 @@
 import codecs
 import csv
 import errno
+import importlib.util
 import io
 import json
 import os
@@ -25,6 +26,8 @@ from geotrips.synthgen import SynthConfig
 from geotrips.zones import load_zones
 
 DISPLACEMENT_HEADER = ",".join(DISPLACEMENT_COLUMNS) + "\n"
+# A command's timings.json holds its peak RSS where the platform has `resource`.
+PEAK_RSS = ["peak_rss_mb"] if importlib.util.find_spec("resource") else []
 
 
 @pytest.fixture
@@ -151,7 +154,9 @@ class TestExtractCommand:
         for name in ("displacements.csv", "rejects.csv", "users.csv"):
             assert (out / name).exists()
         timings = json.loads((out / "timings.json").read_text())
-        assert sorted(timings) == ["extraction", "ingest", "write", "zones"]
+        assert sorted(timings) == ["ingest", *PEAK_RSS, "scan_and_write", "write", "zones"]
+        assert timings["ingest"]["in"] == {"lines": report["lines_read"]}
+        assert timings["scan_and_write"]["out"]["displacements"] == report["displacements_total"]
         average = f"{report['average_displacements_per_traveler']:.1f}"
         assert f"average_displacements_per_traveler  {average}\n" in capsys.readouterr().out
 
@@ -453,7 +458,8 @@ class TestAnalyzeCommand:
         assert {n: (an / n).read_bytes() for n in names} == first
         assert sorted(os.listdir(an)) == sorted(names + ["timings.json"])
         timings = json.loads((an / "timings.json").read_text())
-        assert sorted(timings) == ["aggregate", "write"]
+        assert sorted(timings) == ["groups", *PEAK_RSS, "read_and_walk", "write"]
+        assert timings["write"]["out"] == {"files": 6}
 
     @pytest.mark.parametrize("target", [
         "geotrips.analytics.write_od_csv",

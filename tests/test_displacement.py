@@ -1,3 +1,4 @@
+import csv
 import io
 import tracemalloc
 from array import array
@@ -11,6 +12,7 @@ from conftest import feature_collection, square_feature
 
 from geotrips.analytics import ANY, aggregate
 from geotrips.displacement import (
+    DISPLACEMENT_COLUMNS,
     Displacement,
     FilterConfig,
     RunReport,
@@ -31,6 +33,7 @@ from geotrips.records import (
     TweetRecord,
     UserTimeline,
     build_timelines,
+    format_us,
     from_epoch_us,
     load_timelines,
     to_epoch_us,
@@ -493,6 +496,35 @@ class TestScanTimes:
         (read,) = read_displacements_csv(io.StringIO(written.getvalue(), newline=""))
         assert read.crossing_time_estimate is not None
         assert read.crossing_time_estimate == from_epoch_us(0)
+
+
+class TestRowQuoting:
+    def test_ids_are_written_as_the_csv_module_writes_them(self):
+        """A user id holding a comma, a quote, a line feed and a leading blank,
+        and a zone id holding a comma and a quote: each line is what
+        `csv.writer` writes for the same fields, with ``\\n`` line ends, and
+        reads back unchanged."""
+        uid, zone = ' j. "smith",\nny', 'alpha, "old"'
+        zs = load_zones(feature_collection(
+            square_feature(zone, 40.0, -74.0), square_feature("beta", 40.0, -73.7)
+        ))
+        tl = UserTimeline(uid, array("q", [0, 600_000_000]), array("d", [40.1, 40.1]),
+                          array("d", [-73.9, -73.6]))
+        cfg = FilterConfig(min_tweets=1)
+        written = io.StringIO(newline="")
+        extract_to_csv({uid: tl}, zs, cfg, written)
+        (d,), _ = run_extraction({uid: tl}, zs, cfg)
+        assert (d.user_id, d.origin_zone, d.destination_zone) == (uid, zone, "beta")
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(DISPLACEMENT_COLUMNS)
+        writer.writerow([
+            d.user_id, *map(repr, d[1:5]), format_us(d.start), format_us(d.end),
+            repr(d.duration), repr(d.distance), d.origin_zone, d.destination_zone,
+            format_us(d.crossing),
+        ])
+        assert written.getvalue() == expected.getvalue().replace("\r\n", "\n")
+        assert read_displacements_csv(io.StringIO(written.getvalue(), newline="")) == [d]
 
 
 class TestStreamingExtraction:

@@ -1,5 +1,6 @@
 import ast
 import codecs
+import csv
 import gc
 import io
 import json
@@ -24,7 +25,7 @@ from geotrips.displacement import (
     Displacement,
     FilterConfig,
     RunReport,
-    _format_fields,
+    _format_row,
     _parse_fields,
     read_displacements_csv,
     read_od_rows,
@@ -33,6 +34,7 @@ from geotrips.displacement import (
 )
 from geotrips.errors import FormatMismatchError, ValidationError
 from geotrips.records import (
+    CsvFields,
     RejectedLine,
     TweetRecord,
     UserTimeline,
@@ -142,8 +144,11 @@ class TestParseRecords:
             ("u1,40.9,180.5,2014-08-02T22:58:00Z,x", "longitude out of range"),
             ("u1,40.9,-73.9,8/2/2014 25:58,x", "unparseable timestamp '8/2/2014 25:58'"),
             ("u1,40.9,-73.9,2014-08-02 22h58,x", "unparseable timestamp '2014-08-02 22h58'"),
+            ("u1,40,-74,2014-02-30T00:00:00Z,x", "unparseable timestamp '2014-02-30T00:00:00Z'"),
+            ("u1,40,-74,2014-08-02T24:00:00Z,x", "unparseable timestamp '2014-08-02T24:00:00Z'"),
         ],
-        ids=["lat-nan", "lon-infinite", "lon-range", "legacy-hour", "legacy-neither"],
+        ids=["lat-nan", "lon-infinite", "lon-range", "legacy-hour", "legacy-neither",
+             "iso-day-30-feb", "iso-hour-24"],
     )
     def test_bad_csv_value_is_rejected_under_a_legacy_tz(self, line, reason):
         res = parse_csv(
@@ -494,6 +499,46 @@ HARD_ROWS = [
 ]
 
 
+FORMS = TIMESTAMP_FORMS
+# Days and hours `datetime.fromisoformat` refuses, in the `...<digit>Z` form.
+IMPOSSIBLE_STAMP_ROWS = [
+    ("u1", 40.5, 0.0, FORMS[0], ""),
+    ("u1", 40.5, 0.0, "2014-02-30T00:00:00Z", ""),
+    ("u1", 40.25, 0.0, FORMS[3], ""),
+    ("u2", 40.5, 0.0, "2014-08-02T24:00:00Z", ""),
+    ("u2", 40.5, 0.0, FORMS[0], ""),
+]
+# One user whose times strictly increase.
+IN_ORDER_ROWS = [
+    ("u1", 40.5, 0.0, FORMS[4], ""),
+    ("u1", 40.25, 0.0, FORMS[0], ""),
+    ("u1", 40.5, 0.0, FORMS[3], ""),
+    ("u1", 40.25, -0.0, "2014-08-02T21:58:02Z", ""),
+]
+# One user whose times never decrease, with adjacent exact duplicates.
+NEVER_DECREASING_ROWS = [
+    ("u1", 0.0, 0.0, FORMS[4], "a"),
+    ("u1", -0.0, 0.0, FORMS[4], "b"),  # == 0.0: the first one read stands
+    ("u1", 40.5, 0.0, FORMS[0], ""),
+    ("u1", 40.5, 0.0, FORMS[1], ""),  # the same instant and place
+    ("u1", 40.25, 0.0, FORMS[2], ""),  # the same instant, a new place
+    ("u1", 40.5, -0.0, FORMS[0], ""),
+    ("u1", 40.5, 0.0, FORMS[3], ""),
+]
+# Both coordinates bad: the reason is the first of non-finite, latitude, longitude.
+BAD_COORDINATE_ROWS = IN_ORDER_ROWS + [
+    ("u1", 95.0, 200.0, FORMS[0], ""),
+    ("u1", float("nan"), 200.0, FORMS[0], ""),
+    ("u1", 95.0, float("-inf"), FORMS[0], ""),
+]
+# Two users whose lines alternate.
+ALTERNATING_ROWS = [
+    (user, lat, 0.0, ts, "")
+    for ts in (FORMS[4], FORMS[0], FORMS[3])
+    for user, lat in (("u1", 40.5), ("u2", 40.25))
+]
+
+
 def render(rows, fmt: str) -> str:
     lines = ["user_id,lat,lon,timestamp,text"] if fmt == "csv" else []
     for row in rows:
@@ -558,6 +603,18 @@ class TestLoadTimelines:
     @example([], "csv")
     @example([], "jsonl")
     @example([0, 1], "jsonl")
+    @example(IMPOSSIBLE_STAMP_ROWS, "csv")
+    @example(IMPOSSIBLE_STAMP_ROWS, "jsonl")
+    @example(IN_ORDER_ROWS, "csv")  # no dedupe, no sort
+    @example(NEVER_DECREASING_ROWS, "csv")  # dedupe, no sort
+    @example(NEVER_DECREASING_ROWS, "jsonl")
+    @example(IN_ORDER_ROWS[::-1], "csv")  # out of order
+    @example(BAD_COORDINATE_ROWS, "csv")
+    @example(BAD_COORDINATE_ROWS, "jsonl")
+    @example(ALTERNATING_ROWS, "csv")  # the bound appends switch on every line
+    @example(ALTERNATING_ROWS, "jsonl")
+    @example(IN_ORDER_ROWS + [("u1", 40.5, 0.0, 1407016680, ""), ("u1", True, 0.0, FORMS[0], "")],
+             "jsonl")  # a timestamp that is no string, a coordinate that is a bool
     def test_matches_stage_composition(self, rows, fmt):
         assert_ingest_matches_reference(render(rows, fmt), fmt)
 
@@ -1039,7 +1096,8 @@ class TestDisplacementRow:
             *row[:5], to_epoch_us(start), to_epoch_us(end), *row[7:11],
             None if crossing is None else to_epoch_us(crossing),
         )
-        assert _parse_fields(list(_format_fields(fields))) == row
+        (line,) = csv.reader([_format_row(fields, CsvFields())])
+        assert _parse_fields(line) == row
 
 
 ROW_CLASSES = (
