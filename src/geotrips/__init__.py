@@ -3,7 +3,8 @@ aggregated travel-behavior products (OD matrices, time-of-day histograms,
 user-group partitions)."""
 
 from .displacement import Displacement, FilterConfig, RunReport, run_extraction
-from .records import TweetRecord, UserTimeline, load_timelines
+from .ingest import load_timelines
+from .records import TweetRecord, UserTimeline
 from .zones import EXTERNAL, ZoneSet, load_zones
 
 __version__ = "0.1.0"

@@ -12,9 +12,9 @@ import time
 
 from .displacement import FilterConfig, MPH_TO_MPS, RunReport, extract_to_csv, read_od_rows
 from .errors import ConfigError, GeotripsError, ValidationError
+from .ingest import load_timelines
 from .records import (
-    _open_lines, load_timelines, read_table, resolve_tz, write_records_csv, write_rejects_csv,
-    write_table,
+    _open_lines, read_table, resolve_tz, write_records_csv, write_rejects_csv, write_table,
 )
 from .zones import load_zones
 

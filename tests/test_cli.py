@@ -21,7 +21,7 @@ from geotrips.displacement import (
     write_displacements_csv,
 )
 from geotrips.errors import ValidationError
-from geotrips.records import load_timelines
+from geotrips.ingest import load_timelines
 from geotrips.synthgen import SynthConfig
 from geotrips.zones import load_zones
 

@@ -29,13 +29,13 @@ from geotrips.displacement import (
 )
 from geotrips.errors import ConfigError, ValidationError
 from geotrips.geometry import GeoPoint, haversine_m
+from geotrips.ingest import load_timelines
 from geotrips.records import (
     TweetRecord,
     UserTimeline,
     build_timelines,
     format_us,
     from_epoch_us,
-    load_timelines,
     to_epoch_us,
     write_records_csv,
 )

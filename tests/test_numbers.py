@@ -16,7 +16,8 @@ from geotrips.analytics import read_series_csv
 from geotrips.cli import main
 from geotrips.displacement import DISPLACEMENT_COLUMNS, FilterConfig, read_od_rows
 from geotrips.errors import ConfigError, GeotripsError, InvalidGeometryError
-from geotrips.records import RejectedLine, as_float, load_timelines
+from geotrips.ingest import load_timelines
+from geotrips.records import RejectedLine, as_float
 from geotrips.synthgen import SynthConfig, generate
 from geotrips.zones import load_zones
 from conftest import feature_collection, square_feature, square_ring

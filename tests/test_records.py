@@ -33,6 +33,7 @@ from geotrips.displacement import (
     write_displacements_csv,
 )
 from geotrips.errors import FormatMismatchError, ValidationError
+from geotrips.ingest import load_timelines
 from geotrips.records import (
     CsvFields,
     RejectedLine,
@@ -44,7 +45,6 @@ from geotrips.records import (
     dedupe_records,
     format_us,
     from_epoch_us,
-    load_timelines,
     parse_records,
     parse_timestamp,
     read_table,
