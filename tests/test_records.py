@@ -499,42 +499,46 @@ HARD_ROWS = [
 ]
 
 
-FORMS = TIMESTAMP_FORMS
 # Days and hours `datetime.fromisoformat` refuses, in the `...<digit>Z` form.
 IMPOSSIBLE_STAMP_ROWS = [
-    ("u1", 40.5, 0.0, FORMS[0], ""),
+    ("u1", 40.5, 0.0, TIMESTAMP_FORMS[0], ""),
     ("u1", 40.5, 0.0, "2014-02-30T00:00:00Z", ""),
-    ("u1", 40.25, 0.0, FORMS[3], ""),
+    ("u1", 40.25, 0.0, TIMESTAMP_FORMS[3], ""),
     ("u2", 40.5, 0.0, "2014-08-02T24:00:00Z", ""),
-    ("u2", 40.5, 0.0, FORMS[0], ""),
+    ("u2", 40.5, 0.0, TIMESTAMP_FORMS[0], ""),
 ]
 # One user whose times strictly increase.
 IN_ORDER_ROWS = [
-    ("u1", 40.5, 0.0, FORMS[4], ""),
-    ("u1", 40.25, 0.0, FORMS[0], ""),
-    ("u1", 40.5, 0.0, FORMS[3], ""),
+    ("u1", 40.5, 0.0, TIMESTAMP_FORMS[4], ""),
+    ("u1", 40.25, 0.0, TIMESTAMP_FORMS[0], ""),
+    ("u1", 40.5, 0.0, TIMESTAMP_FORMS[3], ""),
     ("u1", 40.25, -0.0, "2014-08-02T21:58:02Z", ""),
 ]
 # One user whose times never decrease, with adjacent exact duplicates.
 NEVER_DECREASING_ROWS = [
-    ("u1", 0.0, 0.0, FORMS[4], "a"),
-    ("u1", -0.0, 0.0, FORMS[4], "b"),  # == 0.0: the first one read stands
-    ("u1", 40.5, 0.0, FORMS[0], ""),
-    ("u1", 40.5, 0.0, FORMS[1], ""),  # the same instant and place
-    ("u1", 40.25, 0.0, FORMS[2], ""),  # the same instant, a new place
-    ("u1", 40.5, -0.0, FORMS[0], ""),
-    ("u1", 40.5, 0.0, FORMS[3], ""),
+    ("u1", 0.0, 0.0, TIMESTAMP_FORMS[4], "a"),
+    ("u1", -0.0, 0.0, TIMESTAMP_FORMS[4], "b"),  # == 0.0: the first one read stands
+    ("u1", 40.5, 0.0, TIMESTAMP_FORMS[0], ""),
+    ("u1", 40.5, 0.0, TIMESTAMP_FORMS[1], ""),  # the same instant and place
+    ("u1", 40.25, 0.0, TIMESTAMP_FORMS[2], ""),  # the same instant, a new place
+    ("u1", 40.5, -0.0, TIMESTAMP_FORMS[0], ""),
+    ("u1", 40.5, 0.0, TIMESTAMP_FORMS[3], ""),
 ]
 # Both coordinates bad: the reason is the first of non-finite, latitude, longitude.
 BAD_COORDINATE_ROWS = IN_ORDER_ROWS + [
-    ("u1", 95.0, 200.0, FORMS[0], ""),
-    ("u1", float("nan"), 200.0, FORMS[0], ""),
-    ("u1", 95.0, float("-inf"), FORMS[0], ""),
+    ("u1", 95.0, 200.0, TIMESTAMP_FORMS[0], ""),
+    ("u1", float("nan"), 200.0, TIMESTAMP_FORMS[0], ""),
+    ("u1", 95.0, float("-inf"), TIMESTAMP_FORMS[0], ""),
+]
+# A JSON timestamp that is no string, and a coordinate that is a bool.
+WRONG_TYPE_ROWS = IN_ORDER_ROWS + [
+    ("u1", 40.5, 0.0, 1407016680, ""),
+    ("u1", True, 0.0, TIMESTAMP_FORMS[0], ""),
 ]
 # Two users whose lines alternate.
 ALTERNATING_ROWS = [
     (user, lat, 0.0, ts, "")
-    for ts in (FORMS[4], FORMS[0], FORMS[3])
+    for ts in (TIMESTAMP_FORMS[4], TIMESTAMP_FORMS[0], TIMESTAMP_FORMS[3])
     for user, lat in (("u1", 40.5), ("u2", 40.25))
 ]
 
@@ -613,8 +617,7 @@ class TestLoadTimelines:
     @example(BAD_COORDINATE_ROWS, "jsonl")
     @example(ALTERNATING_ROWS, "csv")  # the bound appends switch on every line
     @example(ALTERNATING_ROWS, "jsonl")
-    @example(IN_ORDER_ROWS + [("u1", 40.5, 0.0, 1407016680, ""), ("u1", True, 0.0, FORMS[0], "")],
-             "jsonl")  # a timestamp that is no string, a coordinate that is a bool
+    @example(WRONG_TYPE_ROWS, "jsonl")
     def test_matches_stage_composition(self, rows, fmt):
         assert_ingest_matches_reference(render(rows, fmt), fmt)
 
