@@ -152,20 +152,22 @@ def cmd_extract(args: argparse.Namespace) -> int:
     os.makedirs(out_dir, exist_ok=True)
     ledger: dict = {}
 
-    t0 = time.perf_counter()
-    ingest = load_timelines(input_path, format=fmt, legacy_tz=legacy_tz)
-    timelines = ingest.timelines
-    ledger["ingest"] = _stage(t0, {"lines": ingest.lines_read}, {
-        "records": ingest.parsed_records, "rejects": len(ingest.rejects),
-        "duplicates": ingest.duplicates, "users": len(timelines),
-    })
-
+    # The zone map first: a bad map is refused before the corpus is read.
     t0 = time.perf_counter()
     zs = load_zones(zones_path)
     polygons = [p for z in zs.zones for p in z.polygons]
     ledger["zones"] = _stage(t0, {"features": len(zs.zones)}, {
         "polygons": len(polygons),
         "vertices": sum(len(r.lats) - 1 for p in polygons for r in (p.outer, *p.holes)),
+        "cells": zs.cells, "decided_cells": zs.decided_cells,
+    })
+
+    t0 = time.perf_counter()
+    ingest = load_timelines(input_path, format=fmt, legacy_tz=legacy_tz)
+    timelines = ingest.timelines
+    ledger["ingest"] = _stage(t0, {"lines": ingest.lines_read}, {
+        "records": ingest.parsed_records, "rejects": len(ingest.rejects),
+        "duplicates": ingest.duplicates, "users": len(timelines),
     })
 
     # No product replaces an earlier one until the report validates and all are written.

@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
-from .geometry import GeoPoint, haversine_m
+from .geometry import EARTH_RADIUS_M, GeoPoint, haversine_m
 from .records import (
     CsvFields,
     Fields,
@@ -35,6 +35,13 @@ from .records import (
 from .zones import EXTERNAL, ZoneSet
 
 MPH_TO_MPS = 0.44704
+
+# For two points under 1 degree apart in the plane, `haversine_m` is at most
+# this many metres per planar degree of their separation: sin x <= x and
+# cos <= 1 bound the haversine's sum by the planar one, and below 1 degree
+# asin exceeds its argument by under 2e-5.  Dividing by 0.999 keeps the bound
+# above the computed haversine by far more than either side's rounding.
+_BOUND_M_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0 * (1.0 + 2e-5) / 0.999
 
 
 class FilterConfig(Settings):
@@ -257,6 +264,11 @@ def _scan(
     consecutive pair `extract_displacements` sees next, so the same gap and
     distance decide the window and distance tests, and each displacement's
     fields are yielded once, labeled as `label_displacement` labels them.
+    The exact distance is computed only where a test needs it: a pair with a
+    positive gap whose planar bound (`_BOUND_M_PER_DEG`) is below both
+    ``max_speed * dt`` and, within the window, `min_displacement_distance`
+    is kept and is no displacement whatever its haversine, so the survivor
+    moves on without one.
     The three times stay epoch microseconds: the crossing is the datetime
     arithmetic of `label_displacement` done on the integers.  `report`'s
     user, record, speed-removal and displacement counts are set once the
@@ -267,6 +279,8 @@ def _scan(
     max_speed = cfg.max_speed
     window = cfg.time_window
     min_dist = cfg.min_displacement_distance
+    min_dist2 = min_dist * min_dist
+    bound2_per_deg2 = _BOUND_M_PER_DEG * _BOUND_M_PER_DEG
     total = inter = external = travelers = removed = 0
     for uid in sorted(active):
         before = total
@@ -275,6 +289,16 @@ def _scan(
         p_t, p_lat, p_lon = next(rows)
         for t, lat, lon in rows:
             dt = (t - p_t) / 1_000_000
+            if dt > 0.0:
+                dlat = lat - p_lat
+                dlon = lon - p_lon
+                near = dlat * dlat + dlon * dlon
+                if near < 1.0:
+                    bound2 = near * bound2_per_deg2
+                    v = max_speed * dt
+                    if bound2 < v * v and (dt > window or bound2 < min_dist2):
+                        p_t, p_lat, p_lon = t, lat, lon  # kept, and no displacement
+                        continue
             dist = haversine_m(p_lat, p_lon, lat, lon)
             if dt <= 0.0:
                 violates = dist > min_dist

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from typing import IO, NamedTuple
 
 from .errors import ConfigError, InvalidGeometryError
-from .geometry import GeoPoint, PolygonRing, ZonePolygon, point_in_polygon
+from .geometry import SLAB_MARGIN_DEG, GeoPoint, PolygonRing, ZonePolygon, point_in_polygon
 from .records import as_float, read_json, shown, source_name
 
 #: Sentinel label for points lying in no configured zone.
@@ -18,13 +19,18 @@ class Zone(NamedTuple):
 
 
 class ZoneSet:
-    """Immutable zone collection.
+    """Immutable zone collection, indexed by a grid of cells.
 
-    `label_point` scans the polygons in declaration order, skipping each one
-    whose outer ring's padded bounds miss the point, so overlapping zones go to
-    the zone declared first.  The scan costs time in proportion to the
-    polygon count; each ring's latitude-slab index keeps the point-in-polygon
-    test short.
+    `label_point` gives a point the zone of the first polygon, in declaration
+    order, that holds it (`point_in_polygon`), so overlapping zones go to the
+    zone declared first, and `EXTERNAL` when none does.  It looks the point up
+    in a uniform grid of ``g x g`` cells, ``g = 8 * isqrt(polygon count)``,
+    over the union of the outer rings' padded bounds; a point outside the
+    grid, NaN and infinite coordinates included, is `EXTERNAL`.  A cell holds
+    its label outright when the grid decides it; otherwise it holds, in
+    declaration order, the polygons that must still be tested exactly, and
+    the label that follows them (see `_grid`).  `cells` and
+    `decided_cells` count the grid's cells and those holding their label.
 
     An empty list, a `zone_id` that is not a non-empty string, a repeated
     `zone_id`, a zone named `EXTERNAL` and a `zone_id` holding a carriage
@@ -50,24 +56,115 @@ class ZoneSet:
             if "\r" in zid:  # a CSV writer would leave it unquoted
                 raise ConfigError(f"feature #{i} has a carriage return in zone_id {zid!r}")
             seen.add(zid)
-        self._entries: list[tuple[str, ZonePolygon, float, float, float, float]] = []
-        for zone in self.zones:
-            for poly in zone.polygons:
-                o = poly.outer
-                self._entries.append((zone.zone_id, poly, o.lat_lo, o.lat_hi, o.lon_lo, o.lon_hi))
+        self._grid = _grid([(zone.zone_id, poly) for zone in self.zones for poly in zone.polygons])
+        cells = self._grid[-1]
+        self.cells = len(cells)
+        self.decided_cells = sum(cell.__class__ is str for cell in cells)
 
     def label_point(self, p: GeoPoint) -> str:
         """Zone id of the first zone in declaration order that holds `p`, else EXTERNAL."""
-        lat = p.lat
-        lon = p.lon
-        for zone_id, poly, lat_lo, lat_hi, lon_lo, lon_hi in self._entries:
-            if lat_lo <= lat <= lat_hi and lon_lo <= lon <= lon_hi and point_in_polygon(p, poly):
+        lat0, ys, lon0, xs, g, cells = self._grid
+        y = (p.lat - lat0) * ys
+        x = (p.lon - lon0) * xs
+        if not (0.0 <= y < g and 0.0 <= x < g):  # also NaN and infinite coordinates
+            return EXTERNAL
+        cell = cells[int(y) * g + int(x)]
+        if cell.__class__ is str:
+            return cell
+        candidates, label = cell
+        for zone_id, poly in candidates:
+            if point_in_polygon(p, poly):
                 return zone_id
-        return EXTERNAL
+        return label
 
     @property
     def zone_ids(self) -> list[str]:
         return [z.zone_id for z in self.zones]
+
+
+def _grid(entries: list[tuple[str, ZonePolygon]]) -> tuple:
+    """The cell grid of `ZoneSet`: ``(lat0, ys, lon0, xs, g, cells)``, where a
+    point falls in cell ``int((lat - lat0) * ys) * g + int((lon - lon0) * xs)``.
+
+    Each polygon, in declaration order, reaches the cells its padded outer
+    bounds span: those are the only cells where `point_in_polygon` can hold.
+    In each of them the polygon is either decided, true or false for the
+    whole cell, or left for an exact test.  A cell is decided when no edge of
+    any of the polygon's rings has a bounding box within SLAB_MARGIN_DEG of
+    it.  Why that is exact: every point of the cell is then more than the
+    margin from every edge, so the on-edge test fails and each ray-crossing
+    comparison is decided far above its rounding, and the boundary does not
+    enter the cell, so every point of it gets the answer of the cell's
+    centre.  A run of such cells along a row is one region, and one centre
+    test serves it.  The cells a coordinate range reaches are found with the
+    lookup's own arithmetic, whose floor is monotone, so no point falls in a
+    cell its range misses.  A polygon with more vertices than the cells it
+    spans skips the per-edge pass and leaves all of them to the exact test.
+
+    A cell's label is the first polygon that holds the whole cell, after the
+    undecided polygons before it, kept as candidates in declaration order;
+    without such a polygon it is EXTERNAL.  A cell with no candidates holds
+    the label as a string, any other ``(candidates, label)``.
+    """
+    outers = [poly.outer for _, poly in entries]
+    g = 8 * math.isqrt(len(entries))
+    top = g - 1
+    lat0 = min(o.lat_lo for o in outers)
+    lon0 = min(o.lon_lo for o in outers)
+    ys = g / (max(o.lat_hi for o in outers) - lat0)
+    xs = g / (max(o.lon_hi for o in outers) - lon0)
+
+    def span(lo: float, hi: float, origin: float, scale: float) -> range:
+        return range(max(int((lo - origin) * scale), 0), min(int((hi - origin) * scale), top) + 1)
+
+    margin = SLAB_MARGIN_DEG
+    done: list[str | None] = [None] * (g * g)  # the first polygon that holds the whole cell
+    candidates: dict[int, list[tuple[str, ZonePolygon]]] = {}
+    for entry in entries:
+        zone_id, poly = entry
+        o = poly.outer
+        rows = span(o.lat_lo, o.lat_hi, lat0, ys)
+        cols = span(o.lon_lo, o.lon_hi, lon0, xs)
+        w = len(cols)
+        # near[r * w + c]: cell (rows[r], cols[c]) lies within the margin of an edge's box
+        near = bytearray(b"\1") * (len(rows) * w)
+        rings = (o, *poly.holes)
+        if sum(len(ring.lats) - 1 for ring in rings) <= len(near):
+            near = bytearray(len(near))
+            for ring in rings:
+                lats = ring.lats
+                lons = ring.lons
+                for k in range(len(lats) - 1):
+                    a, b = sorted(lats[k:k + 2])
+                    c, d = sorted(lons[k:k + 2])
+                    er = span(a - margin, b + margin, lat0, ys)
+                    ec = span(c - margin, d + margin, lon0, xs)
+                    c0 = max(ec.start, cols.start) - cols.start
+                    c1 = min(ec.stop, cols.stop) - cols.start
+                    if c0 < c1:
+                        run = b"\1" * (c1 - c0)
+                        for r in range(max(er.start, rows.start), min(er.stop, rows.stop)):
+                            at = (r - rows.start) * w
+                            near[at + c0:at + c1] = run
+        for r, i in enumerate(rows):
+            lat = lat0 + (i + 0.5) / ys
+            inside = None  # the answer of the current run of decided cells
+            for c, j in enumerate(cols):
+                cell = i * g + j
+                if near[r * w + c]:
+                    inside = None
+                    if done[cell] is None:
+                        candidates.setdefault(cell, []).append(entry)
+                elif done[cell] is None:
+                    if inside is None:
+                        inside = point_in_polygon(GeoPoint(lat, lon0 + (j + 0.5) / xs), poly)
+                    if inside:
+                        done[cell] = zone_id
+    cells = [
+        (tuple(candidates[cell]), label) if cell in candidates else label
+        for cell, label in enumerate(zone_id or EXTERNAL for zone_id in done)
+    ]
+    return lat0, ys, lon0, xs, g, cells
 
 
 def _ring_from_coords(coords, feature_label: str) -> PolygonRing:

@@ -424,6 +424,32 @@ class TestStreamingExtract:
         assert files() == before
         assert os.listdir(out / product) == []
 
+    def test_zone_ledger_counts_the_grid(self, tmp_path, hand_corpus, four_zone_geojson):
+        out = tmp_path / "out"
+        argv = ["extract", "--input", hand_corpus, "--zones", four_zone_geojson]
+        assert main(argv + ["--out", str(out)]) == 0
+        zs = load_zones(four_zone_geojson)
+        zones = json.loads((out / "timings.json").read_text())["zones"]
+        assert zones["out"] == {"polygons": 4, "vertices": 16, "cells": zs.cells,
+                                "decided_cells": zs.decided_cells}
+        assert 0 < zs.decided_cells < zs.cells == 16 * 16
+
+    def test_bad_zone_map_is_refused_before_the_corpus_is_read(
+        self, tmp_path, hand_corpus, monkeypatch, capsys
+    ):
+        zones = tmp_path / "zones.geojson"
+        zones.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {}, "geometry": None},
+        ]}))
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr("geotrips.cli.load_timelines", unread)
+        argv = ["extract", "--input", hand_corpus, "--zones", str(zones)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert "feature #0 has no zone_id property" in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     @pytest.fixture

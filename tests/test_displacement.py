@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import tracemalloc
 from array import array
 from datetime import datetime, timedelta, timezone
@@ -413,6 +414,155 @@ class TestFusedScan:
             len(got), sum(d.is_inter_zone for d in got),
             sum(d.touches_external for d in got), len({d.user_id for d in got}),
         )
+
+
+# Metres per degree of latitude on the package's sphere: a pair `d / M_PER_DEG`
+# degrees apart along a meridian is `d` metres apart, to the haversine's rounding.
+M_PER_DEG = 6_371_000.0 * math.pi / 180.0
+
+
+def pair_timelines(*steps, start=(40.1, -73.9)):
+    """One user's timeline from `start`: each step is (gap in µs, metres north,
+    metres east), the east offset scaled by the latitude's cosine."""
+    lat, lon = start
+    t = to_epoch_us(T0)
+    recs = [TweetRecord("u", lat, lon, t, "")]
+    for gap_us, north, east in steps:
+        t += gap_us
+        lat += north / M_PER_DEG
+        lon += east / (M_PER_DEG * math.cos(math.radians(lat)))
+        lon = lon - 360.0 if lon > 180.0 else lon + 360.0 if lon < -180.0 else lon
+        recs.append(TweetRecord("u", lat, lon, t, ""))
+    return {"u": UserTimeline.from_records("u", recs)}
+
+
+def assert_scan_matches_stages(timelines, cfg):
+    got, report = run_extraction(timelines, FUSED_ZONES, cfg)
+    expected, removed = stage_composition(timelines, FUSED_ZONES, cfg)
+    assert got == expected
+    assert report.speed_removed_records == removed
+    return got, removed
+
+
+class TestPairBound:
+    """`_scan` skips the haversine of a pair whose planar bound settles both of
+    its tests; every product must stay that of the stages, which always
+    compute it.  `FilterConfig()`: 100 m floor, 44.704 m/s, 7,200 s window."""
+
+    CFG = FilterConfig(min_tweets=2)
+
+    @pytest.mark.parametrize("metres, displaced", [
+        (99.8, 0),  # the bound settles it
+        (99.99, 0),  # the bound (0.1% over) does not
+        (100.0, 1),
+        (100.01, 1),
+    ])
+    def test_pairs_at_the_distance_floor(self, metres, displaced):
+        got, _ = assert_scan_matches_stages(pair_timelines((60_000_000, metres, 0.0)), self.CFG)
+        assert len(got) == displaced
+
+    @pytest.mark.parametrize("metres, gap_us, removed", [
+        # 1,000 m takes 22.3693629... s at 44.704 m/s, and 99 m 2.2145669... s
+        (1000.0, 22_369_363, 0),
+        (1000.0, 22_369_362, 1),
+        (99.0, 2_214_567, 0),
+        (99.0, 2_214_566, 1),
+        (99.0, 2_300_000, 0),  # the bound settles it
+    ])
+    def test_speeds_just_under_and_over_the_limit(self, metres, gap_us, removed):
+        _, got_removed = assert_scan_matches_stages(
+            pair_timelines((gap_us, metres, 0.0)), self.CFG
+        )
+        assert got_removed == removed
+
+    def test_the_bound_skips_the_haversine_only_where_it_settles_the_pair(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return haversine_m(*args)
+
+        monkeypatch.setattr("geotrips.displacement.haversine_m", counted)
+        # 50 m in a minute settles both tests; 150 m is a displacement, and
+        # 50 m in a second may break the speed limit.
+        for metres, gap_us, computed in ((50.0, 60_000_000, 0), (150.0, 60_000_000, 1),
+                                         (50.0, 1_000_000, 1)):
+            calls.clear()
+            run_extraction(pair_timelines((gap_us, metres, 0.0)), FUSED_ZONES, self.CFG)
+            assert len(calls) == computed
+
+    @pytest.mark.parametrize("gap_us, metres, removed, displaced", [
+        (7_200_000_000, 150.0, 0, 1),  # the gap exactly the window
+        (7_200_000_001, 150.0, 0, 0),  # one microsecond past it
+        (7_200_000_001, 50.0, 0, 0),
+        (0, 50.0, 0, 0),  # a zero gap within the floor is kept
+        (0, 150.0, 1, 0),  # and past it removed
+        (0, 0.0, 0, 0),
+    ])
+    def test_window_edges_and_zero_gaps(self, gap_us, metres, removed, displaced):
+        got, got_removed = assert_scan_matches_stages(
+            pair_timelines((gap_us, metres, 0.0)), self.CFG
+        )
+        assert (got_removed, len(got)) == (removed, displaced)
+
+    def test_pair_across_the_antimeridian(self):
+        # 22 m apart on the sphere, 359.9998 degrees apart in the plane
+        timelines = pair_timelines((60_000_000, 0.0, 22.0), (60_000_000, 0.0, 22.0),
+                                   start=(0.0, 179.9999))
+        assert timelines["u"].lons[1] < 0.0 < timelines["u"].lons[0]
+        got, removed = assert_scan_matches_stages(timelines, self.CFG)
+        assert (len(got), removed) == (0, 0)
+
+    def test_pair_more_than_a_degree_apart(self):
+        # 1.5 degrees north in 2 h: 23 m/s, within the window
+        got, removed = assert_scan_matches_stages(
+            pair_timelines((7_200_000_000, 1.5 * M_PER_DEG, 0.0)), self.CFG
+        )
+        assert (len(got), removed) == (1, 0)
+
+    @pytest.mark.parametrize("cfg", [
+        FilterConfig(min_tweets=2, min_displacement_distance=1e-6),
+        FilterConfig(min_tweets=2, time_window=1e9),
+        FilterConfig(min_tweets=2, min_displacement_distance=1e-6, time_window=1e9,
+                     max_speed=0.5),
+    ])
+    def test_other_settings(self, cfg):
+        steps = [(gap, north, east) for gap in (0, 1, 2_000_000, 7_200_000_001, 10**15)
+                 for north, east in ((0.0, 0.0), (1e-4, 0.0), (0.5, 0.5), (99.0, 0.0),
+                                     (3000.0, 400.0), (0.0, 2e5))]
+        assert_scan_matches_stages(pair_timelines(*steps), cfg)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        max_speed=st.floats(1.0, 100.0),
+        window_us=st.integers(60_000_000, 7_200_000_000),
+        min_dist=st.floats(1.0, 1000.0),
+        start=st.sampled_from([(40.1, -73.9), (40.25, -73.6), (0.0, 179.9995), (64.0, 10.0)]),
+        steps=st.lists(
+            st.tuples(
+                # the gap: zero, the window, a microsecond either side of it, or any
+                st.sampled_from(("zero", "window", "under", "over", "any")),
+                st.integers(1, 2 * 7_200_000_000),
+                st.booleans(),  # the distance near the floor, or near the speed limit
+                st.floats(0.99, 1.01),  # times that threshold
+                st.floats(0.0, 2.0 * math.pi),  # bearing
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_pairs_near_the_thresholds_match_the_stages(
+        self, max_speed, window_us, min_dist, start, steps
+    ):
+        cfg = FilterConfig(min_tweets=2, max_speed=max_speed, time_window=window_us / 1e6,
+                           min_displacement_distance=min_dist)
+        pairs = []
+        edges = {"zero": 0, "window": window_us, "under": window_us - 1, "over": window_us + 1}
+        for kind, any_gap, near_floor, factor, bearing in steps:
+            gap = edges.get(kind, any_gap)
+            metres = factor * (min_dist if near_floor or gap == 0 else max_speed * gap / 1e6)
+            pairs.append((gap, metres * math.cos(bearing), metres * math.sin(bearing)))
+        assert_scan_matches_stages(pair_timelines(*pairs, start=start), cfg)
 
 
 class TestDisplacementIsItsRow:

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import feature_collection, square_feature, square_ring
 from geotrips.errors import ConfigError, InvalidGeometryError
-from geotrips.geometry import EDGE_TOLERANCE_DEG, GeoPoint
+from geotrips.geometry import EDGE_TOLERANCE_DEG, GeoPoint, PolygonRing, ZonePolygon
 from geotrips.zones import EXTERNAL, Zone, ZoneSet, load_zones
 from oracles import label_point_scan, random_simple_polygon
 
@@ -421,3 +422,162 @@ class TestLabelPoint:
     def test_determinism(self, four_zone_map):
         p = GeoPoint(40.35, -73.65)
         assert len({four_zone_map.label_point(p) for _ in range(100)}) == 1
+
+
+def square_ring_of(lat0, lon0, size):
+    return PolygonRing([lat0, lat0, lat0 + size, lat0 + size], [lon0, lon0 + size, lon0 + size, lon0])
+
+
+def drawn_polygon(shape):
+    """A polygon of a `shape_st` draw."""
+    kind, lat0, lon0, size, detail = shape
+    if kind == "square":
+        return ZonePolygon(square_ring_of(lat0, lon0, size))
+    if kind == "holed":  # a centred square hole, `detail` of the side
+        inset = size * (1.0 - detail) / 2.0
+        return ZonePolygon(square_ring_of(lat0, lon0, size),
+                           (square_ring_of(lat0 + inset, lon0 + inset, size * detail),))
+    rng = np.random.default_rng(round(1e6 * detail))
+    centre = (lat0 + size / 2.0, lon0 + size / 2.0)
+    verts = random_simple_polygon(rng, 3 + round(400 * detail), centre, size / 2.0)
+    return ZonePolygon(PolygonRing(verts[:, 0], verts[:, 1]))
+
+
+# Squares, squares with a hole and star polygons of 3 to 403 vertices, all
+# inside lat 40-42 and lon -74 to -72, so that they overlap often.
+shape_st = st.tuples(
+    st.sampled_from(("square", "holed", "star")),
+    st.floats(40.0, 41.0), st.floats(-74.0, -73.0), st.floats(0.01, 1.0), st.floats(0.05, 0.95),
+)
+
+
+def in_decided_cell(zs, p):
+    lat0, ys, lon0, xs, g, cells = zs._grid
+    return cells[int((p.lat - lat0) * ys) * g + int((p.lon - lon0) * xs)].__class__ is str
+
+
+class TestZoneGrid:
+    """`label_point` answers from a grid of cells; it must give the label of
+    `label_point_scan`, the walk over every edge of every polygon."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        shapes=st.lists(shape_st, min_size=1, max_size=6),
+        spots=st.lists(st.tuples(st.floats(-0.1, 1.1), st.floats(-0.1, 1.1)), max_size=30),
+        rows=st.lists(st.integers(0, 10**6), max_size=12),
+    )
+    def test_grid_matches_the_scan(self, shapes, spots, rows):
+        zs = ZoneSet([Zone(f"z{k}", (drawn_polygon(s),)) for k, s in enumerate(shapes)])
+        lat0, ys, lon0, xs, g, _ = zs._grid
+        lat1 = lat0 + g / ys
+        lon1 = lon0 + g / xs
+        points = [GeoPoint(lat0 + (lat1 - lat0) * u, lon0 + (lon1 - lon0) * v) for u, v in spots]
+        for k, (u, v) in zip(rows, spots):
+            # on a cell border in each direction, and on the grid's outer
+            # edges and just past them
+            points.append(GeoPoint(lat0 + (k % (g + 1)) / ys, lon0 + (lon1 - lon0) * v))
+            points.append(GeoPoint(lat0 + (lat1 - lat0) * u, lon0 + (k % (g + 1)) / xs))
+            for lat in (lat0, lat1, math.nextafter(lat0, -math.inf), math.nextafter(lat1, math.inf)):
+                points.append(GeoPoint(lat, lon0 + (lon1 - lon0) * v))
+            for lon in (lon0, lon1, math.nextafter(lon0, -math.inf), math.nextafter(lon1, math.inf)):
+                points.append(GeoPoint(lat0 + (lat1 - lat0) * u, lon))
+        for z in zs.zones:  # vertices, on the boundary
+            for ring in (z.polygons[0].outer, *z.polygons[0].holes):
+                points += ring.vertices[:3]
+        for p in points:
+            assert zs.label_point(p) == label_point_scan(zs, p), p
+
+    @pytest.mark.parametrize("lat, lon", [
+        (math.nan, -73.9), (40.1, math.nan), (math.nan, math.nan),
+        (math.inf, -73.9), (-math.inf, -73.9), (40.1, math.inf), (40.1, -math.inf),
+        (math.inf, math.inf), (1e308, -73.9),
+    ])
+    def test_nan_and_infinite_points_are_external(self, four_zone_map, lat, lon):
+        for zs in (four_zone_map, overlap_map(), holed_multipolygon_map()):
+            assert zs.label_point(GeoPoint(lat, lon)) == label_point_scan(zs, GeoPoint(lat, lon))
+            assert zs.label_point(GeoPoint(lat, lon)) == EXTERNAL
+
+    def test_overlapping_zones_keep_declaration_order(self):
+        zs = overlap_map()
+        # second's interior below first's top edge goes to first, above it to
+        # second; cells on first's edge keep both as candidates, in order
+        for p, zone in ((GeoPoint(40.15, -73.95), "first"), (GeoPoint(40.28, -73.95), "second")):
+            assert zs.label_point(p) == label_point_scan(zs, p) == zone
+
+    def test_a_hole_that_covers_whole_cells(self):
+        # 8 x 8 cells of 0.125 degrees; the 0.8-degree hole covers whole cells,
+        # and a zone declared later fills the middle of the hole
+        zs = ZoneSet([
+            Zone("holed", (ZonePolygon(square_ring_of(40.0, -74.0, 1.0),
+                                       (square_ring_of(40.1, -73.9, 0.8),)),)),
+            Zone("core", (ZonePolygon(square_ring_of(40.3, -73.7, 0.4)),)),
+        ])
+        assert zs.cells == 8 * 8
+        for p, zone, decided in (
+            (GeoPoint(40.2, -73.8), EXTERNAL, True),  # in the hole, outside core
+            (GeoPoint(40.45, -73.55), "core", True),
+            (GeoPoint(40.05, -73.5), "holed", False),  # the band is thinner than a cell
+            (GeoPoint(40.1, -73.5), "holed", False),  # on the hole's edge
+        ):
+            assert zs.label_point(p) == label_point_scan(zs, p) == zone
+            assert in_decided_cell(zs, p) == decided
+
+    def test_an_edge_on_a_cell_border(self):
+        # A square whose bottom and left edges lie exactly on the first
+        # latitude of a row and the first longitude of a column: a point just
+        # across such an edge, within the edge tolerance, is in the square
+        # but falls in the next cell, which must not be decided.
+        frame = ZonePolygon(square_ring_of(40.0, -74.0, 1.0))  # sets the grid's bounds
+
+        def zone_set(lat, lon):
+            return ZoneSet([Zone("square", (ZonePolygon(square_ring_of(lat, lon, 0.2)),)),
+                            Zone("frame", (frame,))])
+
+        lat0, ys, lon0, xs, g, _ = zone_set(40.3, -73.7)._grid
+
+        def first_of(k, origin, scale):
+            x = origin + k / scale
+            while int((x - origin) * scale) >= k:
+                x = math.nextafter(x, -math.inf)
+            while int((x - origin) * scale) < k:
+                x = math.nextafter(x, math.inf)
+            return x
+
+        lat, lon = first_of(3, lat0, ys), first_of(5, lon0, xs)
+        zs = zone_set(lat, lon)
+        assert zs._grid[:5] == (lat0, ys, lon0, xs, g)
+        near = 0.5 * EDGE_TOLERANCE_DEG
+        for p in (GeoPoint(lat - near, lon + 0.1), GeoPoint(lat + 0.1, lon - near)):
+            assert not in_decided_cell(zs, p)
+            assert zs.label_point(p) == label_point_scan(zs, p) == "square"
+
+    def test_a_dense_ring_is_left_to_the_exact_test(self):
+        # a 2,000-vertex star has more vertices than the cells it spans, and
+        # so none of its cells is decided; the squares beside it are
+        rng = np.random.default_rng(3)
+        star = random_simple_polygon(rng, 2000, (40.5, -73.5), 0.4)
+        zs = ZoneSet([
+            Zone("star", (ZonePolygon(PolygonRing(star[:, 0], star[:, 1])),)),
+            Zone("a", (ZonePolygon(square_ring_of(40.0, -74.5, 0.4)),)),
+            Zone("b", (ZonePolygon(square_ring_of(40.6, -74.5, 0.4)),)),
+        ])
+        assert zs.cells == 8 * 8
+        o = zs.zones[0].polygons[0].outer
+        lat0, ys, lon0, xs, g, cells = zs._grid
+        for i in range(g):
+            for j in range(g):
+                p = GeoPoint(lat0 + (i + 0.5) / ys, lon0 + (j + 0.5) / xs)
+                in_star_bounds = o.lat_lo <= p.lat <= o.lat_hi and o.lon_lo <= p.lon <= o.lon_hi
+                if in_star_bounds:
+                    assert not in_decided_cell(zs, p)
+                assert zs.label_point(p) == label_point_scan(zs, p)
+        for p, zone in ((GeoPoint(40.2, -74.3), "a"), (GeoPoint(40.8, -74.3), "b")):
+            assert in_decided_cell(zs, p)
+            assert zs.label_point(p) == zone
+
+    def test_square_interiors_are_decided(self, four_zone_map):
+        assert four_zone_map.cells == 16 * 16
+        for p, zone in ((GeoPoint(40.1, -73.9), "alpha"), (GeoPoint(40.4, -73.6), "delta"),
+                        (GeoPoint(40.25, -73.75), EXTERNAL)):
+            assert in_decided_cell(four_zone_map, p)
+            assert four_zone_map.label_point(p) == zone
