@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import math
 from datetime import tzinfo
-from operator import attrgetter
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .displacement import Displacement, ODRow
 from .errors import EmptyODError, ValidationError
-from .records import Fields, as_float, read_table, write_table
+from .records import Fields, as_float, from_epoch_us, read_table, write_table
 from .zones import EXTERNAL
 
 #: Wildcard for direction filters: matches any zone.
@@ -19,7 +18,14 @@ ANY = None
 
 _SUM_TOL = 1e-9  # how far from 1 a series `compare_distributions` takes may sum
 
-_OD_FIELDS = attrgetter("user_id", "origin_zone", "destination_zone", "crossing_time_estimate")
+#: The cutoffs `classify_groups` takes: the test, and its rule as text.
+CUTOFF_RANGE = (lambda cutoff: 0.0 < cutoff < 1.0, "in (0, 1)")
+
+
+def _od_row_of(d: Displacement) -> ODRow:
+    """`d` as the `ODRow` that `read_od_rows` gives for its line."""
+    crossing = None if d.crossing is None else from_epoch_us(d.crossing)
+    return d.user_id, d.origin_zone, d.destination_zone, crossing
 
 
 class UserProfile(NamedTuple):
@@ -94,8 +100,9 @@ def classify_groups(
     """
     if not profiles:
         raise ValidationError("cannot classify an empty profile list")
-    if not 0.0 < cutoff < 1.0:
-        raise ValidationError("cutoff must lie in (0, 1)")
+    in_range, rule = CUTOFF_RANGE
+    if not in_range(cutoff):
+        raise ValidationError(f"cutoff must lie {rule}")
     ranked = sorted(profiles, key=lambda p: (-p.tweet_count, p.user_id))
     k = max(1, math.ceil(cutoff * len(ranked)))
     high = ranked[:k]
@@ -188,7 +195,7 @@ def time_of_day_histogram(
     are excluded unless `include_intra` is set (see `aggregate`).
     """
     _, (hist,), _ = aggregate(
-        map(_OD_FIELDS, displacements), tz, [(origin, destination)], include_intra=include_intra
+        map(_od_row_of, displacements), tz, [(origin, destination)], include_intra=include_intra
     )
     return hist
 
@@ -205,7 +212,7 @@ def aggregate_od(
     normalized over the included cells only.
     """
     pair_counts, _, _ = aggregate(
-        map(_OD_FIELDS, displacements), None, (), include_intra, include_external
+        map(_od_row_of, displacements), None, (), include_intra, include_external
     )
     return od_matrix(pair_counts)
 

@@ -14,7 +14,7 @@ from .displacement import FilterConfig, MPH_TO_MPS, RunReport, extract_to_csv, r
 from .errors import ConfigError, GeotripsError, ValidationError
 from .ingest import load_timelines
 from .records import (
-    _open_lines, read_table, resolve_tz, write_records_csv, write_rejects_csv, write_table,
+    _open_lines, read_table, resolve_tz, shown, write_records_csv, write_rejects_csv, write_table,
 )
 from .zones import load_zones
 
@@ -148,8 +148,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
     tz = resolve_tz(args.tz)
     fmt = _infer_format(input_path, args.format)
     legacy_tz = tz if args.legacy_timestamps else None
-
-    os.makedirs(out_dir, exist_ok=True)
     ledger: dict = {}
 
     # The zone map first: a bad map is refused before the corpus is read.
@@ -171,6 +169,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     })
 
     # No product replaces an earlier one until the report validates and all are written.
+    os.makedirs(out_dir, exist_ok=True)
     with _products(out_dir) as part:
         t0 = time.perf_counter()
         with open(part("displacements.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -208,7 +207,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def _profiles_from(disp_counts: dict[str, int], users_path: str) -> list[analytics.UserProfile]:
     """The rows of `users_path` as profiles, each with its count in
-    `disp_counts`.  A negative count, a count below a user's displacements
+    `disp_counts`.  A count written otherwise than `extract` writes one (as
+    `str` of an int), a negative count, a count below a user's displacements
     plus one (k displacements join k + 1 records), a user listed twice, or a
     user with displacements but no row means the file is not the one written
     with the displacements: it is a `ValidationError` naming the file and the
@@ -218,8 +218,10 @@ def _profiles_from(disp_counts: dict[str, int], users_path: str) -> list[analyti
     seen: set[str] = set()
 
     def profile(row: list[str]) -> analytics.UserProfile:
-        uid = row[0]
-        p = analytics.UserProfile(uid, int(row[1]), disp_counts.get(uid, 0))
+        uid, text = row
+        p = analytics.UserProfile(uid, int(text), disp_counts.get(uid, 0))
+        if text != str(p.tweet_count):  # `int` also takes "1_112", " +1102", "007"
+            raise ValueError(f"user_id {uid!r} has a tweet_count {text!r} that extract does not write")
         if p.tweet_count < 0:
             raise ValueError(f"user_id {uid!r} has a negative tweet_count {p.tweet_count}")
         if p.displacement_count and p.tweet_count <= p.displacement_count:
@@ -253,6 +255,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if users_path is None:
         users_path = os.path.join(os.path.dirname(disp_path), "users.csv")
     tz = resolve_tz(args.tz)
+    in_range, rule = analytics.CUTOFF_RANGE
+    if not in_range(args.group_cutoff):
+        raise ConfigError(f"group_cutoff = {shown(args.group_cutoff)} is out of range: must be {rule}")
     if not os.path.exists(users_path):
         raise ConfigError(
             f"users file not found: {users_path} (written by 'extract'; pass --users)"
@@ -342,8 +347,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     cfg = synthgen.load_config(args.config, seed=args.seed)
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     records, trips = synthgen.generate(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     with _products(out_dir) as part:
         with open(part("corpus.csv"), "w", encoding="utf-8", newline="") as fh:
             write_records_csv(records, fh)

@@ -11,6 +11,7 @@ estimated as the interval midpoint.
 from __future__ import annotations
 
 import math
+from array import array
 from datetime import datetime, timedelta
 from itertools import repeat
 from operator import itemgetter
@@ -63,8 +64,8 @@ class FilterConfig(Settings):
 class Displacement(NamedTuple):
     """One displacement as its row: the `DISPLACEMENT_COLUMNS` values in
     order, unformatted, with the three times as UTC epoch microseconds (see
-    `records.to_epoch_us`).  The properties view the row as `GeoPoint`s and
-    `timezone.utc` datetimes."""
+    `records.to_epoch_us`).  `origin` and `destination` view the endpoints as
+    `GeoPoint`s."""
 
     user_id: str
     origin_lat: float
@@ -86,30 +87,6 @@ class Displacement(NamedTuple):
     @property
     def destination(self) -> GeoPoint:
         return GeoPoint(self.dest_lat, self.dest_lon)
-
-    @property
-    def start_time(self) -> datetime:
-        return from_epoch_us(self.start)
-
-    @property
-    def end_time(self) -> datetime:
-        return from_epoch_us(self.end)
-
-    @property
-    def crossing_time_estimate(self) -> datetime | None:
-        return None if self.crossing is None else from_epoch_us(self.crossing)
-
-    @property
-    def is_inter_zone(self) -> bool:
-        return (
-            self.origin_zone is not None
-            and self.destination_zone is not None
-            and self.origin_zone != self.destination_zone
-        )
-
-    @property
-    def touches_external(self) -> bool:
-        return EXTERNAL in (self.origin_zone, self.destination_zone)
 
 
 class RunReport(Fields):
@@ -207,7 +184,12 @@ def remove_speed_violations(
             removed.append(TweetRecord(tl.user_id, lats[i], lons[i], times[i]))
         else:
             kept.append(i)
-    return tl.take(kept), removed
+    return UserTimeline(
+        tl.user_id,
+        array("q", list(map(times.__getitem__, kept))),
+        array("d", list(map(lats.__getitem__, kept))),
+        array("d", list(map(lons.__getitem__, kept))),
+    ), removed
 
 
 def extract_displacements(tl: UserTimeline, cfg: FilterConfig) -> list[Displacement]:
@@ -245,7 +227,7 @@ def label_displacement(d: Displacement, zs: ZoneSet) -> Displacement:
     origin_zone = zs.label_point(d.origin)
     dest_zone = zs.label_point(d.destination)
     if origin_zone != dest_zone:
-        crossing = to_epoch_us(d.start_time + timedelta(seconds=d.duration / 2.0))
+        crossing = to_epoch_us(from_epoch_us(d.start) + timedelta(seconds=d.duration / 2.0))
     else:
         crossing = d.start
     return d._replace(origin_zone=origin_zone, destination_zone=dest_zone, crossing=crossing)

@@ -35,17 +35,13 @@ T = TypeVar("T")
 
 class TweetRecord(NamedTuple):
     """One record as its row, with `time` in UTC epoch microseconds (see
-    `to_epoch_us`); `timestamp` views it as a `timezone.utc` datetime."""
+    `to_epoch_us`; `from_epoch_us` gives it back as a datetime)."""
 
     user_id: str
     lat: float
     lon: float
     time: int
     text: str = ""
-
-    @property
-    def timestamp(self) -> datetime:
-        return from_epoch_us(self.time)
 
 
 class RejectedLine(NamedTuple):
@@ -148,15 +144,6 @@ class UserTimeline(Frozen):
             array("q", [r.time for r in recs]),
             array("d", [r.lat for r in recs]),
             array("d", [r.lon for r in recs]),
-        )
-
-    def take(self, rows: list[int]) -> UserTimeline:
-        """The timeline of `rows`, in that order, in fresh, exactly sized arrays."""
-        return UserTimeline(
-            self.user_id,
-            array("q", list(map(self.times.__getitem__, rows))),
-            array("d", list(map(self.lats.__getitem__, rows))),
-            array("d", list(map(self.lons.__getitem__, rows))),
         )
 
     def __len__(self) -> int:

@@ -23,7 +23,7 @@ from .displacement import FilterConfig
 from .errors import ConfigError
 from .geometry import GeoPoint, haversine_m
 from .records import (
-    Settings, TweetRecord, as_float, format_us, from_epoch_us, has_type, parse_timestamp, read_json,
+    Settings, TweetRecord, as_float, format_us, has_type, parse_timestamp, read_json,
     read_table, resolve_tz, shown, to_epoch_us, write_table,
 )
 from .zones import ZoneSet, load_zones
@@ -173,17 +173,12 @@ def load_config(path: str, seed: int | None = None) -> SynthConfig:
 
 
 class GroundTruthTrip(NamedTuple):
-    """One planted trip as its row, with `crossing` in UTC epoch microseconds;
-    `true_crossing_time` views it as a `timezone.utc` datetime."""
+    """One planted trip as its row, with `crossing` in UTC epoch microseconds."""
 
     user_id: str
     origin_zone: str
     destination_zone: str
     crossing: int
-
-    @property
-    def true_crossing_time(self) -> datetime:
-        return from_epoch_us(self.crossing)
 
 
 def _zone_interior_point(zs: ZoneSet, zone_id: str, rng: random.Random) -> GeoPoint:

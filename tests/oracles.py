@@ -9,7 +9,9 @@ that the indexed `point_in_polygon` must match bit for bit,
 the per-product aggregations (`od_matrix_per_call`,
 `histogram_per_call`, `displacements_per_user`), one walk over the
 displacements for each product, that the single walk of
-`analytics.aggregate` must match, and `format_timestamp`, the datetime's
+`analytics.aggregate` must match, the zone rules `is_inter_zone` and
+`touches_external` that the package states in its scan and its walk, and
+`format_timestamp`, the datetime's
 own ISO 8601 text that `records.format_us` must match from the integer.
 """
 
@@ -25,6 +27,7 @@ from geotrips.analytics import ODMatrix, TimeOfDayHistogram
 from geotrips.displacement import Displacement
 from geotrips.errors import EmptyODError
 from geotrips.geometry import EDGE_TOLERANCE_DEG, GeoPoint, PolygonRing, ZonePolygon
+from geotrips.records import from_epoch_us
 from geotrips.zones import EXTERNAL, ZoneSet
 
 
@@ -166,18 +169,28 @@ def histogram_per_call(
     """One direction's hour-of-day histogram by its own walk."""
     hist = TimeOfDayHistogram(direction=(origin, destination))
     for d in displacements:
-        if d.crossing_time_estimate is None:
+        if d.crossing is None:
             continue
-        if not include_intra and not d.is_inter_zone:
+        if not include_intra and not is_inter_zone(d):
             continue
         if origin is not None and d.origin_zone != origin:
             continue
         if destination is not None and d.destination_zone != destination:
             continue
-        local = d.crossing_time_estimate.astimezone(tz)
+        local = from_epoch_us(d.crossing).astimezone(tz)
         bins = hist.weekend_counts if local.weekday() >= 5 else hist.weekday_counts
         bins[local.hour] += 1
     return hist
+
+
+def is_inter_zone(d: Displacement) -> bool:
+    """The inter-zone rule: both ends labeled, with different labels."""
+    return d.origin_zone is not None and d.destination_zone is not None and d.origin_zone != d.destination_zone
+
+
+def touches_external(d: Displacement) -> bool:
+    """The `EXTERNAL` rule: either end is labeled `EXTERNAL`."""
+    return EXTERNAL in (d.origin_zone, d.destination_zone)
 
 
 def displacements_per_user(displacements: list[Displacement]) -> dict[str, int]:

@@ -33,7 +33,7 @@ from geotrips.geometry import (
     haversine_m,
 )
 from geotrips.records import (
-    TweetRecord, UserTimeline, build_timelines, dedupe_records, parse_records, to_epoch_us,
+    TweetRecord, UserTimeline, build_timelines, dedupe_records, from_epoch_us, parse_records, to_epoch_us,
 )
 from geotrips.synthgen import SynthConfig, generate
 from geotrips.zones import Zone, ZoneSet, load_zones
@@ -118,7 +118,7 @@ def test_criterion_03_speed_filter_postcondition():
             filtered, removed = remove_speed_violations(tl, cfg)
             removed_total += len(removed)
             for a, b in zip(filtered.records, filtered.records[1:]):
-                dt = (b.timestamp - a.timestamp).total_seconds()
+                dt = (from_epoch_us(b.time) - from_epoch_us(a.time)).total_seconds()
                 if dt > 0:
                     assert haversine_m(a.lat, a.lon, b.lat, b.lon) / dt <= cfg.max_speed
         if rate == 0.0:
@@ -148,10 +148,11 @@ def test_criterion_04_displacement_pairing_oracle():
         got = extract_displacements(tl, cfg)
         expected = []
         for a, b in zip(recs, recs[1:]):
-            dt = (b.timestamp - a.timestamp).total_seconds()
+            t0, t1 = from_epoch_us(a.time), from_epoch_us(b.time)
+            dt = (t1 - t0).total_seconds()
             if 0 < dt <= cfg.time_window and haversine_m(a.lat, a.lon, b.lat, b.lon) >= cfg.min_displacement_distance:
-                expected.append((a.timestamp, b.timestamp))
-        assert [(d.start_time, d.end_time) for d in got] == expected, f"case {case}"
+                expected.append((t0, t1))
+        assert [(from_epoch_us(d.start), from_epoch_us(d.end)) for d in got] == expected, f"case {case}"
     report_pass(4, "100 random timelines match the hand-rule oracle exactly")
 
 

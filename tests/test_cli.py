@@ -25,6 +25,8 @@ from geotrips.ingest import load_timelines
 from geotrips.synthgen import SynthConfig
 from geotrips.zones import load_zones
 
+from conftest import feature_collection, square_feature
+
 DISPLACEMENT_HEADER = ",".join(DISPLACEMENT_COLUMNS) + "\n"
 # A command's timings.json holds its peak RSS where the platform has `resource`.
 PEAK_RSS = ["peak_rss_mb"] if importlib.util.find_spec("resource") else []
@@ -606,14 +608,20 @@ class TestAnalyzeCommand:
             ("u1,many", "invalid literal for int() with base 10: 'many'"),
             # classify_groups ranks by tweet_count: a negative one would reorder the groups
             ("u1,-5", "user_id 'u1' has a negative tweet_count -5"),
+            # `int` reads each of these, but extract writes a count as `str` of an int
+            ("u1,1_112", "user_id 'u1' has a tweet_count '1_112' that extract does not write"),
+            ("u1, +1102", "user_id 'u1' has a tweet_count ' +1102' that extract does not write"),
+            ("u1,\u0663", "user_id 'u1' has a tweet_count '\u0663' that extract does not write"),
+            ("u1,007", "user_id 'u1' has a tweet_count '007' that extract does not write"),
         ],
-        ids=["short-row", "non-integer-count", "negative-count"],
+        ids=["short-row", "non-integer-count", "negative-count", "underscore-count",
+             "signed-count", "arabic-indic-count", "zero-padded-count"],
     )
     def test_malformed_users_row_names_its_line(self, tmp_path, extracted, row, reason, capsys):
         users = tmp_path / "users.csv"
         lines = (extracted / "users.csv").read_text().splitlines()
         lines[2] = row
-        users.write_text("\n".join(lines) + "\n")
+        users.write_text("\n".join(lines) + "\n", encoding="utf-8")
         rc = main([
             "analyze", "--displacements", str(extracted / "displacements.csv"),
             "--users", str(users), "--out", str(tmp_path / "an4"),
@@ -1367,3 +1375,54 @@ class TestBadConfiguration:
         cfg.write_text(doc)
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
         assert capsys.readouterr().err == f"error: {message.format(path=cfg)}\n"
+
+
+class TestRefusalLeavesNoOutput:
+    """A command refused before it writes leaves no `--out` directory behind."""
+
+    def test_extract_with_an_empty_zone_map(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("user_id,lat,lon,timestamp,text\n")
+        zones = tmp_path / "empty.geojson"
+        zones.write_text('{"type": "FeatureCollection", "features": []}')
+        out = tmp_path / "fresh_out"
+        argv = ["extract", "--input", str(corpus), "--zones", str(zones), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {zones}: no zones\n"
+        assert not out.exists()
+
+    def test_synth_with_a_shadowed_zone(self, tmp_path, capsys):
+        """Zone `b` lies inside the earlier-declared `a`, which claims every
+        point of it, so `generate` finds no point labeled `b`."""
+        zones = tmp_path / "zones.geojson"
+        zones.write_text(json.dumps(feature_collection(
+            square_feature("a", 40.0, -74.0, 0.4), square_feature("b", 40.1, -73.9, 0.1),
+        )))
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"zones": str(zones), "od_weights": {"a": {"b": 1.0}}}))
+        out = tmp_path / "fresh_out"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: could not sample an interior point for zone 'b'\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("cutoff", ["2.0", "0.0", "1.0", "-0.5", "nan"])
+def test_group_cutoff_is_refused_before_any_input_is_read(tmp_path, source, cutoff, capsys):
+    """The displacement file is malformed and is never read: the cutoff's
+    refusal, in the form of every other setting's, is what is printed."""
+    disp = tmp_path / "displacements.csv"
+    disp.write_text("not,a,displacement,file\n")
+    (tmp_path / "users.csv").write_text("user_id,tweet_count\nu1,5\n")
+    argv = ["analyze", "--displacements", str(disp), "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--group-cutoff", cutoff]
+    else:
+        (tmp_path / "analyze.cfg").write_text(f"group_cutoff = {cutoff}\n")
+        argv += ["--config", str(tmp_path / "analyze.cfg")]
+    assert main(argv) == 1
+    shown = repr(float(cutoff))
+    assert capsys.readouterr().err == (
+        f"error: group_cutoff = {shown} is out of range: must be in (0, 1)\n"
+    )
+    assert not (tmp_path / "out").exists()

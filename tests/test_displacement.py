@@ -42,6 +42,7 @@ from geotrips.records import (
 )
 from geotrips.synthgen import SynthConfig, generate
 from geotrips.zones import EXTERNAL, load_zones
+from oracles import is_inter_zone, touches_external
 
 T0 = datetime(2014, 8, 2, 12, 0, tzinfo=timezone.utc)
 
@@ -52,7 +53,7 @@ def rec(minutes=0.0, lat=40.1, lon=-73.9, user="u1"):
 
 def timeline(*records):
     uid = records[0].user_id if records else "u1"
-    return UserTimeline.from_records(uid, sorted(records, key=lambda r: r.timestamp))
+    return UserTimeline.from_records(uid, sorted(records, key=lambda r: r.time))
 
 
 class TestFilterConfig:
@@ -178,7 +179,7 @@ class TestRemoveSpeedViolations:
         recs = [rec(minutes=m, lat=lat) for m, lat in rows]
         kept, _ = remove_speed_violations(timeline(*recs), cfg)
         for a, b in zip(kept.records, kept.records[1:]):
-            dt = (b.timestamp - a.timestamp).total_seconds()
+            dt = (from_epoch_us(b.time) - from_epoch_us(a.time)).total_seconds()
             d = haversine_m(a.lat, a.lon, b.lat, b.lon)
             if dt > 0:
                 assert d / dt <= cfg.max_speed
@@ -191,7 +192,7 @@ def pairing_oracle(records, cfg):
     out = []
     for i in range(len(records) - 1):
         a, b = records[i], records[i + 1]
-        dt = (b.timestamp - a.timestamp).total_seconds()
+        dt = (from_epoch_us(b.time) - from_epoch_us(a.time)).total_seconds()
         dist = haversine_m(a.lat, a.lon, b.lat, b.lon)
         if 0 < dt <= cfg.time_window and dist >= cfg.min_displacement_distance:
             out.append((i, i + 1))
@@ -228,8 +229,8 @@ class TestExtractDisplacements:
         expected = pairing_oracle(list(tl.records), cfg)
         assert len(ds) == len(expected)
         for d, (i, j) in zip(ds, expected):
-            assert d.start_time == tl.records[i].timestamp
-            assert d.end_time == tl.records[j].timestamp
+            assert from_epoch_us(d.start) == from_epoch_us(tl.records[i].time)
+            assert from_epoch_us(d.end) == from_epoch_us(tl.records[j].time)
 
     @given(st.lists(st.tuples(st.floats(0, 500), st.floats(40.0, 40.4)), max_size=20))
     def test_shrinking_window_never_adds_displacements(self, rows):
@@ -260,19 +261,19 @@ class TestLabelDisplacement:
         labeled = label_displacement(d, four_zone_map)
         assert labeled.origin_zone == "alpha"
         assert labeled.destination_zone == "beta"
-        assert labeled.crossing_time_estimate == T0.replace(hour=15)
+        assert from_epoch_us(labeled.crossing) == T0.replace(hour=15)
 
     def test_intra_zone_crossing_is_start(self, four_zone_map):
         d = self._disp(GeoPoint(40.05, -73.95), GeoPoint(40.15, -73.85))
         labeled = label_displacement(d, four_zone_map)
         assert labeled.origin_zone == labeled.destination_zone == "alpha"
-        assert labeled.crossing_time_estimate == d.start_time
+        assert from_epoch_us(labeled.crossing) == T0.replace(hour=14)
 
     def test_unzoned_destination_is_external(self, four_zone_map):
         d = self._disp(GeoPoint(40.1, -73.9), GeoPoint(20.0, -73.9))
         labeled = label_displacement(d, four_zone_map)
         assert labeled.destination_zone == "EXTERNAL"
-        assert labeled.touches_external
+        assert EXTERNAL in (labeled.origin_zone, labeled.destination_zone)
 
 
 class TestRunExtraction:
@@ -308,7 +309,7 @@ class TestRunExtraction:
         d1, _ = run_extraction(tls, four_zone_map, FilterConfig(), workers=1)
         d3, _ = run_extraction(tls, four_zone_map, FilterConfig(), workers=3)
         assert d1 == d3
-        keys = [(d.user_id, d.start_time) for d in d1]
+        keys = [(d.user_id, d.start) for d in d1]
         assert keys == sorted(keys)
 
 
@@ -411,8 +412,8 @@ class TestFusedScan:
             report.displacements_total, report.displacements_inter_zone,
             report.displacements_external_touching, report.travelers,
         ) == (
-            len(got), sum(d.is_inter_zone for d in got),
-            sum(d.touches_external for d in got), len({d.user_id for d in got}),
+            len(got), sum(map(is_inter_zone, got)),
+            sum(map(touches_external, got)), len({d.user_id for d in got}),
         )
 
 
@@ -566,8 +567,8 @@ class TestPairBound:
 
 
 class TestDisplacementIsItsRow:
-    """A `Displacement` is the row the scan yields; its other attributes are
-    views of the row's fields."""
+    """A `Displacement` is the row the scan yields; `origin` and `destination`
+    are views of the row's fields."""
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.lists(user_st, min_size=1, max_size=4))
@@ -581,10 +582,6 @@ class TestDisplacementIsItsRow:
             assert isinstance(d, tuple) and type(d) is Displacement
             assert d.origin == GeoPoint(d.origin_lat, d.origin_lon)
             assert d.destination == GeoPoint(d.dest_lat, d.dest_lon)
-            assert d.start_time == from_epoch_us(d.start)
-            assert d.end_time == from_epoch_us(d.end)
-            crossing = None if d.crossing is None else from_epoch_us(d.crossing)
-            assert d.crossing_time_estimate == crossing
         assert all(d.crossing is not None for d in got)
         assert all(d.crossing is None for d in unlabeled)
 
@@ -644,8 +641,8 @@ class TestScanTimes:
         extract_to_csv({"u1": tl}, FUSED_ZONES, self.CFG, streamed)
         assert streamed.getvalue() == written.getvalue()
         (read,) = read_displacements_csv(io.StringIO(written.getvalue(), newline=""))
-        assert read.crossing_time_estimate is not None
-        assert read.crossing_time_estimate == from_epoch_us(0)
+        assert read.crossing is not None
+        assert from_epoch_us(read.crossing) == from_epoch_us(0)
 
 
 class TestRowQuoting:

@@ -70,7 +70,7 @@ class TestParseRecords:
         assert rec.user_id == "138987307"
         assert rec.lat == 40.99412
         assert rec.lon == -73.87725
-        assert rec.timestamp == datetime(2014, 8, 2, 21, 58, tzinfo=timezone.utc)
+        assert from_epoch_us(rec.time) == datetime(2014, 8, 2, 21, 58, tzinfo=timezone.utc)
         assert rec.text == "just posted a photo"
 
     def test_empty_input(self):
@@ -178,7 +178,7 @@ class TestParseRecords:
         tz = ZoneInfo("America/New_York")
         res = parse_csv("u1,40.9,-73.9,8/2/2014 21:58,x\n", legacy_tz=tz)
         assert res.rejects == []
-        assert res.records[0].timestamp == datetime(2014, 8, 2, 21, 58, tzinfo=tz).astimezone(
+        assert from_epoch_us(res.records[0].time) == datetime(2014, 8, 2, 21, 58, tzinfo=tz).astimezone(
             timezone.utc
         )
 
@@ -397,7 +397,7 @@ class TestBuildTimelines:
             make_record(ts="2014-08-02T22:00:00Z"),
         ]
         (tl,) = build_timelines(recs).values()
-        times = [r.timestamp for r in tl.records]
+        times = [from_epoch_us(r.time) for r in tl.records]
         assert times == sorted(times)
 
     def test_two_users_partitioned(self):
@@ -414,7 +414,7 @@ class TestBuildTimelines:
         a = make_record(lat=40.1)
         b = make_record(lat=40.2)
         c = make_record(lat=40.3, ts="2014-08-02T20:00:00Z")
-        expected = sorted([a, b, c], key=lambda r: r.timestamp)  # stable oracle
+        expected = sorted([a, b, c], key=lambda r: from_epoch_us(r.time))  # stable oracle
         (tl,) = build_timelines([a, b, c]).values()
         assert list(tl.records) == expected
         assert tl.records[1] == a and tl.records[2] == b
@@ -1117,7 +1117,7 @@ datetime_us = st.integers(to_epoch_us(DATETIME_MIN), to_epoch_us(DATETIME_MAX))
 
 class TestRecordIsItsRow:
     """An immutable record is a `NamedTuple` of its fields, its times UTC
-    epoch microseconds; a datetime is only a view of one."""
+    epoch microseconds (`from_epoch_us` gives the datetime of one)."""
 
     @pytest.mark.parametrize("module, name", ROW_CLASSES, ids=[n for _, n in ROW_CLASSES])
     def test_value_record_is_a_tuple(self, module, name):
@@ -1129,12 +1129,12 @@ class TestRecordIsItsRow:
     ))
     def test_tweet_record(self, row):
         rec = TweetRecord._make(row)
-        assert rec == row and rec.timestamp == from_epoch_us(row[3])
+        assert rec == row
 
     @given(st.tuples(*[st.text(max_size=6)] * 3, datetime_us))
     def test_ground_truth_trip(self, row):
         trip = GroundTruthTrip._make(row)
-        assert trip == row and trip.true_crossing_time == from_epoch_us(row[3])
+        assert trip == row
 
     @given(st.lists(st.tuples(
         st.sampled_from(["u1", "u2"]), st.floats(-90, 90), st.floats(-180, 180), utc_instants,
@@ -1391,7 +1391,8 @@ class TestTableReaderFuzz:
             assert str(projected.value) == str(exc)
         else:
             assert list(read_od_rows(io.StringIO(text))) == [
-                (d.user_id, d.origin_zone, d.destination_zone, d.crossing_time_estimate)
+                (d.user_id, d.origin_zone, d.destination_zone,
+                 None if d.crossing is None else from_epoch_us(d.crossing))
                 for d in full
             ]
 

@@ -17,6 +17,7 @@ from geotrips.synthgen import (
 )
 from geotrips.zones import load_zones
 from conftest import feature_collection, square_feature, square_ring
+from oracles import is_inter_zone
 
 TWO_ZONE_OD = {("alpha", "beta"): 0.6, ("beta", "alpha"): 0.4}
 
@@ -165,7 +166,7 @@ class TestGenerate:
         records, trips = generate(small_cfg(four_zone_map, anomaly_rate=0.02))
         timelines = build_timelines(dedupe_records(records)[0])
         displacements, _ = run_extraction(timelines, four_zone_map, FilterConfig())
-        inter = [d for d in displacements if d.is_inter_zone]
+        inter = [d for d in displacements if is_inter_zone(d)]
         assert len(inter) == len(trips)
         got = {(d.user_id, d.origin_zone, d.destination_zone) for d in inter}
         expected = {(t.user_id, t.origin_zone, t.destination_zone) for t in trips}
